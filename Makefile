@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples vet test race bench fuzz goldens stress clean
+.PHONY: all build examples vet test race bench benchtest fuzz goldens stress clean
 
 all: build vet test goldens
 
@@ -27,6 +27,12 @@ race:
 # pre-rewrite baseline, so the perf trajectory is tracked PR over PR.
 bench:
 	./scripts/bench.sh
+
+# benchtest runs rrbench's own tests (fold, the compare verdicts, a smoke
+# run of all four workloads). bench/ is a Go module of its own, so the root
+# `go test ./...` does not reach them.
+benchtest:
+	cd bench && $(GO) test ./...
 
 # fuzz gives each fuzz target a short budget (override with FUZZTIME=…;
 # CI uses a tighter budget than the local default). Targets run one per

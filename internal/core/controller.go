@@ -269,6 +269,22 @@ type Controller struct {
 	onJobAdd    func(j *Job)
 	onJobRemove func(j *Job)
 
+	// reapedExits is the kernel's exit count at the last reap scan. A
+	// member turns StateExited only through a kernel exit, so while the
+	// count stands still the scan cannot find anything — unless a thread
+	// that had already exited joined a job since, which sets reapDue.
+	reapedExits uint64
+	reapDue     bool
+	// primaryChanges counts changes of a surviving job's primary member
+	// (members[0]); with the kernel's migration count it is everything
+	// that can move a job's control-plane home.
+	primaryChanges uint64
+	// outOfPassWrites counts writes to a job's desire or allocation made
+	// outside the sample and squish passes (admission, bootstrap,
+	// Renegotiate), so a control plane that caches them knows when to
+	// refresh.
+	outOfPassWrites uint64
+
 	// Persistent per-interval scratch: step reslices these to zero length
 	// each interval instead of allocating, so a controller tick is
 	// allocation-free after warm-up (asserted by TestControllerStepZeroAlloc).
@@ -635,6 +651,7 @@ func (c *Controller) AddRealTime(t *kernel.Thread, proportion int, period sim.Du
 	j.periodFixed = true
 	j.desired = proportion
 	j.allocated = proportion
+	c.outOfPassWrites++
 	c.admitted += proportion
 	c.actuate(j, proportion, period)
 	return j, nil
@@ -658,6 +675,7 @@ func (c *Controller) AddAperiodicRealTime(t *kernel.Thread, proportion int) (*Jo
 	j.period = c.cfg.DefaultPeriod
 	j.desired = proportion
 	j.allocated = proportion
+	c.outOfPassWrites++
 	c.admitted += proportion
 	c.actuate(j, proportion, j.period)
 	return j, nil
@@ -749,6 +767,7 @@ func (c *Controller) Renegotiate(j *Job, proportion int) error {
 	j.specified = proportion
 	j.desired = proportion
 	j.allocated = proportion
+	c.outOfPassWrites++
 	c.actuate(j, proportion, j.period)
 	return nil
 }
@@ -762,6 +781,9 @@ func (c *Controller) AddMember(j *Job, t *kernel.Thread) {
 	}
 	j.members = append(j.members, t)
 	c.byThr[t] = j
+	if t.State() == kernel.StateExited {
+		c.reapDue = true
+	}
 	j.lastCPU = j.cpuTime()
 	j.cpuBlockMark = j.cpuTime()
 	j.lastBlocked = j.blockedCount()
@@ -841,7 +863,16 @@ func (c *Controller) ThreadExited(t *kernel.Thread) {
 		c.Remove(j)
 		return
 	}
-	j.thread = j.members[0]
+	c.setPrimary(j)
+}
+
+// setPrimary re-points a surviving job's primary at members[0], counting
+// the change when it is one.
+func (c *Controller) setPrimary(j *Job) {
+	if j.thread != j.members[0] {
+		j.thread = j.members[0]
+		c.primaryChanges++
+	}
 }
 
 // jobSlabSize is how many Job objects one slab chunk holds.
@@ -920,12 +951,15 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 	j := c.allocJob()
 	j.thread = t
 	if cap(j.members) == 0 {
-		// Sized for the common small pipeline so the primary plus a few
-		// AddMember calls fit without regrowing (the capacity survives
-		// pooling, so a recycled job never regrows at all).
-		j.members = make([]*kernel.Thread, 0, 4)
+		// The inline buffer fits the common small pipeline, so the primary
+		// plus a few AddMember calls need no allocation (a grown backing
+		// array survives pooling, so a recycled job never regrows at all).
+		j.members = j.memberBuf[:0]
 	}
 	j.members = append(j.members, t)
+	if t.State() == kernel.StateExited {
+		c.reapDue = true
+	}
 	j.class = class
 	j.importance = 1
 	j.lastCPU = t.CPUTime()
@@ -954,6 +988,7 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 func (c *Controller) bootstrap(j *Job) {
 	j.desired = c.cfg.MinProportion
 	j.allocated = c.cfg.MinProportion
+	c.outOfPassWrites++
 	c.actuate(j, j.allocated, j.period)
 }
 
@@ -1124,10 +1159,11 @@ func (c *Controller) sampleJob(j *Job, now sim.Time, dt float64, epochs int64) b
 // squishApply is pass 2 over one set of squishable jobs: fit their desires
 // into capacity, clamp, raise quality exceptions, and actuate changes. The
 // global sweep passes every adaptive job; a shard passes only its own, with
-// its slice of the capacity.
-func (c *Controller) squishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) {
+// its slice of the capacity. It returns the granted allocations, index for
+// index — the controller's scratch, valid until the next call.
+func (c *Controller) squishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) []int {
 	if len(squishable) == 0 {
-		return
+		return nil
 	}
 	// The non-zero floor only fits while floor·n ≤ capacity; past that
 	// point (thousands of adaptive jobs on one CPU) the machine simply
@@ -1160,6 +1196,7 @@ func (c *Controller) squishApply(squishable []*Job, desires []int, weights []flo
 		j.lastCPU = j.cpuTime()
 		j.lastBlocked = j.blockedCount()
 	}
+	return allocs
 }
 
 // governorStep runs the supervisory outer loop once per control interval:
@@ -1435,11 +1472,21 @@ func (c *Controller) actuate(j *Job, prop int, period sim.Duration) {
 // reservation — not a panic: the dispatcher can reject for reasons that
 // are runtime state (a corrupted period from a faulted source), and one
 // bad job must not take the whole controller down.
+//
+// Installing a reservation can run the machine (see below), and a member
+// that exits meanwhile leaves j.members at once — the slice shifts under
+// the loop. So the loop walks a snapshot and skips a member j no longer
+// owns; the first member needs no check, since nothing has run yet.
 func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
-	n := len(j.members)
+	var buf [8]*kernel.Thread
+	members := append(buf[:0], j.members...)
+	n := len(members)
 	share := prop / n
 	rem := prop - share*n
-	for i, t := range j.members {
+	for i, t := range members {
+		if i > 0 && c.byThr[t] != j {
+			continue
+		}
 		p := share
 		if i == 0 {
 			p += rem
@@ -1572,7 +1619,16 @@ func (c *Controller) promote(j *Job, now sim.Time) {
 }
 
 // reap drops exited member threads and removes jobs with no live members.
+// It scans only when the kernel's exit count moved since the last scan (or
+// an exited thread joined a job): otherwise no member can have exited, and
+// the scan of every job's members would find nothing. The eager exit path
+// (ThreadExited) usually leaves it nothing to do even then.
 func (c *Controller) reap() {
+	exits := c.kern.Exits()
+	if exits == c.reapedExits && !c.reapDue {
+		return
+	}
+	c.reapedExits, c.reapDue = exits, false
 	for i := 0; i < len(c.jobs); {
 		j := c.jobs[i]
 		live := j.members[:0]
@@ -1590,7 +1646,7 @@ func (c *Controller) reap() {
 			c.Remove(j)
 			continue
 		}
-		j.thread = j.members[0]
+		c.setPrimary(j)
 		i++
 	}
 }

@@ -61,6 +61,11 @@ func (c Class) Adaptive() bool {
 // Job is one controlled entity: in the paper's terms, "a collection of
 // cooperating threads"; here one thread per job (the prototype's jobs map
 // to threads the same way).
+//
+// The fields every sample and squish of an adaptive job reads or writes
+// come first, with the members' backing array right behind them: at 100k
+// jobs a staleness sweep is bound by cache misses, so the hot state of a
+// job spans as few cache lines as the layout allows.
 type Job struct {
 	thread *kernel.Thread
 	// members lists every thread of the job, members[0] == thread. "A job
@@ -74,29 +79,13 @@ type Job struct {
 	// extended this simple fair-share policy by associating an importance
 	// with each thread"). Default 1.
 	importance float64
-
-	// specified holds the user-supplied proportion for real-time and
-	// aperiodic real-time jobs (parts per thousand).
-	specified int
 	// period is the current period (specified or assigned).
 	period sim.Duration
-	// periodFixed marks periods that must not be adapted (real-time jobs
-	// or explicitly pinned real-rate jobs).
-	periodFixed bool
-
-	// g is the per-job PID pressure filter (the paper's G).
-	g *pid.Controller
-	// lastRaw is the most recent raw summed pressure (before G), used to
-	// detect saturated queues for quality exceptions.
-	lastRaw float64
 
 	// desired is the pre-squish allocation computed this interval.
 	desired int
 	// allocated is the post-squish actuated allocation.
 	allocated int
-	// squished reports whether the last interval reduced this job below
-	// its desire.
-	squished bool
 
 	// lastCPU is the thread's cpu time at the previous control interval,
 	// for usage measurement (the reclamation path of Figure 4).
@@ -113,6 +102,38 @@ type Job struct {
 	// lastBlocked is the thread's voluntary block count at the previous
 	// interval, for the interactive burst estimator.
 	lastBlocked uint64
+
+	// overloadStreak counts consecutive intervals at saturated positive
+	// pressure while squished, used to raise quality exceptions.
+	overloadStreak int
+
+	// squished reports whether the last interval reduced this job below
+	// its desire.
+	squished bool
+	// reclaiming marks a miscellaneous job whose smoothed usage fell
+	// below the reclaim threshold; hysteresis keeps the heuristic from
+	// dithering at the boundary.
+	reclaiming bool
+	// periodFixed marks periods that must not be adapted (real-time jobs
+	// or explicitly pinned real-rate jobs).
+	periodFixed bool
+	// haveSample gates the watchdog's first comparison (see lastSample).
+	haveSample bool
+
+	// memberBuf is the initial backing array of members, inside the job so
+	// a small job's member walk stays on the job's own cache lines.
+	memberBuf [4]*kernel.Thread
+
+	// specified holds the user-supplied proportion for real-time and
+	// aperiodic real-time jobs (parts per thousand).
+	specified int
+
+	// g is the per-job PID pressure filter (the paper's G).
+	g *pid.Controller
+	// lastRaw is the most recent raw summed pressure (before G), used to
+	// detect saturated queues for quality exceptions.
+	lastRaw float64
+
 	// cpuBlockMark is the thread's cpu time at the last completed burst;
 	// the CPU consumed between block events, divided by the number of
 	// blocks, is the true per-burst cost even when a burst spans many
@@ -121,15 +142,6 @@ type Job struct {
 	// burstEstimate is the low-passed CPU-per-burst estimate for
 	// interactive jobs.
 	burstEstimate sim.Duration
-
-	// reclaiming marks a miscellaneous job whose smoothed usage fell
-	// below the reclaim threshold; hysteresis keeps the heuristic from
-	// dithering at the boundary.
-	reclaiming bool
-
-	// overloadStreak counts consecutive intervals at saturated positive
-	// pressure while squished, used to raise quality exceptions.
-	overloadStreak int
 
 	// degraded is the job's rung on the graceful-degradation ladder
 	// (LevelRealRate when healthy). Only real-rate jobs descend.
@@ -140,9 +152,8 @@ type Job struct {
 	flatStreak    int
 	recoverStreak int
 	// lastSample is the previous accepted pressure sample, for the
-	// watchdog's flat-signal comparison; haveSample gates the first one.
+	// watchdog's flat-signal comparison.
 	lastSample float64
-	haveSample bool
 	// fallback is the fixed proportion held at LevelFallback: the last
 	// allocation granted while the signal was still trusted.
 	fallback int

@@ -49,12 +49,14 @@ func (c *Controller) PeekPressure(j *Job, now sim.Time) float64 {
 // shard's slice of the machine capacity: squish desires to fit, clamp,
 // raise quality exceptions, and actuate changes. The scratch buffers are
 // the controller's own — shard ticks are serialized by the simulation, so
-// sharing them is safe and keeps every tick allocation-free.
-func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) {
+// sharing them is safe and keeps every tick allocation-free. It returns
+// each job's new Allocated, index for index, in that scratch: valid until
+// the next call, and read by the plane instead of the jobs themselves.
+func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) []int {
 	if capacity < 0 {
 		capacity = 0
 	}
-	c.squishApply(squishable, desires, weights, capacity, now)
+	return c.squishApply(squishable, desires, weights, capacity, now)
 }
 
 // EpochEpilogue ends one control epoch: feed the governor the saturation
@@ -97,3 +99,16 @@ func (c *Controller) MarkExternal() {
 // External reports whether an external control plane drives this
 // controller.
 func (c *Controller) External() bool { return c.external }
+
+// PrimaryChanges counts how often a surviving job's primary member changed
+// (its first member exited and the next took over). A job's primary only
+// changes here, so while this count and the kernel's migration count stand
+// still, every job's primary thread sits on the CPU it last did.
+func (c *Controller) PrimaryChanges() uint64 { return c.primaryChanges }
+
+// OutOfPassWrites counts writes to a job's desire or allocation made
+// outside SampleJob and SquishApply: admissions (AddRealTime,
+// AddAperiodicRealTime, the adaptive classes' bootstrap) and Renegotiate.
+// A control plane that caches desires and allocations refreshes them when
+// this count moves.
+func (c *Controller) OutOfPassWrites() uint64 { return c.outOfPassWrites }

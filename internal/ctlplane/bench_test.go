@@ -19,6 +19,23 @@ func benchRig(n int, cfg Config) (*rig, sim.Time) {
 	return r, r.kern.Now()
 }
 
+// benchRigSMP builds the rrbench plane machine: 8 CPUs with one shard
+// each, the modeled controller cost collapsed as in TestSoak1MAdmission,
+// and n miscellaneous jobs that sleep for an hour. Every job is homed by
+// its CPU through the cpu→shard table, where benchRig's uniprocessor
+// hashes thread IDs.
+func benchRigSMP(n int, mode Mode) (*rig, sim.Time) {
+	r := newRigCfg(8, core.Config{BaseCost: 100, PerJobCost: 1}, Config{Mode: mode, Shards: 8})
+	op := kernel.OpSleep{D: sim.Duration(time.Hour)}
+	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	for i := 0; i < n; i++ {
+		r.ctl.AddMiscellaneous(r.kern.Spawn("sleeper", prog))
+	}
+	r.start()
+	r.eng.RunFor(sim.Second)
+	return r, r.kern.Now()
+}
+
 // runEpoch drives one full control epoch: every shard ticks once.
 func runEpoch(r *rig, now sim.Time) {
 	for _, s := range r.plane.shards {
@@ -30,18 +47,31 @@ func runEpoch(r *rig, now sim.Time) {
 // plane's shards — the sharded analog of core's BenchmarkControllerStep.
 // The acceptance target: event mode at n=100k stays under 2× the per-job
 // cost of n=10k, because steady-state misc jobs ride the skip path and
-// only 1/staleness of them are re-sampled per epoch.
+// only 1/staleness of them are re-sampled per epoch. The cpus=8 variants
+// run the rrbench plane machine, where homes are CPU-derived.
 func BenchmarkControllerStep(b *testing.B) {
-	for _, mode := range []Mode{Periodic, EventDriven} {
-		for _, n := range []int{10_000, 100_000} {
-			b.Run(fmt.Sprintf("mode=%s/n=%d", mode, n), func(b *testing.B) {
-				r, now := benchRig(n, Config{Mode: mode, Shards: 8})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runEpoch(r, now)
+	for _, cpus := range []int{1, 8} {
+		for _, mode := range []Mode{Periodic, EventDriven} {
+			for _, n := range []int{10_000, 100_000} {
+				name := fmt.Sprintf("mode=%s/n=%d", mode, n)
+				if cpus > 1 {
+					name = fmt.Sprintf("cpus=%d/%s", cpus, name)
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					var r *rig
+					var now sim.Time
+					if cpus > 1 {
+						r, now = benchRigSMP(n, mode)
+					} else {
+						r, now = benchRig(n, Config{Mode: mode, Shards: 8})
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						runEpoch(r, now)
+					}
+				})
+			}
 		}
 	}
 }

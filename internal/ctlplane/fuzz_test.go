@@ -12,7 +12,9 @@ import (
 // goes more than the (normalized) staleness bound without a fresh sample.
 // A starved job would mean its feedback loop is open — allocations frozen
 // while the workload changes — so this bound is the mode's safety
-// property.
+// property. At every epoch end it also checks the skip path's contract
+// (skipContract): a shard whose gates are shut holds only entries homed on
+// it whose caches equal their jobs.
 func FuzzEventDrivenThresholds(f *testing.F) {
 	f.Add(0.05, int64(100), uint8(4), uint8(24))
 	f.Add(0.0, int64(0), uint8(0), uint8(1))
@@ -40,6 +42,9 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 
 		bound := r.plane.StalenessEpochs()
 		r.ctl.OnStep(func(now sim.Time) {
+			if _, _, err := skipContract(r.plane); err != nil {
+				t.Fatalf("threshold=%v staleness=%dms shards=%d: t=%v: %v", threshold, stalenessMs, shards, now, err)
+			}
 			for _, sh := range r.plane.shards {
 				for _, e := range sh.list {
 					if !e.sampled || e.removed {

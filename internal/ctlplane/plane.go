@@ -71,9 +71,14 @@ type Config struct {
 	MaxStaleness sim.Duration
 }
 
-// entry is the plane's per-job control state.
+// entry is the plane's per-job control state. A skipped visit reads this
+// entry and nothing else (DESIGN.md §10.5), so it carries copies of the
+// job state the walk aggregates. It fills one 64-byte cache line, and the
+// slab hands entries out line-aligned (TestEntryFitsCacheLine).
 type entry struct {
 	job *core.Job
+	// freeNext links the object into the plane's free list while pooled.
+	freeNext *entry
 	// shard is the entry's current home shard.
 	shard int
 	// lastEpoch guards exactly-once sampling: the epoch in which some
@@ -84,6 +89,12 @@ type entry struct {
 	// sampleEpoch is the epoch of the last actual sample; epoch −
 	// sampleEpoch is the gap the estimators integrate over.
 	sampleEpoch int64
+	// desired and allocated cache the job's Desired and Allocated. They
+	// are reloaded after the plane's own SampleJob and SquishApply, and
+	// by every visit of a tick whose out-of-pass write gate is open.
+	desired, allocated int
+	// adaptive and realRate cache the job's class, fixed at admission.
+	adaptive, realRate bool
 	// sampled reports whether the job has ever been sampled.
 	sampled bool
 	// dirty is the push half: a watched metric announced a change since
@@ -91,11 +102,15 @@ type entry struct {
 	dirty bool
 	// watched reports whether every progress metric the job registered is
 	// watchable — i.e. whether dirty marks see all of its signal edges.
-	// Refreshed at every sample.
+	// Refreshed at every sample of a real-rate job; no other class reads
+	// it.
 	watched bool
 	removed bool
-	// freeNext links the object into the plane's free list while pooled.
-	freeNext *entry
+}
+
+// load copies the job's desire and allocation into the entry.
+func (e *entry) load() {
+	e.desired, e.allocated = e.job.Desired(), e.job.Allocated()
 }
 
 // shard is one slice of the control plane: a list of owned entries, a
@@ -133,6 +148,12 @@ type shard struct {
 	lastSampled int
 	lastSkipped int
 
+	// The gate counters as this shard last read them, at the start of its
+	// previous walk: the kernel's migration count and the controller's
+	// primary-change count (re-homing) and out-of-pass write count (cache
+	// refresh). While they stand still the walk skips both.
+	migrations, primaries, writes uint64
+
 	// stats
 	ticks    uint64
 	sampled  uint64
@@ -154,19 +175,26 @@ type Plane struct {
 	threshold       float64
 
 	shards []*shard
-	byJob  map[*core.Job]*entry
-	epoch  int64
+	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
+	// where homes hash the thread ID instead.
+	cpuShard []int
+	byJob    map[*core.Job]*entry
+	epoch    int64
 
 	// scratch buffers shared across shards — safe because shard ticks are
-	// serialized by the simulation.
+	// serialized by the simulation. squishEnt holds the entries of the
+	// squishable jobs, index for index, so the post-squish refresh needs
+	// no lookup.
 	squishable []*core.Job
+	squishEnt  []*entry
 	desires    []int
 	weights    []float64
 	preAlloc   []int
 	moves      []*entry
-	// adaptiveScratch collects every adaptive job visited in an event-mode
-	// tick, so an over-committed shard can squish its whole list.
-	adaptiveScratch []*core.Job
+	// adaptiveScratch collects every adaptive entry visited in an
+	// event-mode tick, so an over-committed shard can squish its whole
+	// list.
+	adaptiveScratch []*entry
 
 	// entSlab backs new entry allocation; freeEnt heads the free list of
 	// dropped ones. An entry lives in exactly one shard list, is marked
@@ -212,6 +240,12 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		p.shards = append(p.shards, &shard{id: s})
+	}
+	if ncpu := kern.NumCPUs(); ncpu > 1 {
+		p.cpuShard = make([]int, ncpu)
+		for c := range p.cpuShard {
+			p.cpuShard[c] = c % cfg.Shards
+		}
 	}
 	ctl.MarkExternal()
 	ctl.OnJobChange(p.jobAdded, p.jobRemoved)
@@ -284,14 +318,17 @@ func (p *Plane) programOf(s *shard) func(t *kernel.Thread, now sim.Time) kernel.
 // on a multiprocessor, a thread-ID hash on a uniprocessor.
 func (p *Plane) homeOf(j *core.Job) int {
 	t := j.Thread()
-	if p.kern.NumCPUs() > 1 {
-		return t.CPU() % len(p.shards)
+	if p.cpuShard != nil {
+		return p.cpuShard[t.CPU()]
 	}
 	return t.ID() % len(p.shards)
 }
 
-// entrySlabSize is how many entries one slab chunk holds.
-const entrySlabSize = 256
+// entrySlabSize is how many entries one slab chunk holds. At 64 bytes an
+// entry, a chunk is 64 KiB: a large object, which the Go allocator starts
+// on a page boundary with no type header in front, so every entry sits on
+// exactly one cache line (TestEntryFitsCacheLine).
+const entrySlabSize = 1024
 
 // allocEntry returns a zeroed entry from the free pool or the slab.
 func (p *Plane) allocEntry() *entry {
@@ -309,11 +346,14 @@ func (p *Plane) allocEntry() *entry {
 }
 
 // jobAdded registers a plane entry for a newly admitted job on its home
-// shard. lastEpoch 0 makes the home shard visit it at its next tick.
+// shard. lastEpoch 0 makes the home shard visit it at its next tick, and
+// an unsampled entry is always sampled there, which loads its cache.
 func (p *Plane) jobAdded(j *core.Job) {
 	e := p.allocEntry()
 	e.job = j
 	e.shard = p.homeOf(j)
+	class := j.Class()
+	e.adaptive, e.realRate = class.Adaptive(), class == core.RealRate
 	p.byJob[j] = e
 	sh := p.shards[e.shard]
 	sh.list = append(sh.list, e)
@@ -373,7 +413,7 @@ func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
 	if p.epoch-e.sampleEpoch >= p.stalenessEpochs {
 		return true
 	}
-	if e.job.Class() == core.RealRate && e.watched {
+	if e.realRate && e.watched {
 		if !e.dirty {
 			return false
 		}
@@ -398,11 +438,13 @@ func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
 // shard visits its list exactly once: drop dead entries, re-home migrated
 // ones (collected during the walk, applied after — the lastEpoch guard
 // keeps a re-homed job from being visited twice in one epoch), decide
-// whether to re-sample, and rebuild its published aggregates. Pass 2
-// squishes only this epoch's sampled jobs into the shard's demand-
-// proportional slice of machine capacity, minus what the shard's
-// un-sampled jobs already hold — so an idle shard's tick does no squish
-// work at all.
+// whether to re-sample, and rebuild its published aggregates from the
+// entries' caches. Re-homing and cache reloads run only while their
+// counter gates are open (DESIGN.md §10.5), so a skipped visit reads
+// nothing but its entry. Pass 2 squishes only this epoch's sampled jobs
+// into the shard's demand-proportional slice of machine capacity, minus
+// what the shard's un-sampled jobs already hold — so an idle shard's tick
+// does no squish work at all.
 func (p *Plane) tick(s *shard, now sim.Time) {
 	if s.id == 0 {
 		p.epoch++
@@ -410,7 +452,18 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	}
 	s.ticks++
 
+	// The gates, read before the walk: a migration, primary change or
+	// out-of-pass write made during this tick (its own squish can set one
+	// off) moves a counter past what this shard saw and re-opens the gate
+	// at its next tick. While a gate stays shut, every entry on the list is
+	// already on its home shard, and every cache equals its job.
+	migrations, primaries, writes := p.kern.Migrations(), p.ctl.PrimaryChanges(), p.ctl.OutOfPassWrites()
+	rehome := migrations != s.migrations || primaries != s.primaries
+	refresh := writes != s.writes
+	s.migrations, s.primaries, s.writes = migrations, primaries, writes
+
 	squishable := p.squishable[:0]
+	squishEnt := p.squishEnt[:0]
 	desires := p.desires[:0]
 	weights := p.weights[:0]
 	preAlloc := p.preAlloc[:0]
@@ -432,12 +485,17 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			p.freeEnt = e
 			continue
 		}
-		j := e.job
-		if home := p.homeOf(j); home != s.id {
-			e.shard = home
-			moves = append(moves, e)
-			s.handoffs++
-		} else {
+		if refresh {
+			e.load()
+		}
+		if rehome {
+			if home := p.homeOf(e.job); home != s.id {
+				e.shard = home
+				moves = append(moves, e)
+				s.handoffs++
+			}
+		}
+		if e.shard == s.id {
 			keep = append(keep, e)
 		}
 		if e.lastEpoch == p.epoch {
@@ -449,40 +507,44 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		}
 		e.lastEpoch = p.epoch
 
-		adaptive := j.Class().Adaptive()
 		if p.shouldSample(e, now) {
 			epochs := p.epoch - e.sampleEpoch
 			if !e.sampled || epochs < 1 {
 				epochs = 1
 			}
-			e.watched = p.watchedOf(j)
+			j := e.job
+			if e.realRate {
+				e.watched = p.watchedOf(j)
+			}
 			inSquish := p.ctl.SampleJob(j, now, epochs)
+			e.load()
 			e.sampled = true
 			e.sampleEpoch = p.epoch
 			e.dirty = false
 			sampledTick++
 			if inSquish {
 				squishable = append(squishable, j)
-				desires = append(desires, j.Desired())
+				squishEnt = append(squishEnt, e)
+				desires = append(desires, e.desired)
 				weights = append(weights, j.Importance())
-				preAlloc = append(preAlloc, j.Allocated())
+				preAlloc = append(preAlloc, e.allocated)
 			}
 		} else {
 			skippedTick++
 		}
 
-		d := j.Desired()
+		d, a := e.desired, e.allocated
 		dc := d
 		if dc > maxPPT {
 			dc = maxPPT
 		}
 		govDesire += dc
-		govGranted += j.Allocated()
-		if adaptive {
+		govGranted += a
+		if e.adaptive {
 			desireRaw += d
-			allocAdaptive += j.Allocated()
+			allocAdaptive += a
 			if p.cfg.Mode == EventDriven {
-				allAdaptive = append(allAdaptive, j)
+				allAdaptive = append(allAdaptive, e)
 			}
 		}
 	}
@@ -517,7 +579,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	} else {
 		slice = int(int64(capacity) * int64(desireRaw) / int64(dTotal))
 	}
-	if p.cfg.Mode == EventDriven && allocAdaptive > slice {
+	if p.cfg.Mode == EventDriven && allocAdaptive > slice && len(squishable) < len(allAdaptive) {
 		// Over-commit recovery: the shard's jobs hold more than its slice
 		// (early epochs, before every shard has published demand; or a
 		// demand collapse elsewhere). Waiting for staleness to re-sample
@@ -525,13 +587,17 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		// staleness bound, so the whole shard is squished now with
 		// retained desires. The included un-sampled jobs get their usage
 		// marks advanced a little early; their next sample's smoothed
-		// usage absorbs it.
-		squishable = append(squishable[:0], allAdaptive...)
+		// usage absorbs it. When every adaptive entry was sampled (a
+		// staleness sweep), the squish set already is the whole shard, in
+		// the same order and with the same inputs.
+		squishable, squishEnt = squishable[:0], squishEnt[:0]
 		desires, weights, preAlloc = desires[:0], weights[:0], preAlloc[:0]
-		for _, j := range allAdaptive {
-			desires = append(desires, j.Desired())
-			weights = append(weights, j.Importance())
-			preAlloc = append(preAlloc, j.Allocated())
+		for _, e := range allAdaptive {
+			squishable = append(squishable, e.job)
+			squishEnt = append(squishEnt, e)
+			desires = append(desires, e.desired)
+			weights = append(weights, e.job.Importance())
+			preAlloc = append(preAlloc, e.allocated)
 		}
 	}
 	held := 0
@@ -539,14 +605,15 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		held += a
 	}
 	squishCap := slice - (allocAdaptive - held)
-	p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
-	for i, j := range squishable {
-		delta := j.Allocated() - preAlloc[i]
+	granted := p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
+	for i, e := range squishEnt {
+		e.allocated = granted[i]
+		delta := granted[i] - preAlloc[i]
 		s.govGranted += delta
 		s.allocAdaptive += delta
 	}
 
-	p.squishable, p.desires, p.weights, p.preAlloc, p.moves = squishable, desires, weights, preAlloc, moves[:0]
+	p.squishable, p.squishEnt, p.desires, p.weights, p.preAlloc, p.moves = squishable, squishEnt, desires, weights, preAlloc, moves[:0]
 	p.adaptiveScratch = allAdaptive
 	s.lastSampled, s.lastSkipped = sampledTick, skippedTick
 	s.sampled += uint64(sampledTick)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/workload/gen"
 )
 
 // TestSLOSweepAttainmentMonotone runs a small attainment sweep and pins
@@ -112,5 +113,32 @@ func TestSLOSpecScalesWithLoad(t *testing.T) {
 	c := experiments.SLOSpec(1, 100, 1, 0, 0)
 	if c.Duration != time.Second || c.CPUs != 1 {
 		t.Errorf("degenerate dur/cpus not clamped: %v, %d", c.Duration, c.CPUs)
+	}
+}
+
+// TestSLOSpecMemberExitDuringActuation pins the fix for a member exiting
+// while core.Controller.apply installs its job's reservation: installing a
+// reservation can run the machine, and the eager exit path then removed
+// the member from the very slice apply was ranging over, so the loop
+// skipped a member and reached the slice's cleared tail (a nil thread).
+// These seeds of the benchmark's sessions scenario (20k sessions over 2 s
+// on 8 CPUs, rbs, event plane) panicked there; each must now run to the
+// end with every started session accounted for.
+func TestSLOSpecMemberExitDuringActuation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, seed := range []uint64{5, 7, 11} {
+		res, err := gen.Generate(experiments.SLOSpec(seed, 20000, 1.0, 2*time.Second, 8)).Run(gen.RunOpts{
+			Policy: "rbs", Controller: "event", NoInvariants: true,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		s := res.Report.Sessions
+		if sum := s.Refused + s.Completed + s.Dead + s.Live; sum != s.Started || s.Completed == 0 {
+			t.Errorf("seed %d: started %d, refused %d + completed %d + dead %d + live %d",
+				seed, s.Started, s.Refused, s.Completed, s.Dead, s.Live)
+		}
 	}
 }

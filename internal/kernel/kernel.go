@@ -345,6 +345,18 @@ func (k *Kernel) Stats() Stats {
 	return s
 }
 
+// Migrations returns how many times any thread changed CPUs. migrate is
+// the only place a thread's CPU changes after spawn, so an unchanged count
+// proves every live thread is still where it was — the control plane's
+// re-homing gate. Cheaper than building Stats.
+func (k *Kernel) Migrations() uint64 { return k.stats.Migrations }
+
+// Exits returns how many threads have left the machine, OpExit and Retire
+// alike. exit is the only place a thread turns StateExited, so an
+// unchanged count proves no thread exited in between — the controller's
+// reap gate.
+func (k *Kernel) Exits() uint64 { return k.stats.Exits }
+
 // CPUStatsOf returns a snapshot of one CPU's accounting, including a
 // partial in-progress idle span.
 func (k *Kernel) CPUStatsOf(cpu int) CPUStats {

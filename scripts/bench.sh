@@ -40,7 +40,10 @@ go test -run '^$' -bench 'BenchmarkOverloadGovernor' -benchtime 10x -benchmem . 
 # Sharded control-plane benches (pr8-ctlplane): one full control epoch at
 # 10k and 100k jobs, periodic vs event mode — the event plane's per-job
 # cost must stay sublinear-ish (n=100k < 2× the n=10k per-job cost). The
-# 1M-job soak logs admission and per-epoch wall time into the test output.
+# cpus=8 variants run the rrbench plane machine (8 CPUs, 8 shards, jobs
+# homed by CPU through the cpu→shard table), the path the 1-CPU rig's
+# thread-ID hash never takes. The 1M-job soak logs admission and per-epoch
+# wall time into the test output.
 go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 20x -benchmem ./internal/ctlplane/ >>"$tmp" 2>&1
 go test -run 'TestSoak1MAdmission' -v ./internal/ctlplane/ >>"$tmp" 2>&1
 
