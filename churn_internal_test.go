@@ -75,7 +75,7 @@ func TestChurnPoolNonLeak(t *testing.T) {
 // lifetime, plus optional kill and renegotiate actions.
 func runChurnSchedule(t *testing.T, data []byte, disablePools bool) []byte {
 	t.Helper()
-	sys := NewSystem(Config{DisablePools: disablePools})
+	sys := NewSystem(Config{disablePools: disablePools})
 	tr := sys.EnableTracing(0)
 	var spawned []*Thread
 	i := 0

@@ -58,7 +58,7 @@ func runChurnStorm(tb testing.TB, sys *realrate.System, dur time.Duration) []*re
 	if _, err := sys.Spawn("producer", producer, realrate.Reserve(100, 10*time.Millisecond)); err != nil {
 		tb.Fatal(err)
 	}
-	sys.SpawnRealRate("consumer", consumer, 0, realrate.ConsumerOf(pipe))
+	spawn(tb, sys, "consumer", consumer, realrate.RealRate(0, realrate.ConsumerOf(pipe)))
 
 	var churned []*realrate.Thread
 	step := 0
@@ -205,7 +205,9 @@ func TestUseAfterRetirePanics(t *testing.T) {
 // and returns the raw dispatch-trace CSV.
 func churnTraceCSV(tb testing.TB, disablePools bool) []byte {
 	tb.Helper()
-	sys := realrate.NewSystem(realrate.Config{DisablePools: disablePools})
+	var cfg realrate.Config
+	realrate.SetDisablePools(&cfg, disablePools)
+	sys := realrate.NewSystem(cfg)
 	tr := sys.EnableTracing(0)
 	runChurnStorm(tb, sys, 2*time.Second)
 	var buf bytes.Buffer
@@ -218,7 +220,7 @@ func churnTraceCSV(tb testing.TB, disablePools bool) []byte {
 // TestChurnTraceIdenticalPoolsOnOff is the pooling ground truth: free-list
 // recycling of kernel threads, scheduler state, and controller jobs must
 // not move a single dispatch edge. The same churn storm runs with pools
-// on and off — toggling only Config.DisablePools — and the raw scheduler
+// on and off — toggling only the config's pool switch — and the raw scheduler
 // traces must match byte for byte.
 func TestChurnTraceIdenticalPoolsOnOff(t *testing.T) {
 	pooled := churnTraceCSV(t, false)

@@ -74,7 +74,7 @@ func main() {
 		genDur     = flag.Duration("gendur", 0, "duration override for -gen (0: the family's drawn duration)")
 		traceCSV   = flag.String("trace", "", "arrival trace CSV to replay for -gen (overrides the family's arrival process)")
 		controller = flag.String("controller", "", "control-plane sampling mode for -gen: periodic (default) or event")
-		shards     = flag.Int("shards", 0, "controller shard count for -gen (0 or 1: the classic single sweep)")
+		shards     = flag.Int("shards", 0, "controller shard count for -gen (0 or 1: one shard, the paper's single sweep)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap (allocation) profile to this file at exit")
@@ -327,8 +327,8 @@ func runGenerated(scenario string, seed uint64, seeds int, policy string, scale 
 
 // ctlSummary formats the per-shard sample/skip counters for the -gen
 // report line. Empty unless a non-default control plane was requested:
-// the classic sweep's synthesized single-shard stats would only repeat
-// the Samples column.
+// the default single periodic shard samples every job every epoch, so
+// its counters say nothing the rest of the line does not.
 func ctlSummary(controller string, shards int, stats []realrate.ShardStat) string {
 	if (controller == "" || controller == "periodic") && shards <= 1 {
 		return ""

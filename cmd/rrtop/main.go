@@ -74,7 +74,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject a demo fault schedule against a sensor thread and watch the degradation ladder")
 	overload := flag.Bool("overload", false, "arm the overload governor and fire a mid-run storm of short-lived hogs to watch the brownout ladder")
 	controller := flag.String("controller", "periodic", "control-plane sampling mode: periodic or event")
-	shards := flag.Int("shards", 0, "controller shard count (0 or 1: the classic single sweep)")
+	shards := flag.Int("shards", 0, "controller shard count (0 or 1: one shard, the paper's single sweep)")
 	flag.Parse()
 
 	cfg := realrate.Config{CPUs: *cpus}

@@ -27,17 +27,16 @@ func (m ControllerMode) String() string {
 	return "periodic"
 }
 
-// CtlPlaneConfig configures the sharded, staggered, event-driven control
-// plane. The zero value keeps the classic single-thread periodic
-// controller with its byte-identical dispatch schedule; any sharding or
-// event-driven setting routes control through internal/ctlplane instead.
+// CtlPlaneConfig configures the control plane (internal/ctlplane), which
+// alone drives the feedback controller. The zero value is one periodic
+// shard: the paper's single controller thread sweeping every job each
+// interval. Shards and event-driven sampling scale it to very many jobs.
 type CtlPlaneConfig struct {
 	// Mode selects periodic or event-driven sampling.
 	Mode ControllerMode
 	// Shards splits the controller across this many staggered shard
 	// threads, each owning the jobs resident on its CPU (thread-hashed on
-	// a uniprocessor). 0 or 1 with Mode periodic keeps the classic
-	// controller.
+	// a uniprocessor). 0 means 1.
 	Shards int
 	// Threshold is the raw-pressure delta (fraction of a queue) that makes
 	// a changed signal worth re-sampling in event-driven mode. 0 means
@@ -48,34 +47,22 @@ type CtlPlaneConfig struct {
 	MaxStaleness time.Duration
 }
 
-// legacy reports whether the configuration is satisfied by the classic
-// single-thread periodic controller.
-func (c CtlPlaneConfig) legacy() bool {
-	return c.Mode == ControllerPeriodic && c.Shards <= 1
-}
-
 // ControllerModeName returns the active sampling mode: "periodic",
 // "event", or "none" under a baseline policy with no controller.
 func (s *System) ControllerModeName() string {
-	if s.ctl == nil {
+	if s.plane == nil {
 		return "none"
 	}
-	if s.plane != nil {
-		return s.plane.Mode().String()
-	}
-	return "periodic"
+	return s.plane.Mode().String()
 }
 
-// ControlShards returns the shard count of the control plane: 1 for the
-// classic controller, 0 under baseline policies.
+// ControlShards returns the shard count of the control plane, 0 under
+// baseline policies.
 func (s *System) ControlShards() int {
-	if s.ctl == nil {
+	if s.plane == nil {
 		return 0
 	}
-	if s.plane != nil {
-		return s.plane.Shards()
-	}
-	return 1
+	return s.plane.Shards()
 }
 
 // ShardStat is one control-plane shard's counters.
@@ -85,7 +72,7 @@ type ShardStat struct {
 	// Ticks counts the shard's completed control ticks.
 	Ticks uint64
 	// Sampled and Skipped count job visits that did and did not re-sample
-	// (the classic controller samples everything: Skipped is 0).
+	// (periodic shards sample everything: Skipped is 0).
 	Sampled uint64
 	Skipped uint64
 	// Handoffs counts jobs re-homed to another shard after migrating.
@@ -95,21 +82,11 @@ type ShardStat struct {
 	LastSkipped int
 }
 
-// ShardStats returns per-shard control-plane counters. Under the classic
-// controller it synthesizes a single shard from the global sweep's
-// counters; under baseline policies it returns nil.
+// ShardStats returns per-shard control-plane counters; under baseline
+// policies it returns nil.
 func (s *System) ShardStats() []ShardStat {
-	if s.ctl == nil {
-		return nil
-	}
 	if s.plane == nil {
-		n := len(s.ctl.Jobs())
-		return []ShardStat{{
-			Shard:       0,
-			Ticks:       s.ctl.Steps(),
-			Sampled:     s.ctl.Samples(),
-			LastSampled: n,
-		}}
+		return nil
 	}
 	stats := s.plane.Stats()
 	out := make([]ShardStat, len(stats))
@@ -122,8 +99,7 @@ func (s *System) ShardStats() []ShardStat {
 	return out
 }
 
-// buildPlane constructs the internal control plane for a non-legacy
-// configuration.
+// buildPlane constructs the internal control plane.
 func buildPlane(s *System, cfg CtlPlaneConfig) *ctlplane.Plane {
 	mode := ctlplane.Periodic
 	if cfg.Mode == ControllerEventDriven {

@@ -1,119 +1,100 @@
-package core
+package core_test
 
 import (
-	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/progress"
-	"repro/internal/rbs"
 	"repro/internal/sim"
 )
 
-// stepRig builds a controller over n miscellaneous jobs and warms it up so
-// that per-interval state (scratch buffers, converged allocations) is in
-// steady state before measurement.
-func stepRig(n int) (*Controller, sim.Time) {
-	eng := sim.NewEngine()
-	policy := rbs.New()
-	kern := kernel.New(eng, kernel.DefaultConfig(), policy)
-	reg := progress.NewRegistry()
-	ctl := New(kern, policy, reg, Config{})
+// stepRig builds a machine over n sleepy miscellaneous jobs under the
+// default control plane (one periodic shard) and warms it up, so that
+// per-epoch state (scratch buffers, converged allocations) is in steady
+// state before measurement. The modeled controller cost is collapsed so
+// that every control interval holds exactly one epoch at every n: the
+// Figure 5 calibration (2640 cycles per job) cannot sweep 1000 jobs inside
+// the shard's 0.5 ms budget per interval.
+func stepRig(n int) *rig {
+	r := newRig(core.Config{BaseCost: 100, PerJobCost: 1})
+	op := kernel.OpSleep{D: 50 * sim.Millisecond}
+	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return &op })
 	for i := 0; i < n; i++ {
-		op := kernel.OpSleep{D: 50 * sim.Millisecond}
-		th := kern.Spawn("dummy", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-			return &op
-		}))
-		ctl.AddMiscellaneous(th)
+		r.ctl.AddMiscellaneous(r.kern.Spawn("dummy", prog))
 	}
-	ctl.Start()
-	kern.Start()
-	eng.RunFor(sim.Second)
-	return ctl, kern.Now()
+	r.start()
+	r.run(sim.Second)
+	return r
+}
+
+// epoch runs the machine for one control interval and checks that it held
+// exactly one control epoch.
+func (r *rig) epoch(tb testing.TB) {
+	before := r.plane.Epoch()
+	r.run(r.ctl.Config().Interval)
+	if got := r.plane.Epoch() - before; got != 1 {
+		tb.Fatalf("one control interval ran %d epochs, want 1", got)
+	}
 }
 
 // TestControllerStepZeroAlloc asserts the acceptance criterion of the
 // allocation-free actuation path: after warm-up, a control interval over
-// miscellaneous and real-time jobs performs zero heap allocations. (Only
-// real-rate jobs may allocate in steady state, when their pressure series
-// grows its backing array.)
+// miscellaneous jobs — the plane's epoch and the machine's dispatching
+// alike — performs zero heap allocations. (Only real-rate jobs may
+// allocate in steady state, when their pressure series grows its backing
+// array.)
 func TestControllerStepZeroAlloc(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 1000} {
-		ctl, now := stepRig(n)
-		if avg := testing.AllocsPerRun(100, func() { ctl.step(now) }); avg != 0 {
-			t.Fatalf("n=%d: Controller.step allocates %.1f allocs/op, want 0", n, avg)
+		r := stepRig(n)
+		if avg := testing.AllocsPerRun(100, func() { r.epoch(t) }); avg != 0 {
+			t.Fatalf("n=%d: a control epoch allocates %.1f allocs/op, want 0", n, avg)
 		}
 	}
 }
 
 // TestControllerStepScalesPastFloorLimit pins the graceful floor
 // degradation: with more adaptive jobs than the capacity has ppt for their
-// floors, step must squish to a scaled floor instead of panicking (the
-// legacy behavior at >170 jobs was a squish panic).
+// floors, an epoch must squish to a scaled floor instead of panicking (the
+// behavior at >170 jobs was once a squish panic).
 func TestControllerStepScalesPastFloorLimit(t *testing.T) {
-	ctl, now := stepRig(1000)
-	ctl.step(now) // must not panic
+	r := stepRig(1000)
+	r.epoch(t) // must not panic
 	total := 0
-	for _, j := range ctl.Jobs() {
+	for _, j := range r.ctl.Jobs() {
 		if a := j.Allocated(); a >= 0 {
 			total += a
 		}
 	}
-	if total > ctl.EffectiveThreshold() {
-		t.Fatalf("allocations sum to %d ppt, above the %d threshold", total, ctl.EffectiveThreshold())
+	if total > r.ctl.EffectiveThreshold() {
+		t.Fatalf("allocations sum to %d ppt, above the %d threshold", total, r.ctl.EffectiveThreshold())
 	}
 }
 
 // TestControllerStepNegativeCapacity pins the overload corner: missed
 // deadlines shrink the effective threshold, and once it drops below the
 // already-admitted hard reservations the squish capacity is negative. The
-// step must hand adaptive jobs nothing instead of panicking.
+// epoch must hand adaptive jobs nothing instead of panicking.
 func TestControllerStepNegativeCapacity(t *testing.T) {
-	eng := sim.NewEngine()
-	policy := rbs.New()
-	kern := kernel.New(eng, kernel.DefaultConfig(), policy)
-	reg := progress.NewRegistry()
-	ctl := New(kern, policy, reg, Config{})
+	r := newRig(core.Config{})
 	op := kernel.OpSleep{D: 50 * sim.Millisecond}
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
-	rt := kern.Spawn("rt", prog)
-	misc := kern.Spawn("misc", prog)
-	ctl.Start()
-	if _, err := ctl.AddRealTime(rt, 800, 10*sim.Millisecond); err != nil {
+	rt := r.kern.Spawn("rt", prog)
+	misc := r.kern.Spawn("misc", prog)
+	r.plane.Start()
+	if _, err := r.ctl.AddRealTime(rt, 800, 10*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	ctl.AddMiscellaneous(misc)
-	kern.Start()
-	eng.RunFor(100 * sim.Millisecond)
+	r.ctl.AddMiscellaneous(misc)
+	r.kern.Start()
+	r.run(100 * sim.Millisecond)
 	// Misses have driven the threshold below the admitted 800+50 ppt.
-	ctl.effectiveThreshold = ctl.cfg.OverloadThreshold / 2
-	ctl.step(kern.Now()) // must not panic
-	if j, ok := ctl.JobOf(misc); !ok || j.Allocated() != 0 {
-		t.Fatalf("adaptive job under negative capacity allocated %d ppt, want 0", mustJob(ctl, misc).Allocated())
-	}
-}
-
-func mustJob(c *Controller, th *kernel.Thread) *Job {
-	j, ok := c.JobOf(th)
+	r.ctl.SetEffectiveThreshold(r.ctl.Config().OverloadThreshold / 2)
+	r.epoch(t) // must not panic
+	j, ok := r.ctl.JobOf(misc)
 	if !ok {
-		panic("no job")
+		t.Fatal("the adaptive job is no longer controlled")
 	}
-	return j
-}
-
-// BenchmarkControllerStep measures one control interval (sample, estimate,
-// squish, actuate) at growing job counts. The per-step cost is O(n) by
-// design — the controller must look at every job — but it must be
-// allocation-free after warm-up.
-func BenchmarkControllerStep(b *testing.B) {
-	for _, n := range []int{10, 100, 1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ctl, now := stepRig(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctl.step(now)
-			}
-		})
+	if a := j.Allocated(); a != 0 {
+		t.Fatalf("adaptive job under negative capacity allocated %d ppt, want 0", a)
 	}
 }

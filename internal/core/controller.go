@@ -8,10 +8,11 @@
 // squishes real-rate/miscellaneous allocations under overload using
 // importance-weighted fair share.
 //
-// The controller runs as a simulated thread with its own reservation, so
-// its overhead — base cost plus a per-controlled-job cost each interval —
-// competes for the CPU exactly as the paper's user-level prototype did
-// (Figure 5 measures precisely this).
+// The controller holds the loop's state and arithmetic; the control plane
+// (internal/ctlplane) drives it from simulated threads with their own
+// reservation, so its overhead — base cost plus a per-controlled-job cost
+// each interval — competes for the CPU exactly as the paper's user-level
+// prototype did (Figure 5 measures precisely this).
 package core
 
 import (
@@ -179,25 +180,15 @@ type delayedActuation struct {
 
 // Controller is the feedback-driven proportion allocator.
 type Controller struct {
-	cfg    Config
-	kern   *kernel.Kernel
-	policy *rbs.Policy
-	reg    *progress.Registry
+	cfg Config
+	// intervalSec is cfg.Interval in seconds, read by every sample.
+	intervalSec float64
+	kern        *kernel.Kernel
+	policy      *rbs.Policy
+	reg         *progress.Registry
 
 	jobs  []*Job
 	byThr map[*kernel.Thread]*Job
-
-	thread   *kernel.Thread
-	nextWake sim.Time
-	phase    int
-	// external marks a controller driven by the sharded control plane
-	// (internal/ctlplane) instead of its own thread; Start panics then.
-	external bool
-
-	// computeOp/sleepOp are reused every control interval so the
-	// controller's 100 Hz program emits ops without boxing.
-	computeOp kernel.OpCompute
-	sleepOp   kernel.OpSleepUntil
 
 	// admitted sums the proportions of real-time and aperiodic real-time
 	// reservations plus the controller's own.
@@ -263,9 +254,8 @@ type Controller struct {
 	// the denominator of the event-driven mode's skip ratio.
 	samples uint64
 
-	// onJobAdd/onJobRemove announce membership changes to an external
-	// control plane (internal/ctlplane), which owns per-shard job lists.
-	// Nil outside sharded/event-driven configurations.
+	// onJobAdd/onJobRemove announce membership changes to the control
+	// plane (internal/ctlplane), which owns per-shard job lists.
 	onJobAdd    func(j *Job)
 	onJobRemove func(j *Job)
 
@@ -285,14 +275,11 @@ type Controller struct {
 	// refresh.
 	outOfPassWrites uint64
 
-	// Persistent per-interval scratch: step reslices these to zero length
-	// each interval instead of allocating, so a controller tick is
-	// allocation-free after warm-up (asserted by TestControllerStepZeroAlloc).
-	squishable []*Job
-	desireBuf  []int
-	weightBuf  []float64
-	allocBuf   []int
-	frozenBuf  []bool
+	// Persistent squish scratch: SquishApply reslices these instead of
+	// allocating, so a control epoch is allocation-free after warm-up
+	// (asserted by TestControllerStepZeroAlloc).
+	allocBuf  []int
+	frozenBuf []bool
 
 	// recycle pools Job objects, their PID filters, and their pressure
 	// series across remove/add cycles; see SetRecycle.
@@ -320,7 +307,7 @@ type Controller struct {
 }
 
 // New creates a controller for the given machine, dispatcher, and progress
-// registry. Call Start to spawn its thread.
+// registry. A control plane (internal/ctlplane) drives its epochs.
 func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Config) *Controller {
 	def := DefaultConfig()
 	if cfg.Interval <= 0 {
@@ -398,6 +385,7 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 	ncpu := kern.NumCPUs()
 	return &Controller{
 		cfg:                cfg,
+		intervalSec:        cfg.Interval.Seconds(),
 		kern:               kern,
 		policy:             policy,
 		reg:                reg,
@@ -428,9 +416,6 @@ func (c *Controller) JobOf(t *kernel.Thread) (*Job, bool) {
 	return j, ok
 }
 
-// Thread returns the controller's own thread (nil before Start).
-func (c *Controller) Thread() *kernel.Thread { return c.thread }
-
 // Steps returns the number of control intervals executed.
 func (c *Controller) Steps() uint64 { return c.steps }
 
@@ -443,7 +428,7 @@ func (c *Controller) Actuations() uint64 { return c.actuations }
 // in event-driven mode, only by the jobs actually re-sampled.
 func (c *Controller) Samples() uint64 { return c.samples }
 
-// OnJobChange installs the membership hooks an external control plane uses
+// OnJobChange installs the membership hooks the control plane uses
 // to maintain per-shard job lists: add fires after a job is registered,
 // remove after it leaves (Remove or reap). Either may be nil.
 func (c *Controller) OnJobChange(add, remove func(j *Job)) {
@@ -594,37 +579,6 @@ func (c *Controller) Health() Health {
 
 // EffectiveThreshold returns the current admission/squish ceiling.
 func (c *Controller) EffectiveThreshold() int { return c.effectiveThreshold }
-
-// Start spawns the controller's thread under its own reservation. It must
-// be called before kernel.Start or during the run, once.
-func (c *Controller) Start() {
-	if c.thread != nil {
-		panic("core: controller started twice")
-	}
-	if c.external {
-		panic("core: controller is driven by an external control plane")
-	}
-	c.thread = c.kern.Spawn("controller", kernel.ProgramFunc(c.program))
-	if err := c.policy.SetReservation(c.thread, c.cfg.Reservation); err != nil {
-		panic(fmt.Sprintf("core: controller reservation: %v", err))
-	}
-	c.admitted += c.cfg.Reservation.Proportion
-	c.nextWake = c.kern.Now().Add(c.cfg.Interval)
-}
-
-// program is the controller thread: burn the modeled cost, act, sleep.
-func (c *Controller) program(t *kernel.Thread, now sim.Time) kernel.Op {
-	c.phase++
-	if c.phase%2 == 1 {
-		c.computeOp.Cycles = c.cfg.BaseCost + sim.Cycles(len(c.jobs))*c.cfg.PerJobCost
-		return &c.computeOp
-	}
-	c.step(now)
-	wake := c.nextWake
-	c.nextWake = c.nextWake.Add(c.cfg.Interval)
-	c.sleepOp.At = wake
-	return &c.sleepOp
-}
 
 // AddRealTime admits a reservation-holding job. Admission control rejects
 // requests beyond the available capacity, and — on a multi-CPU machine —
@@ -1018,244 +972,6 @@ func (c *Controller) maxMemberShare(j *Job, proportion int) int {
 	}
 	share := proportion / n
 	return share + (proportion - share*n)
-}
-
-// step is one control interval: sample, estimate, squish, actuate. The
-// sharded control plane (internal/ctlplane) never calls step; it drives the
-// same pieces — EpochPrologue, SampleJob, SquishApply, EpochEpilogue — one
-// shard at a time.
-func (c *Controller) step(now sim.Time) {
-	c.prologue(now)
-	dt := c.cfg.Interval.Seconds()
-
-	// Pass 1: desired allocations. The squish inputs live in persistent
-	// scratch buffers so the 100 Hz loop does not allocate.
-	squishable := c.squishable[:0]
-	desires := c.desireBuf[:0]
-	weights := c.weightBuf[:0]
-	for _, j := range c.jobs {
-		if !c.sampleJob(j, now, dt, 1) {
-			continue
-		}
-		squishable = append(squishable, j)
-		desires = append(desires, j.desired)
-		weights = append(weights, j.importance)
-	}
-	c.squishable, c.desireBuf, c.weightBuf = squishable, desires, weights
-	// Jobs removed since the scratch's high-water mark must not stay
-	// reachable through the backing array's tail.
-	tail := squishable[len(squishable):cap(squishable)]
-	for i := range tail {
-		tail[i] = nil
-	}
-
-	// Pass 2: squish into the capacity left by hard reservations. The
-	// capacity can go negative when missed deadlines shrink the effective
-	// threshold below what is already admitted; adaptive jobs then get
-	// nothing rather than panicking the squish.
-	capacity := c.effectiveThreshold - c.admitted
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.squishApply(squishable, desires, weights, capacity, now)
-
-	if c.gov != nil {
-		c.governorStep(now)
-	}
-
-	if c.onStep != nil {
-		c.onStep(now)
-	}
-}
-
-// prologue is the per-epoch preamble shared by the global sweep and the
-// sharded plane: count the step, react to missed deadlines, reap exited
-// jobs, and flush delayed actuations.
-func (c *Controller) prologue(now sim.Time) {
-	c.steps++
-
-	// Missed deadlines shrink the effective threshold (spare capacity
-	// grows), recovering slowly when the dispatcher is healthy.
-	if misses := c.policy.MissedDeadlines(); misses > c.lastMisses {
-		c.effectiveThreshold -= int(misses-c.lastMisses) * 5
-		if c.effectiveThreshold < c.ceiling/2 {
-			c.effectiveThreshold = c.ceiling / 2
-		}
-		c.lastMisses = misses
-	} else if c.effectiveThreshold < c.ceiling {
-		c.effectiveThreshold++
-	}
-
-	c.reap()
-
-	if len(c.delayed) > 0 {
-		// Apply actuations deferred by DelayActuation faults. The pending
-		// list is detached first: installing a reservation can run the
-		// machine, and a program running inside it could trigger a fresh
-		// deferral that must not alias this batch's backing array.
-		pend := c.delayed
-		c.delayed = nil
-		for _, d := range pend {
-			if c.byThr[d.job.thread] != d.job {
-				continue // job reaped while the actuation was in flight
-			}
-			c.apply(d.job, d.prop, d.period)
-		}
-	}
-
-	if len(c.retired) > 0 {
-		// Pool last: the delayed-actuation guard above must still see
-		// retired jobs as distinct objects, not reissued ones.
-		c.flushRetired()
-	}
-}
-
-// sampleJob runs pass 1 for one job: sample its progress, update the
-// watchdog, and recompute its desire. dt is the elapsed control time in
-// seconds and epochs the number of control intervals it spans — both 1
-// interval in the periodic sweep, possibly more when the event-driven
-// plane re-samples a job it had skipped. It reports whether the job
-// participates in the squish (false for reservation-holding classes).
-func (c *Controller) sampleJob(j *Job, now sim.Time, dt float64, epochs int64) bool {
-	switch j.class {
-	case RealTime, AperiodicRealTime:
-		j.desired = j.specified
-		j.allocated = j.specified
-		j.squished = false
-		j.lastCPU = j.cpuTime()
-		return false
-	case RealRate:
-		c.samples++
-		p, ok := c.samplePressure(j, now)
-		j.lastRaw = p
-		if j.fill != nil {
-			j.fill.Add(now, p)
-		}
-		c.watchdog(j, p, ok, now)
-		switch {
-		case j.degraded == LevelFallback:
-			// Hold the last trusted allocation; the PID filter stays
-			// frozen (anti-windup), so promotion resumes from the
-			// pre-fault integral instead of slamming the allocation.
-			j.desired = j.fallback
-		case j.degraded == LevelMisc:
-			j.desired = c.estimateMisc(j, dt, epochs)
-		case ok:
-			j.desired = c.estimate(j, p, dt, epochs)
-		default:
-			// Rejected sample on a healthy job: hold the desire and
-			// freeze the filter rather than integrating garbage.
-		}
-	case Miscellaneous:
-		c.samples++
-		j.desired = c.estimateMisc(j, dt, epochs)
-	case Interactive:
-		c.samples++
-		j.desired = c.estimateInteractive(j)
-	}
-	return true
-}
-
-// squishApply is pass 2 over one set of squishable jobs: fit their desires
-// into capacity, clamp, raise quality exceptions, and actuate changes. The
-// global sweep passes every adaptive job; a shard passes only its own, with
-// its slice of the capacity. It returns the granted allocations, index for
-// index — the controller's scratch, valid until the next call.
-func (c *Controller) squishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) []int {
-	if len(squishable) == 0 {
-		return nil
-	}
-	// The non-zero floor only fits while floor·n ≤ capacity; past that
-	// point (thousands of adaptive jobs on one CPU) the machine simply
-	// lacks the ppt resolution, so the floor degrades gracefully
-	// instead of panicking the squish.
-	floor := c.cfg.MinProportion
-	if floor*len(squishable) > capacity {
-		floor = capacity / len(squishable)
-		if floor < 0 {
-			floor = 0
-		}
-	}
-	allocs := grow(c.allocBuf, len(squishable))
-	frozen := growBool(c.frozenBuf, len(squishable))
-	c.allocBuf, c.frozenBuf = allocs, frozen
-	squishInto(allocs, frozen, desires, weights, capacity, floor)
-	for i, j := range squishable {
-		if allocs[i] > c.cfg.MaxProportion {
-			allocs[i] = c.cfg.MaxProportion
-		}
-		j.squished = allocs[i] < j.desired
-		c.maybeRaiseQuality(j, allocs[i], now)
-		if c.cfg.PeriodAdaptation {
-			c.adaptPeriod(j, now)
-		}
-		if allocs[i] != j.allocated || c.cfg.PeriodAdaptation {
-			c.actuate(j, allocs[i], j.period)
-		}
-		j.allocated = allocs[i]
-		j.lastCPU = j.cpuTime()
-		j.lastBlocked = j.blockedCount()
-	}
-	return allocs
-}
-
-// governorStep runs the supervisory outer loop once per control interval:
-// gather the saturation signals already flowing through this step —
-// demand vs. capacity, squish compression, missed period boundaries,
-// watchdog demotion rate, and (via the SLO probe) tail latency — feed
-// them to the governor, and execute its decision.
-func (c *Controller) governorStep(now sim.Time) {
-	desired, granted := 0, 0
-	for _, j := range c.jobs {
-		// A job's desire is clamped to the most it could ever be granted:
-		// a squished real-rate job's raw desire integrates toward
-		// DesireCap by design (that is how it wins the squish), so the
-		// un-clamped sum would read as brownout on any machine running
-		// one busy pipeline. Demand beyond MaxProportion is not
-		// actionable and must not trip the governor.
-		d := j.desired
-		if d > c.cfg.MaxProportion {
-			d = c.cfg.MaxProportion
-		}
-		desired += d
-		granted += j.allocated
-	}
-	c.governorObserve(now, desired, granted)
-}
-
-// governorObserve feeds one epoch's saturation signals to the governor and
-// executes its decision. desired and granted are the MaxProportion-clamped
-// demand and the granted proportion summed over every job — computed by a
-// full scan in the periodic sweep, or aggregated across shards by the
-// control plane. The miss and demotion deltas come from global counters,
-// banked once per epoch here, so the governor's per-interval rates are
-// identical under one shard or many.
-func (c *Controller) governorObserve(now sim.Time, desired, granted int) {
-	c.lastEpochAt = now
-	sig := overload.Signals{
-		// The controller's own reservation is demand too; job desires and
-		// grants are current as of this epoch's passes 1 and 2.
-		Desired:  desired + c.cfg.Reservation.Proportion,
-		Granted:  granted + c.cfg.Reservation.Proportion,
-		Capacity: c.effectiveThreshold,
-	}
-	// lastMisses was synced to the policy's total in the epoch prologue.
-	sig.Misses = c.lastMisses - c.govLastMisses
-	c.govLastMisses = c.lastMisses
-	sig.Demotions = c.health.Degradations - c.govLastDemotions
-	c.govLastDemotions = c.health.Degradations
-	if c.sloProbe != nil {
-		sig.RecentP99 = c.sloProbe()
-	}
-	dec := c.gov.Observe(sig)
-	if dec.Changed() && c.onRung != nil {
-		c.onRung(now, dec.From, dec.Rung, sig)
-	}
-	for n := dec.Shed; n > 0; n-- {
-		if !c.shedOne(now) {
-			break
-		}
-	}
 }
 
 // shedOne kills the lowest-importance live miscellaneous job — the shed
@@ -1652,7 +1368,7 @@ func (c *Controller) reap() {
 }
 
 // grow returns buf resliced to n, reallocating only when capacity is
-// short — the scratch-buffer idiom behind the allocation-free step.
+// short — the scratch-buffer idiom behind the allocation-free epoch.
 func grow(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ctlplane"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/progress"
@@ -12,13 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-// rig is a full machine: kernel + RBS dispatcher + registry + controller.
+// rig is a full machine: kernel + RBS dispatcher + registry + controller,
+// driven by the default control plane (one periodic shard).
 type rig struct {
 	eng    *sim.Engine
 	kern   *kernel.Kernel
 	policy *rbs.Policy
 	reg    *progress.Registry
 	ctl    *core.Controller
+	plane  *ctlplane.Plane
 }
 
 func newRig(cfg core.Config) *rig {
@@ -27,7 +30,8 @@ func newRig(cfg core.Config) *rig {
 	kern := kernel.New(eng, kernel.DefaultConfig(), policy)
 	reg := progress.NewRegistry()
 	ctl := core.New(kern, policy, reg, cfg)
-	return &rig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
+	plane := ctlplane.New(ctl, kern, policy, reg, ctlplane.Config{})
+	return &rig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl, plane: plane}
 }
 
 func (r *rig) run(d sim.Duration) {
@@ -35,7 +39,7 @@ func (r *rig) run(d sim.Duration) {
 }
 
 func (r *rig) start() {
-	r.ctl.Start()
+	r.plane.Start()
 	r.kern.Start()
 }
 
@@ -415,7 +419,7 @@ func TestSMPCapacityGeneralization(t *testing.T) {
 	k := kernel.New(eng, cfg, p)
 	reg := progress.NewRegistry()
 	c := core.New(k, p, reg, core.Config{})
-	c.Start()
+	ctlplane.New(c, k, p, reg, ctlplane.Config{}).Start()
 
 	// Per-thread cap: even with ~3550 ppt available on 4 CPUs, one thread
 	// cannot reserve more than one CPU's threshold (900).

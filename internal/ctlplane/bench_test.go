@@ -44,12 +44,29 @@ func runEpoch(r *rig, now sim.Time) {
 }
 
 // BenchmarkControllerStep measures one full control epoch across the
-// plane's shards — the sharded analog of core's BenchmarkControllerStep.
-// The acceptance target: event mode at n=100k stays under 2× the per-job
-// cost of n=10k, because steady-state misc jobs ride the skip path and
-// only 1/staleness of them are re-sampled per epoch. The cpus=8 variants
-// run the rrbench plane machine, where homes are CPU-derived.
+// plane's shards.
+//
+// The shards=1 cases are the zero-value plane, the paper's single global
+// sweep (sample, estimate, squish, actuate) at growing job counts. Its
+// per-epoch cost is O(n) by design — the controller must look at every
+// job — but it must be allocation-free after warm-up.
+//
+// The 8-shard cases carry the acceptance target: event mode at n=100k
+// stays under 2× the per-job cost of n=10k, because steady-state misc jobs
+// ride the skip path and only 1/staleness of them are re-sampled per
+// epoch. The cpus=8 variants run the rrbench plane machine, where homes
+// are CPU-derived.
 func BenchmarkControllerStep(b *testing.B) {
+	for _, n := range []int{10, 100, 1000, 10_000} {
+		b.Run(fmt.Sprintf("shards=1/mode=periodic/n=%d", n), func(b *testing.B) {
+			r, now := benchRig(n, Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runEpoch(r, now)
+			}
+		})
+	}
 	for _, cpus := range []int{1, 8} {
 		for _, mode := range []Mode{Periodic, EventDriven} {
 			for _, n := range []int{10_000, 100_000} {

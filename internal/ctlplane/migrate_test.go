@@ -90,6 +90,7 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		if handoffs == 0 {
 			t.Fatalf("cpus=%d: %d migrations but no shard handoffs", cpus, wanderer.Migrations())
 		}
+		checkLive(t, r.plane)
 
 		// Exactly one sample per epoch: the final epoch may still be open
 		// (the job's current owner shard not yet ticked), so one pending

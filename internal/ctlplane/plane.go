@@ -1,8 +1,8 @@
-// Package ctlplane scales the feedback controller past the single global
-// 100 Hz sweep. The paper's prototype walks every job each interval
-// (Figure 5's cost model: BaseCost + PerJobCost·n cycles); at 100k–1M
-// jobs that walk dominates the machine. The control plane splits it three
-// ways:
+// Package ctlplane drives the feedback controller; nothing else runs the
+// control loop. Its zero-value Config is the paper's prototype, one
+// periodic shard that walks every job each interval (Figure 5's cost
+// model: BaseCost + PerJobCost·n cycles). At 100k–1M jobs that walk
+// dominates the machine, so the plane can split it three ways:
 //
 //   - Sharding: each of S shards owns the jobs resident on its CPU
 //     (thread-ID hashed on a uniprocessor) and runs pass 1 and pass 2
@@ -143,8 +143,13 @@ type shard struct {
 	govGranted    int
 	allocAdaptive int
 
+	// live counts the entries homed here whose job is still controlled.
+	// A periodic tick samples every one of them, so the compute phase
+	// charges PerJobCost for this count as it stands at that moment.
+	live int
+
 	// Work counts from the previous tick size the modeled compute cost of
-	// the next one.
+	// the next one in EventDriven mode, where they differ from live.
 	lastSampled int
 	lastSkipped int
 
@@ -174,6 +179,10 @@ type Plane struct {
 	stalenessEpochs int64
 	threshold       float64
 
+	// maxPPT is the controller's MaxProportion, read on every tick
+	// without copying the whole core.Config.
+	maxPPT int
+
 	shards []*shard
 	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
 	// where homes hash the thread ID instead.
@@ -189,7 +198,6 @@ type Plane struct {
 	squishEnt  []*entry
 	desires    []int
 	weights    []float64
-	preAlloc   []int
 	moves      []*entry
 	// adaptiveScratch collects every adaptive entry visited in an
 	// event-mode tick, so an over-committed shard can squish its whole
@@ -203,13 +211,15 @@ type Plane struct {
 	// every reference.
 	entSlab []entry
 	freeEnt *entry
+	// carved counts the entries handed out from slab chunks so far.
+	carved int
 
 	started bool
 }
 
-// New wires a plane to a controller. The controller must not have been
-// started; the plane replaces its thread with one thread per shard. In
-// EventDriven mode the registry's dirty hook is claimed by the plane.
+// New wires a plane to a controller and claims its job-change hooks. In
+// EventDriven mode the registry's dirty hook is claimed by the plane too.
+// Start spawns the shard threads.
 func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Config) *Plane {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -232,6 +242,7 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 		cfg:       cfg,
 		interval:  ccfg.Interval,
 		threshold: cfg.Threshold,
+		maxPPT:    ccfg.MaxProportion,
 		byJob:     make(map[*core.Job]*entry),
 	}
 	p.stalenessEpochs = (int64(cfg.MaxStaleness) + int64(ccfg.Interval) - 1) / int64(ccfg.Interval)
@@ -247,7 +258,6 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 			p.cpuShard[c] = c % cfg.Shards
 		}
 	}
-	ctl.MarkExternal()
 	ctl.OnJobChange(p.jobAdded, p.jobRemoved)
 	for _, j := range ctl.Jobs() {
 		p.jobAdded(j)
@@ -258,18 +268,17 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 	return p
 }
 
-// Start spawns the shard threads. The shards split the legacy controller
+// Start spawns the shard threads. The shards split the controller's
 // reservation (the last shard takes the remainder, so the admitted total
-// matches the single-thread plane exactly) and stagger their first wakes
-// across the control interval: shard s first ticks at Start+Interval +
-// s·Interval/S, shard 0 exactly where the legacy controller would have.
+// is the configured reservation whatever the shard count) and stagger
+// their first wakes across the control interval: shard s first ticks at
+// Start+Interval + s·Interval/S.
 func (p *Plane) Start() {
 	if p.started {
 		panic("ctlplane: plane started twice")
 	}
 	p.started = true
 	res := p.ctl.Config().Reservation
-	ncpu := p.kern.NumCPUs()
 	n := len(p.shards)
 	each := res.Proportion / n
 	now := p.kern.Now()
@@ -281,7 +290,8 @@ func (p *Plane) Start() {
 		if prop < 1 {
 			prop = 1
 		}
-		s.thread = p.kern.SpawnAffinity(fmt.Sprintf("ctl%d", s.id), kernel.ProgramFunc(p.programOf(s)), s.id%ncpu)
+		name, affinity := p.threadSpec(s)
+		s.thread = p.kern.SpawnAffinity(name, kernel.ProgramFunc(p.programOf(s)), affinity)
 		if err := p.policy.SetReservation(s.thread, rbs.Reservation{Proportion: prop, Period: res.Period}); err != nil {
 			panic(fmt.Sprintf("ctlplane: shard %d reservation: %v", s.id, err))
 		}
@@ -291,19 +301,43 @@ func (p *Plane) Start() {
 	}
 }
 
+// threadSpec names a shard's thread and picks its CPU affinity.
+//
+// A lone shard is the paper's controller thread and is named "controller";
+// with several, each is "ctl<id>", pinned to CPU id mod CPUs so its
+// control work lands where its jobs run. A lone periodic shard is spawned
+// unpinned, as the prototype's controller was: on SMP the migrator places
+// it and work-pull may move it, and pinning it to CPU 0 would change the
+// machine's schedule. A lone event shard stays pinned to CPU 0, the home
+// the event plane has always given it — the configuration the sessions
+// workload and the SLO sweeps run.
+func (p *Plane) threadSpec(s *shard) (name string, affinity int) {
+	if len(p.shards) > 1 {
+		return fmt.Sprintf("ctl%d", s.id), s.id % p.kern.NumCPUs()
+	}
+	if p.cfg.Mode == Periodic {
+		return "controller", kernel.AffinityAny
+	}
+	return "controller", 0
+}
+
 // programOf builds one shard's thread program: burn the modeled cost,
-// tick, sleep to the next staggered wake — the same shape as the legacy
-// controller thread, with the per-interval cost split across shards.
+// tick, sleep to the next staggered wake, with the per-interval cost split
+// across shards.
 func (p *Plane) programOf(s *shard) func(t *kernel.Thread, now sim.Time) kernel.Op {
 	ccfg := p.ctl.Config()
+	base := ccfg.BaseCost / sim.Cycles(len(p.shards))
 	return func(t *kernel.Thread, now sim.Time) kernel.Op {
 		s.phase++
 		if s.phase%2 == 1 {
-			// The base bookkeeping is split evenly; the per-job term
-			// charges full freight for sampled jobs and 1/8 for the
-			// skip-path compares of event mode.
-			work := sim.Cycles(s.lastSampled) + sim.Cycles(s.lastSkipped)/8
-			s.computeOp.Cycles = ccfg.BaseCost/sim.Cycles(len(p.shards)) + work*ccfg.PerJobCost
+			// The base bookkeeping is split evenly. A periodic tick samples
+			// every live job it owns; an event tick charges full freight for
+			// last tick's sampled jobs and 1/8 for its skip-path compares.
+			work := sim.Cycles(s.live)
+			if p.cfg.Mode == EventDriven {
+				work = sim.Cycles(s.lastSampled) + sim.Cycles(s.lastSkipped)/8
+			}
+			s.computeOp.Cycles = base + work*ccfg.PerJobCost
 			return &s.computeOp
 		}
 		p.tick(s, now)
@@ -324,11 +358,18 @@ func (p *Plane) homeOf(j *core.Job) int {
 	return t.ID() % len(p.shards)
 }
 
-// entrySlabSize is how many entries one slab chunk holds. At 64 bytes an
-// entry, a chunk is 64 KiB: a large object, which the Go allocator starts
-// on a page boundary with no type header in front, so every entry sits on
-// exactly one cache line (TestEntryFitsCacheLine).
-const entrySlabSize = 1024
+// entrySlabSize is how many entries one slab chunk holds once a plane has
+// carved its first entrySlabSize entries. At 64 bytes an entry, a chunk is
+// 64 KiB: a large object, which the Go allocator starts on a page boundary
+// with no type header in front. Before that, chunks hold entrySmallChunk
+// entries: 512 bytes, the largest small size class that carries no malloc
+// header, whose objects sit at multiples of 512 within their span. Either
+// way every entry lies on exactly one cache line (TestEntryFitsCacheLine),
+// and a machine with a handful of jobs does not pay for 64 KiB.
+const (
+	entrySlabSize   = 1024
+	entrySmallChunk = 8
+)
 
 // allocEntry returns a zeroed entry from the free pool or the slab.
 func (p *Plane) allocEntry() *entry {
@@ -338,7 +379,12 @@ func (p *Plane) allocEntry() *entry {
 		return e
 	}
 	if len(p.entSlab) == 0 {
-		p.entSlab = make([]entry, entrySlabSize)
+		n := entrySlabSize
+		if p.carved < entrySlabSize {
+			n = entrySmallChunk
+		}
+		p.entSlab = make([]entry, n)
+		p.carved += n
 	}
 	e := &p.entSlab[0]
 	p.entSlab = p.entSlab[1:]
@@ -357,6 +403,7 @@ func (p *Plane) jobAdded(j *core.Job) {
 	p.byJob[j] = e
 	sh := p.shards[e.shard]
 	sh.list = append(sh.list, e)
+	sh.live++
 }
 
 // jobRemoved marks the entry dead; the owning shard drops it at its next
@@ -364,6 +411,7 @@ func (p *Plane) jobAdded(j *core.Job) {
 func (p *Plane) jobRemoved(j *core.Job) {
 	if e := p.byJob[j]; e != nil {
 		e.removed = true
+		p.shards[e.shard].live--
 		delete(p.byJob, j)
 	}
 }
@@ -397,16 +445,13 @@ func (p *Plane) watchedOf(j *core.Job) bool {
 	return any
 }
 
-// shouldSample decides whether a shard visit re-samples the job this
-// epoch. Periodic mode always samples. Event mode samples never-sampled
+// shouldSample decides whether an event-mode shard visit re-samples the
+// job this epoch (periodic mode always samples). It samples never-sampled
 // jobs, jobs past the staleness bound, and watched real-rate jobs whose
 // dirty signal moved at least Threshold from the last sampled raw
 // pressure; everything else (quiet watched jobs, unwatched or
 // metric-less classes inside the bound) is skipped.
 func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
-	if p.cfg.Mode == Periodic {
-		return true
-	}
 	if !e.sampled {
 		return true
 	}
@@ -466,16 +511,16 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	squishEnt := p.squishEnt[:0]
 	desires := p.desires[:0]
 	weights := p.weights[:0]
-	preAlloc := p.preAlloc[:0]
 	moves := p.moves[:0]
 	allAdaptive := p.adaptiveScratch[:0]
 
-	var desireRaw, govDesire, govGranted, allocAdaptive int
+	var desireRaw, govDesire, govGranted, allocAdaptive, held int
 	var sampledTick, skippedTick int
-	maxPPT := p.ctl.Config().MaxProportion
+	maxPPT := p.maxPPT
+	event := p.cfg.Mode == EventDriven
 
-	keep := s.list[:0]
-	for _, e := range s.list {
+	kept := 0
+	for i, e := range s.list {
 		if e.removed {
 			// The entry leaves its only list here; its job pointer may
 			// already name a recycled (reissued) object, so it must not be
@@ -493,10 +538,15 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 				e.shard = home
 				moves = append(moves, e)
 				s.handoffs++
+				s.live--
+				p.shards[home].live++
 			}
 		}
 		if e.shard == s.id {
-			keep = append(keep, e)
+			if kept != i {
+				s.list[kept] = e
+			}
+			kept++
 		}
 		if e.lastEpoch == p.epoch {
 			// Already visited this epoch: the entry was re-homed here by a
@@ -507,13 +557,13 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		}
 		e.lastEpoch = p.epoch
 
-		if p.shouldSample(e, now) {
+		if !event || p.shouldSample(e, now) {
 			epochs := p.epoch - e.sampleEpoch
 			if !e.sampled || epochs < 1 {
 				epochs = 1
 			}
 			j := e.job
-			if e.realRate {
+			if e.realRate && event {
 				e.watched = p.watchedOf(j)
 			}
 			inSquish := p.ctl.SampleJob(j, now, epochs)
@@ -527,7 +577,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 				squishEnt = append(squishEnt, e)
 				desires = append(desires, e.desired)
 				weights = append(weights, j.Importance())
-				preAlloc = append(preAlloc, e.allocated)
+				held += e.allocated
 			}
 		} else {
 			skippedTick++
@@ -543,16 +593,13 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		if e.adaptive {
 			desireRaw += d
 			allocAdaptive += a
-			if p.cfg.Mode == EventDriven {
+			if event {
 				allAdaptive = append(allAdaptive, e)
 			}
 		}
 	}
-	tail := keep[len(keep):len(s.list)]
-	for i := range tail {
-		tail[i] = nil
-	}
-	s.list = keep
+	clear(s.list[kept:])
+	s.list = s.list[:kept]
 	for _, e := range moves {
 		p.shards[e.shard].list = append(p.shards[e.shard].list, e)
 	}
@@ -579,7 +626,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	} else {
 		slice = int(int64(capacity) * int64(desireRaw) / int64(dTotal))
 	}
-	if p.cfg.Mode == EventDriven && allocAdaptive > slice && len(squishable) < len(allAdaptive) {
+	if event && allocAdaptive > slice && len(squishable) < len(allAdaptive) {
 		// Over-commit recovery: the shard's jobs hold more than its slice
 		// (early epochs, before every shard has published demand; or a
 		// demand collapse elsewhere). Waiting for staleness to re-sample
@@ -591,29 +638,29 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 		// staleness sweep), the squish set already is the whole shard, in
 		// the same order and with the same inputs.
 		squishable, squishEnt = squishable[:0], squishEnt[:0]
-		desires, weights, preAlloc = desires[:0], weights[:0], preAlloc[:0]
+		desires, weights, held = desires[:0], weights[:0], 0
 		for _, e := range allAdaptive {
 			squishable = append(squishable, e.job)
 			squishEnt = append(squishEnt, e)
 			desires = append(desires, e.desired)
 			weights = append(weights, e.job.Importance())
-			preAlloc = append(preAlloc, e.allocated)
+			held += e.allocated
 		}
 	}
-	held := 0
-	for _, a := range preAlloc {
-		held += a
-	}
+	// The squish set's jobs give up what they hold; the rest of the shard's
+	// adaptive jobs keep theirs out of the slice. Each squished entry still
+	// caches its pre-squish allocation until the refresh below.
 	squishCap := slice - (allocAdaptive - held)
 	granted := p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
+	delta := 0
 	for i, e := range squishEnt {
+		delta += granted[i] - e.allocated
 		e.allocated = granted[i]
-		delta := granted[i] - preAlloc[i]
-		s.govGranted += delta
-		s.allocAdaptive += delta
 	}
+	s.govGranted += delta
+	s.allocAdaptive += delta
 
-	p.squishable, p.squishEnt, p.desires, p.weights, p.preAlloc, p.moves = squishable, squishEnt, desires, weights, preAlloc, moves[:0]
+	p.squishable, p.squishEnt, p.desires, p.weights, p.moves = squishable, squishEnt, desires, weights, moves[:0]
 	p.adaptiveScratch = allAdaptive
 	s.lastSampled, s.lastSkipped = sampledTick, skippedTick
 	s.sampled += uint64(sampledTick)

@@ -88,27 +88,6 @@ func (r *rig) addPipeline(name string, rate int64) *core.Job {
 	return r.ctl.AddRealRate(cons, 0)
 }
 
-// legacyRig builds the same machine under the classic single-thread
-// controller for differential comparison.
-type legacyRig struct {
-	eng    *sim.Engine
-	kern   *kernel.Kernel
-	policy *rbs.Policy
-	reg    *progress.Registry
-	ctl    *core.Controller
-}
-
-func newLegacyRig(cpus int) *legacyRig {
-	eng := sim.NewEngine()
-	policy := rbs.New()
-	kcfg := kernel.DefaultConfig()
-	kcfg.CPUs = cpus
-	kern := kernel.New(eng, kcfg, policy)
-	reg := progress.NewRegistry()
-	ctl := core.New(kern, policy, reg, core.Config{})
-	return &legacyRig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -119,17 +98,13 @@ func abs(x int) int {
 // TestShardedPeriodicConvergesLikeLegacy pins the capacity-split argument:
 // with no floors binding, demand-proportional shard slices reproduce the
 // global squish's steady-state allocations. Equal misc jobs must end up
-// with near-equal shares under 1 shard and 4.
+// with near-equal shares under the zero-value plane — one shard, the
+// paper's single global sweep — and under 4 shards.
 func TestShardedPeriodicConvergesLikeLegacy(t *testing.T) {
 	const n = 12
-	leg := newLegacyRig(1)
-	legOp := kernel.OpSleep{D: 50 * sim.Millisecond}
-	legProg := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &legOp })
-	for i := 0; i < n; i++ {
-		leg.ctl.AddMiscellaneous(leg.kern.Spawn("misc", legProg))
-	}
-	leg.ctl.Start()
-	leg.kern.Start()
+	leg := newRig(1, Config{})
+	leg.addMisc(n)
+	leg.start()
 	leg.eng.RunFor(2 * sim.Second)
 
 	sh := newRig(1, Config{Shards: 4})
@@ -268,8 +243,8 @@ func TestShardStaggering(t *testing.T) {
 	r.ctl.OnStep(func(now sim.Time) { ticks = append(ticks, now) })
 	r.start()
 	r.eng.RunFor(sim.Second)
-	// Every shard ticks once immediately at start (as the legacy
-	// controller does); from then on the last shard wakes at
+	// Every shard ticks once immediately at start (as a lone shard
+	// does); from then on the last shard wakes at
 	// interval·(1 + 3/4) and every interval after, so the epilogue
 	// settles into the 100 Hz cadence offset by the stagger.
 	if len(ticks) < 10 {
@@ -312,4 +287,5 @@ func TestPlaneJobChurn(t *testing.T) {
 	if want := len(r.ctl.Jobs()); live != want {
 		t.Fatalf("%d live entries across shards, want %d", live, want)
 	}
+	checkLive(t, r.plane)
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/ctlplane"
 	"repro/internal/kernel"
 	"repro/internal/progress"
 	"repro/internal/rbs"
@@ -24,6 +25,8 @@ type rig struct {
 	policy *rbs.Policy
 	reg    *progress.Registry
 	ctl    *core.Controller
+	// plane drives ctl once start has run; nil before.
+	plane *ctlplane.Plane
 }
 
 // newRig builds a machine with the paper's default calibration, applying
@@ -45,8 +48,11 @@ func newRig(kmod func(*kernel.Config), cmod func(*core.Config)) *rig {
 	return &rig{eng: eng, kern: kern, policy: policy, reg: reg, ctl: ctl}
 }
 
+// start runs the machine with the controller driven by the default
+// control plane: one periodic shard, the paper's controller thread.
 func (r *rig) start() {
-	r.ctl.Start()
+	r.plane = ctlplane.New(r.ctl, r.kern, r.policy, r.reg, ctlplane.Config{})
+	r.plane.Start()
 	r.kern.Start()
 }
 

@@ -83,7 +83,7 @@ func measureControllerOverhead(n int, runFor sim.Duration) float64 {
 	r.start()
 	r.eng.RunFor(runFor)
 	r.kern.Stop()
-	return r.ctl.Thread().CPUTime().Seconds() / runFor.Seconds()
+	return r.plane.CPUTime().Seconds() / runFor.Seconds()
 }
 
 // Print writes the paper-style report.

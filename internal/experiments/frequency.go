@@ -100,7 +100,7 @@ func controllerShareAt(interval sim.Duration) float64 {
 	r.start()
 	r.eng.RunFor(10 * sim.Second)
 	r.kern.Stop()
-	return r.ctl.Thread().CPUTime().Seconds() / 10
+	return r.plane.CPUTime().Seconds() / 10
 }
 
 // Print writes the sweep table.

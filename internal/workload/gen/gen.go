@@ -352,7 +352,7 @@ type RunOpts struct {
 	// (default) or "event".
 	Controller string
 	// Shards splits the controller across this many staggered shard
-	// threads (0 or 1: the classic single controller thread).
+	// threads (0 or 1: one shard, the paper's single controller thread).
 	Shards int
 	// NoInvariants skips the invariant checker entirely. Large-scale
 	// perf runs (rrexp -slo at 100k+ sessions, BenchmarkSLOSessions) pay
@@ -373,9 +373,8 @@ type RunResult struct {
 	// every tracked thread still alive. The convergence differential
 	// oracle compares these across control-plane configurations.
 	Allocations map[string]EndState
-	// CtlStats is the control plane's per-shard counter snapshot (one
-	// synthesized shard under the classic controller, nil under
-	// baselines).
+	// CtlStats is the control plane's per-shard counter snapshot (nil
+	// under baselines).
 	CtlStats []realrate.ShardStat
 	// SLO is the system's latency-SLO accounting snapshot (zero unless a
 	// governor was armed — the overload and slo families).

@@ -23,10 +23,10 @@ type Point struct {
 	// is 1 everywhere except the smp family's drawn value).
 	CPUs int
 	// Controller selects the control-plane sampling mode ("" or
-	// "periodic": the classic sweep; "event": event-driven).
+	// "periodic": every job every interval; "event": event-driven).
 	Controller string
 	// Shards splits the controller across this many shard threads (0 or
-	// 1: the classic single thread).
+	// 1: the paper's single controller thread).
 	Shards int
 }
 

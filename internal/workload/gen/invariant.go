@@ -64,8 +64,7 @@ type Report struct {
 	// TruncatedViolations counts breaches beyond the recording cap.
 	TruncatedViolations int
 	// CtlStats is the control plane's per-shard counter snapshot at run
-	// end (one synthesized shard under the classic controller, nil under
-	// baselines).
+	// end (nil under baselines).
 	CtlStats []realrate.ShardStat
 }
 

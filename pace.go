@@ -42,7 +42,7 @@ func (p *Pace) bind(s *System) {
 }
 
 // Complete reports n finished work units. The pace must already be
-// attached to a thread via the RealRate spawn option (or SpawnPaced).
+// attached to a thread via the RealRate spawn option.
 func (p *Pace) Complete(n float64) {
 	if p.sys == nil {
 		panic("realrate: Pace not attached; spawn a thread with RealRate(period, pace) first")
@@ -66,18 +66,3 @@ func (p *Pace) Pressure(now time.Duration) float64 {
 
 // Describe implements ProgressSource.
 func (p *Pace) Describe() string { return p.vq.Describe() }
-
-// SpawnPaced creates a real-rate thread whose progress is a work-unit
-// target instead of a queue: the thread must call Pace.Complete as it
-// works, and the controller sizes its allocation to sustain targetPerSec.
-// depth is the virtual buffer depth in work units.
-//
-// Deprecated: use NewPace with Spawn and the RealRate option.
-func (s *System) SpawnPaced(name string, prog Program, targetPerSec, depth float64) (*Thread, *Pace) {
-	pace := NewPace(name, targetPerSec, depth)
-	th, err := s.Spawn(name, prog, RealRate(30*time.Millisecond, pace))
-	if err != nil {
-		panic(err)
-	}
-	return th, pace
-}

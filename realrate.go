@@ -104,20 +104,20 @@ type Config struct {
 	// default — costs nothing: the hot paths pay one nil check and the
 	// dispatch schedule is byte-identical to a build without the governor.
 	Overload *OverloadConfig
-	// CtlPlane configures the sharded, staggered, event-driven control
-	// plane for machines with very many jobs. The zero value — one shard,
-	// periodic — keeps the classic controller thread and its
-	// byte-identical dispatch schedule.
+	// CtlPlane configures the control plane that drives the feedback
+	// controller. The zero value — one periodic shard — is the paper's
+	// single controller thread; shards and event-driven sampling scale it
+	// to machines with very many jobs.
 	CtlPlane CtlPlaneConfig
-	// DisablePools turns off free-list recycling of the spawn→exit life
+	// disablePools turns off free-list recycling of the spawn→exit life
 	// cycle: kernel thread slots, reservation segments, scheduler
 	// per-thread state, and controller jobs are then left to the garbage
 	// collector instead of being reissued to later spawns. Recycling is
 	// on by default — it changes no dispatch schedule (pools preserve
 	// enqueue-sequence tie-breaks and observer event order) and cuts
 	// allocation churn by an order of magnitude under open-loop spawn
-	// storms. The knob exists for A/B verification of exactly that claim.
-	DisablePools bool
+	// storms. Only the tests that verify exactly that claim set it.
+	disablePools bool
 }
 
 // ControllerTuning exposes the controller knobs that experiments vary.
@@ -155,8 +155,7 @@ type System struct {
 	reg *progress.Registry
 	// ctl is nil under baseline policies: no feedback allocator runs.
 	ctl *core.Controller
-	// plane is the sharded control plane when Config.CtlPlane asks for
-	// one; nil keeps the classic controller thread.
+	// plane drives ctl; nil exactly when ctl is.
 	plane *ctlplane.Plane
 
 	// byKern maps kernel threads back to their public handles, so quality
@@ -191,7 +190,7 @@ type System struct {
 	// clamping adapter (see customMetric), feeding Health.
 	srcRejects uint64
 
-	// pooled mirrors !Config.DisablePools: exited threads' slots and
+	// pooled mirrors !Config.disablePools: exited threads' slots and
 	// controller jobs are recycled, so exits must be reaped eagerly (see
 	// threadExited) and handles carry their slot generation.
 	pooled bool
@@ -332,13 +331,13 @@ func NewSystem(cfg Config) *System {
 			}
 		}
 	}
-	if s.ctl != nil && !cfg.CtlPlane.legacy() {
+	if s.ctl != nil {
 		// Built last so the plane sees the fully-wired controller; it
 		// claims the controller's job-change hooks and — in event mode —
 		// the registry's dirty hook.
 		s.plane = buildPlane(s, cfg.CtlPlane)
 	}
-	if !cfg.DisablePools {
+	if !cfg.disablePools {
 		s.pooled = true
 		kern.SetRecycle(true)
 		if rbsPol != nil {
@@ -361,8 +360,6 @@ func (s *System) Run(d time.Duration) {
 		s.started = true
 		if s.plane != nil {
 			s.plane.Start()
-		} else if s.ctl != nil {
-			s.ctl.Start()
 		}
 		s.kern.Start()
 	}
@@ -566,20 +563,13 @@ func (s *System) CPUStats() []CPUStat {
 	return out
 }
 
-// ControllerCPU returns the CPU time consumed by the controller thread —
-// the overhead Figure 5 measures. Zero under baseline policies.
+// ControllerCPU returns the CPU time consumed by the control plane's
+// threads — the overhead Figure 5 measures. Zero under baseline policies.
 func (s *System) ControllerCPU() time.Duration {
-	if s.ctl == nil {
+	if s.plane == nil {
 		return 0
 	}
-	if s.plane != nil {
-		return time.Duration(s.plane.CPUTime())
-	}
-	t := s.ctl.Thread()
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.CPUTime())
+	return time.Duration(s.plane.CPUTime())
 }
 
 // TotalProportion returns the summed proportions of all registered threads

@@ -8,6 +8,16 @@ import (
 	realrate "repro"
 )
 
+// spawn is System.Spawn for tests: a refused spawn fails the test.
+func spawn(tb testing.TB, sys *realrate.System, name string, prog realrate.Program, opts ...realrate.SpawnOption) *realrate.Thread {
+	tb.Helper()
+	th, err := sys.Spawn(name, prog, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return th
+}
+
 // pipeline spawns the canonical reserved-producer / controlled-consumer
 // pair on sys and returns the queue and consumer.
 func pipeline(t *testing.T, sys *realrate.System) (*realrate.Queue, *realrate.Thread) {
@@ -29,10 +39,10 @@ func pipeline(t *testing.T, sys *realrate.System) (*realrate.Queue, *realrate.Th
 		}
 		return realrate.Compute(40 * 4096)
 	})
-	if _, err := sys.SpawnRealTime("producer", producer, 100, 10*time.Millisecond); err != nil {
+	if _, err := sys.Spawn("producer", producer, realrate.Reserve(100, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	cons := sys.SpawnRealRate("consumer", consumer, 0, realrate.ConsumerOf(pipe))
+	cons := spawn(t, sys, "consumer", consumer, realrate.RealRate(0, realrate.ConsumerOf(pipe)))
 	return pipe, cons
 }
 
@@ -69,17 +79,17 @@ func TestPublicPipelineConverges(t *testing.T) {
 
 func TestAdmissionErrorSurfaced(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	if _, err := sys.SpawnRealTime("big", realrate.HogProgram(1000), 800, 10*time.Millisecond); err != nil {
+	if _, err := sys.Spawn("big", realrate.HogProgram(1000), realrate.Reserve(800, 10*time.Millisecond)); err != nil {
 		t.Fatalf("first reservation rejected: %v", err)
 	}
-	if _, err := sys.SpawnRealTime("too-big", realrate.HogProgram(1000), 300, 10*time.Millisecond); err == nil {
+	if _, err := sys.Spawn("too-big", realrate.HogProgram(1000), realrate.Reserve(300, 10*time.Millisecond)); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }
 
 func TestUnmanagedThreadRunsInLeftover(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	um := sys.SpawnUnmanaged("legacy", realrate.HogProgram(400_000))
+	um := spawn(t, sys, "legacy", realrate.HogProgram(400_000), realrate.Unmanaged())
 	sys.Run(2 * time.Second)
 	if um.CPUTime() < time.Second {
 		t.Fatalf("unmanaged thread got %v of an idle machine", um.CPUTime())
@@ -91,8 +101,8 @@ func TestUnmanagedThreadRunsInLeftover(t *testing.T) {
 
 func TestMiscThreadsShareEqually(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	a := sys.SpawnMiscellaneous("a", realrate.HogProgram(400_000))
-	b := sys.SpawnMiscellaneous("b", realrate.HogProgram(400_000))
+	a := spawn(t, sys, "a", realrate.HogProgram(400_000))
+	b := spawn(t, sys, "b", realrate.HogProgram(400_000))
 	sys.Run(8 * time.Second)
 	ra := a.CPUTime().Seconds()
 	rb := b.CPUTime().Seconds()
@@ -103,8 +113,8 @@ func TestMiscThreadsShareEqually(t *testing.T) {
 
 func TestImportanceViaPublicAPI(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	vip := sys.SpawnMiscellaneous("vip", realrate.HogProgram(400_000))
-	std := sys.SpawnMiscellaneous("std", realrate.HogProgram(400_000))
+	vip := spawn(t, sys, "vip", realrate.HogProgram(400_000))
+	std := spawn(t, sys, "std", realrate.HogProgram(400_000))
 	vip.SetImportance(4)
 	sys.Run(8 * time.Second)
 	if vip.CPUTime() <= std.CPUTime() {
@@ -136,7 +146,7 @@ func TestMutexAndWaitQueue(t *testing.T) {
 			return realrate.Unlock(m)
 		}
 	})
-	sys.SpawnMiscellaneous("worker", worker)
+	spawn(t, sys, "worker", worker)
 
 	wphase := 0
 	waker := realrate.ProgramFunc(func(th *realrate.Thread, now time.Duration) realrate.Action {
@@ -147,7 +157,7 @@ func TestMutexAndWaitQueue(t *testing.T) {
 		wq.WakeOne()
 		return realrate.Compute(1000)
 	})
-	sys.SpawnMiscellaneous("waker", waker)
+	spawn(t, sys, "waker", waker)
 
 	sys.Run(2 * time.Second)
 	if handled < 50 {
@@ -168,7 +178,7 @@ func TestThreadExitViaPublicAPI(t *testing.T) {
 		}
 		return realrate.Compute(1000)
 	})
-	th := sys.SpawnMiscellaneous("mortal", mortal)
+	th := spawn(t, sys, "mortal", mortal)
 	sys.Run(time.Second)
 	if th.State() != "exited" {
 		t.Fatalf("state = %q, want exited", th.State())
@@ -192,7 +202,7 @@ func TestEverySampler(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	sys.SpawnMiscellaneous("hog", realrate.HogProgram(400_000))
+	spawn(t, sys, "hog", realrate.HogProgram(400_000))
 	sys.Run(time.Second)
 	st := sys.Stats()
 	if st.Elapsed != time.Second {
@@ -232,10 +242,10 @@ func TestQualityEventDelivered(t *testing.T) {
 		}
 		return realrate.Compute(400 * 4096)
 	})
-	if _, err := sys.SpawnRealTime("producer", producer, 100, 10*time.Millisecond); err != nil {
+	if _, err := sys.Spawn("producer", producer, realrate.Reserve(100, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	sys.SpawnRealRate("consumer", consumer, 0, realrate.ConsumerOf(pipe))
+	spawn(t, sys, "consumer", consumer, realrate.RealRate(0, realrate.ConsumerOf(pipe)))
 
 	events := 0
 	sys.OnQuality(func(ev realrate.QualityEvent) {
@@ -264,9 +274,10 @@ func TestPacedComputationHoldsTargetRate(t *testing.T) {
 		keys++
 		return realrate.Compute(100_000)
 	})
-	th, p := sys.SpawnPaced("cracker", cracker, 1200, 2400) // 2s of buffer
+	p := realrate.NewPace("cracker", 1200, 2400) // 2s of buffer
 	pace = p
-	sys.SpawnMiscellaneous("hog", realrate.HogProgram(400_000))
+	th := spawn(t, sys, "cracker", cracker, realrate.RealRate(30*time.Millisecond, p))
+	spawn(t, sys, "hog", realrate.HogProgram(400_000))
 	sys.Run(10 * time.Second)
 
 	rate := float64(keys) / 10
@@ -284,7 +295,7 @@ func TestPacedComputationHoldsTargetRate(t *testing.T) {
 
 func TestRenegotiateViaPublicAPI(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	th, err := sys.SpawnRealTime("rt", realrate.HogProgram(400_000), 200, 10*time.Millisecond)
+	th, err := sys.Spawn("rt", realrate.HogProgram(400_000), realrate.Reserve(200, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +316,7 @@ func TestRenegotiateViaPublicAPI(t *testing.T) {
 
 func TestAperiodicClass(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
-	th, err := sys.SpawnAperiodic("codec", realrate.HogProgram(400_000), 200)
+	th, err := sys.Spawn("codec", realrate.HogProgram(400_000), realrate.Aperiodic(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +346,7 @@ func TestInteractiveClassViaPublicAPI(t *testing.T) {
 		served++
 		return realrate.Compute(2_000_000)
 	})
-	it := sys.SpawnInteractive("editor", editor)
+	it := spawn(t, sys, "editor", editor, realrate.Interactive())
 	uphase := 0
 	user := realrate.ProgramFunc(func(th *realrate.Thread, now time.Duration) realrate.Action {
 		uphase++
@@ -345,10 +356,10 @@ func TestInteractiveClassViaPublicAPI(t *testing.T) {
 		tty.WakeOne()
 		return realrate.Compute(1000)
 	})
-	if _, err := sys.SpawnRealTime("user", user, 20, 5*time.Millisecond); err != nil {
+	if _, err := sys.Spawn("user", user, realrate.Reserve(20, 5*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	sys.SpawnMiscellaneous("hog", realrate.HogProgram(400_000))
+	spawn(t, sys, "hog", realrate.HogProgram(400_000))
 	sys.Run(10 * time.Second)
 
 	if served < 150 {
@@ -362,7 +373,7 @@ func TestInteractiveClassViaPublicAPI(t *testing.T) {
 func TestTracingViaPublicAPI(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	tr := sys.EnableTracing(0)
-	sys.SpawnMiscellaneous("hog", realrate.HogProgram(400_000))
+	spawn(t, sys, "hog", realrate.HogProgram(400_000))
 	sys.Run(time.Second)
 	sums := tr.Summaries()
 	found := false
@@ -434,7 +445,7 @@ func TestPublicAccessorsAndActions(t *testing.T) {
 			return realrate.Compute(100_000)
 		}
 	})
-	th := sys.SpawnRealRate("omni", prog, 15*time.Millisecond, realrate.ConsumerOf(q))
+	th := spawn(t, sys, "omni", prog, realrate.RealRate(15*time.Millisecond, realrate.ConsumerOf(q)))
 	sys.Run(time.Second)
 
 	if th.Desired() < 0 || th.Allocation() < 0 {
@@ -467,7 +478,7 @@ func TestPublicAccessorsAndActions(t *testing.T) {
 func TestTracingPrint(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	tr := sys.EnableTracing(100)
-	sys.SpawnMiscellaneous("hog", realrate.HogProgram(400_000))
+	spawn(t, sys, "hog", realrate.HogProgram(400_000))
 	sys.Run(200 * time.Millisecond)
 	var sb strings.Builder
 	tr.Print(&sb)
@@ -480,9 +491,9 @@ func TestSpawnIntoJobSharesAllocation(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	// A two-thread miscellaneous job against a one-thread job: CPU is
 	// allocated per job, so the pairs end up equal.
-	lead := sys.SpawnMiscellaneous("pair0", realrate.HogProgram(400_000))
-	second := sys.SpawnIntoJob(lead, "pair1", realrate.HogProgram(400_000))
-	solo := sys.SpawnMiscellaneous("solo", realrate.HogProgram(400_000))
+	lead := spawn(t, sys, "pair0", realrate.HogProgram(400_000))
+	second := spawn(t, sys, "pair1", realrate.HogProgram(400_000), realrate.InJob(lead))
+	solo := spawn(t, sys, "solo", realrate.HogProgram(400_000))
 	sys.Run(8 * time.Second)
 
 	pair := lead.CPUTime().Seconds() + second.CPUTime().Seconds()

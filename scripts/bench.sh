@@ -19,9 +19,10 @@ go test -run '^$' -bench 'BenchmarkSimulatedSecondOneHog|BenchmarkSimulatedSecon
     -benchmem ./internal/kernel/ >>"$tmp" 2>&1
 
 # Scheduler-core scaling benches: dispatch cost versus thread count and
-# the allocation-free controller tick.
+# the allocation-free controller epoch (the zero-value control plane: one
+# periodic shard sweeping every job).
 go test -run '^$' -bench 'BenchmarkStormDispatch' -benchtime 30x -benchmem . >>"$tmp" 2>&1
-go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 200x -benchmem ./internal/core/ >>"$tmp" 2>&1
+go test -run '^$' -bench 'BenchmarkControllerStep/shards=1/' -benchtime 200x -benchmem ./internal/ctlplane/ >>"$tmp" 2>&1
 
 # Workload-breadth bench: admission-churn throughput (Spawn/Kill/
 # Renegotiate near capacity with the invariant checker live).
@@ -44,7 +45,7 @@ go test -run '^$' -bench 'BenchmarkOverloadGovernor' -benchtime 10x -benchmem . 
 # homed by CPU through the cpu→shard table), the path the 1-CPU rig's
 # thread-ID hash never takes. The 1M-job soak logs admission and per-epoch
 # wall time into the test output.
-go test -run '^$' -bench 'BenchmarkControllerStep' -benchtime 20x -benchmem ./internal/ctlplane/ >>"$tmp" 2>&1
+go test -run '^$' -bench 'BenchmarkControllerStep/(mode|cpus)=' -benchtime 20x -benchmem ./internal/ctlplane/ >>"$tmp" 2>&1
 go test -run 'TestSoak1MAdmission' -v ./internal/ctlplane/ >>"$tmp" 2>&1
 
 # Live-service SLO bench (pr9-slo-family): a simulated second of the slo

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates the Figure 5-8 outputs and byte-compares them against the
-# committed goldens in testdata/goldens/. Any drift in the dispatch
+# Regenerates the Figure 5-8 outputs and a sweep of generated rbs
+# scenarios, and byte-compares them against the committed goldens in
+# testdata/goldens/. Any drift in the dispatch
 # schedule or controller arithmetic fails the build.
 #
 # To re-bless after an intentional change: scripts/goldens.sh -update
@@ -25,18 +26,35 @@ else
   status=1
 fi
 
-for fig in 5 6 7 8; do
-  "$tmp/rrexp" -fig "$fig" > "$tmp/fig$fig.out"
-  golden="testdata/goldens/fig$fig.golden"
+# check NAME compares $tmp/NAME.out against testdata/goldens/NAME.golden
+# (or, with -update, replaces the golden).
+check() {
+  local golden="testdata/goldens/$1.golden"
   if [ "$update" = 1 ]; then
-    cp "$tmp/fig$fig.out" "$golden"
-    echo "fig$fig: updated"
-  elif cmp -s "$golden" "$tmp/fig$fig.out"; then
-    echo "fig$fig: byte-identical"
+    cp "$tmp/$1.out" "$golden"
+    echo "$1: updated"
+  elif cmp -s "$golden" "$tmp/$1.out"; then
+    echo "$1: byte-identical"
   else
-    echo "fig$fig: output diverged from $golden:" >&2
-    diff "$golden" "$tmp/fig$fig.out" >&2 || true
+    echo "$1: output diverged from $golden:" >&2
+    diff "$golden" "$tmp/$1.out" >&2 || true
     status=1
   fi
+}
+
+for fig in 5 6 7 8; do
+  "$tmp/rrexp" -fig "$fig" > "$tmp/fig$fig.out"
+  check "fig$fig"
 done
+
+# The control loop on generated workloads under rbs: the default plane (one
+# periodic shard) on one CPU and on four, and a lone event-driven shard.
+# The figures run one CPU and few jobs; these runs add SMP placement of the
+# controller thread, job churn, and the event plane's modeled cost.
+{
+  "$tmp/rrexp" -gen -policy rbs -seeds 5
+  "$tmp/rrexp" -gen -policy rbs -cpus 4 -seeds 4
+  "$tmp/rrexp" -gen -policy rbs -controller event -seeds 5
+} > "$tmp/gen_rbs.out" || true
+check gen_rbs
 exit $status

@@ -221,9 +221,7 @@ func AnyCPU() SpawnOption {
 
 // Spawn creates a thread running prog, classified by the given options
 // (see the paper's Figure 2 taxonomy). With no class option the thread is
-// miscellaneous. Spawn is the single entry point behind the deprecated
-// SpawnRealTime/SpawnAperiodic/SpawnRealRate/SpawnMiscellaneous/
-// SpawnInteractive/SpawnUnmanaged/SpawnIntoJob constructors.
+// miscellaneous.
 //
 // Under a baseline policy (see Config.Policy) there is no feedback
 // controller: every class spawns a plain thread, and a Reserve or

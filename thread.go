@@ -143,82 +143,6 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 	}
 }
 
-// SpawnRealTime creates a thread with a hard reservation: proportion in
-// parts-per-thousand over the given period. Admission control may reject
-// the request, in which case the thread is not created.
-//
-// Deprecated: use Spawn with the Reserve option.
-func (s *System) SpawnRealTime(name string, prog Program, proportion int, period time.Duration) (*Thread, error) {
-	return s.Spawn(name, prog, Reserve(proportion, period))
-}
-
-// SpawnAperiodic creates an aperiodic real-time thread: known proportion,
-// no period; the controller assigns the 30 ms default.
-//
-// Deprecated: use Spawn with the Aperiodic option.
-func (s *System) SpawnAperiodic(name string, prog Program, proportion int) (*Thread, error) {
-	return s.Spawn(name, prog, Aperiodic(proportion))
-}
-
-// SpawnRealRate creates a thread whose proportion (and, with period 0, its
-// period) the controller estimates from the progress metrics declared by
-// the queue links.
-//
-// Deprecated: use Spawn with the RealRate option, which accepts any
-// ProgressSource.
-func (s *System) SpawnRealRate(name string, prog Program, period time.Duration, links ...QueueLink) *Thread {
-	if len(links) == 0 {
-		panic("realrate: SpawnRealRate needs at least one queue link")
-	}
-	sources := make([]ProgressSource, len(links))
-	for i, l := range links {
-		sources[i] = l
-	}
-	th, err := s.Spawn(name, prog, RealRate(period, sources...))
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
-// SpawnMiscellaneous creates a thread with no declared information; the
-// constant-pressure heuristic grows its allocation until satisfied or
-// squished.
-//
-// Deprecated: use Spawn, whose default class is miscellaneous.
-func (s *System) SpawnMiscellaneous(name string, prog Program) *Thread {
-	th, err := s.Spawn(name, prog, Miscellaneous())
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
-// SpawnInteractive creates a tty-server thread: small period, proportion
-// estimated from its bursts.
-//
-// Deprecated: use Spawn with the Interactive option.
-func (s *System) SpawnInteractive(name string, prog Program) *Thread {
-	th, err := s.Spawn(name, prog, Interactive())
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
-// SpawnUnmanaged creates a thread outside the controller entirely; it runs
-// round-robin in the leftover CPU below every registered thread, like
-// unregistered jobs under the prototype's default Linux scheduler.
-//
-// Deprecated: use Spawn with the Unmanaged option.
-func (s *System) SpawnUnmanaged(name string, prog Program) *Thread {
-	th, err := s.Spawn(name, prog, Unmanaged())
-	if err != nil {
-		panic(err)
-	}
-	return th
-}
-
 // removeThread undoes a spawn whose registration failed: the kernel thread
 // is retired (so a rejected program does not keep running in the leftover
 // CPU), any progress sources registered before the failure are unlinked,
@@ -437,18 +361,4 @@ func (th *Thread) Renegotiate(proportion int) error {
 		Period: th.Period(), Accepted: err == nil, Err: err,
 	})
 	return err
-}
-
-// SpawnIntoJob creates a new thread as a member of th's job: the paper's
-// "job is a collection of cooperating threads". The job's allocation is
-// split across its members; its progress and usage are their combined
-// metrics and CPU.
-//
-// Deprecated: use Spawn with the InJob option.
-func (s *System) SpawnIntoJob(th *Thread, name string, prog Program) *Thread {
-	member, err := s.Spawn(name, prog, InJob(th))
-	if err != nil {
-		panic(err)
-	}
-	return member
 }
