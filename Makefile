@@ -76,9 +76,10 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario slo -seeds $(STRESS_SLO_SEEDS)
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 4 -controller event -shards 2 -seeds $(STRESS_SLO_SEEDS)
 
-# goldens byte-compares the Figure 5-8 outputs and the gen_rbs sweep of
-# generated rbs scenarios against the committed goldens in
-# testdata/goldens/ (re-bless with scripts/goldens.sh -update).
+# goldens byte-compares the Figure 5-8 outputs, the gen_rbs and gen_shards
+# sweeps of generated rbs scenarios and the storm_smp drain against the
+# committed goldens in testdata/goldens/ (re-bless with
+# scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
 

@@ -21,6 +21,13 @@ import (
 // deterministic enough here: the simulator is single-goroutine and the
 // ceilings leave 2x headroom.
 func countAllocs(t *testing.T, fn func()) uint64 {
+	objs, _ := measureAllocs(t, fn)
+	return objs
+}
+
+// measureAllocs returns the heap objects and bytes allocated while fn runs,
+// after one warmup run.
+func measureAllocs(t *testing.T, fn func()) (objs, bytes uint64) {
 	t.Helper()
 	fn() // warmup: interned tables, lazy pools, timer rings
 	var before, after runtime.MemStats
@@ -28,7 +35,7 @@ func countAllocs(t *testing.T, fn func()) uint64 {
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestAllocBudgetSLOSessions holds the live-service session storm
@@ -53,19 +60,26 @@ func TestAllocBudgetSLOSessions(t *testing.T) {
 }
 
 // TestAllocBudgetStormDispatch holds the open-loop dispatch storm
-// (BenchmarkStormDispatch n=10000) to its allocation budget.
+// (BenchmarkStormDispatch n=10000) to its allocation budget, in objects
+// and in bytes. Almost all of the bytes are per-thread state (the kernel
+// thread, the rbs state slab) and the dispatch arrays, so the byte budget
+// — 5% above the 4,900,272 bytes the run allocated with 192-byte rbs
+// states and pointer-sized heap slots — catches either growing.
 func TestAllocBudgetStormDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget run is a full dispatch storm")
 	}
-	const budget = 4_000
-	got := countAllocs(t, func() {
+	const budget, byteBudget = 4_000, 5_145_000
+	got, bytes := measureAllocs(t, func() {
 		experiments.RunContextSwitchStorm(experiments.StormConfig{
 			Threads: 10_000, RunFor: sim.Second,
 		})
 	})
-	t.Logf("StormDispatch n=10000: %d allocs (budget %d)", got, budget)
+	t.Logf("StormDispatch n=10000: %d allocs (budget %d), %d bytes (budget %d)", got, budget, bytes, byteBudget)
 	if got > budget {
 		t.Fatalf("dispatch storm allocated %d objects, budget is %d: the pooled spawn→exit lifecycle regressed", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Fatalf("dispatch storm allocated %d bytes, budget is %d: per-thread state or the dispatch arrays grew", bytes, byteBudget)
 	}
 }

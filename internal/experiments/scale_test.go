@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/rbs"
 	"repro/internal/sim"
 )
 
@@ -50,6 +51,35 @@ func TestStormOversubscribedCountsMisses(t *testing.T) {
 	}
 	if res.ThreadTime == 0 {
 		t.Fatal("storm delivered no CPU to its threads")
+	}
+}
+
+// TestStormPinnedEDF pins EDF dispatch on a multiprocessor, which no
+// golden runs: with several CPUs the ready heap's array order is what
+// work-pull stealing scans, so a change to how the heap is laid out or
+// sifted shows up here as a different migration count or drain time. The
+// values were recorded from the indexed-heap dispatcher before its
+// structures were re-keyed on the scheduling state.
+func TestStormPinnedEDF(t *testing.T) {
+	got := experiments.RunContextSwitchStorm(experiments.StormConfig{
+		Threads: 1000, CPUs: 4, Work: 4_000_000, Discipline: rbs.EDF,
+	})
+	want := experiments.StormResult{
+		Threads:    1000,
+		CPUs:       4,
+		Dispatches: 15944,
+		Switches:   13240,
+		Wakeups:    13115,
+		Migrations: 17,
+		ThreadTime: 10 * sim.Second,
+		Overhead:   95_985_000,
+		Idle:       1_904_015_000,
+		Missed:     62657,
+		SimElapsed: 2_800_134_750,
+		Completed:  1000,
+	}
+	if got != want {
+		t.Fatalf("EDF storm on 4 CPUs drifted:\n got %+v\nwant %+v", got, want)
 	}
 }
 

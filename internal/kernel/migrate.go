@@ -62,22 +62,29 @@ func (w *WorkPull) Pull(idle int, now sim.Time, k *Kernel) *Thread {
 }
 
 // StealCandidate scans a per-CPU queue in index order and returns the
-// first thread that may migrate off its CPU: non-nil, not one of the
-// excluded threads (the CPU's current occupant, a policy's cached
-// winner), and not pinned. It is the one definition of movability the
-// policies' Steal implementations share; the caller dequeues the result.
+// first thread that is Movable past the excluded threads. The caller
+// dequeues the result.
 func StealCandidate(q []*Thread, exclude ...*Thread) *Thread {
-scan:
 	for _, t := range q {
-		if t == nil || t.affinity != AffinityAny {
-			continue
+		if Movable(t, exclude...) {
+			return t
 		}
-		for _, x := range exclude {
-			if t == x {
-				continue scan
-			}
-		}
-		return t
 	}
 	return nil
+}
+
+// Movable reports whether a queued thread may migrate off its CPU:
+// non-nil, not pinned, and not one of the excluded threads (the CPU's
+// current occupant, a policy's cached winner). It is the one definition
+// of movability the policies' Steal implementations share.
+func Movable(t *Thread, exclude ...*Thread) bool {
+	if t == nil || t.affinity != AffinityAny {
+		return false
+	}
+	for _, x := range exclude {
+		if t == x {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,11 @@
 // Intrusive, index-tracked priority structures for the dispatcher's hot
-// path, one set per CPU (a shard). Each thread's positions are stored in
-// its scheduling state (heapIdx/boundIdx/exhIdx), so membership tests and
-// removals are O(1)+O(log n) with no allocation and no linear scans.
+// path, one set per CPU (a shard). The structures hold and link scheduling
+// states (*state), not threads: each state's positions are stored in the
+// state itself (heapIdx/boundPos/exhIdx, boundPrev/boundNext), so
+// membership tests and removals are O(1)+O(log n) with no allocation and
+// no linear scans, and a sift, a wheel link or a period roll reads only
+// policy memory. A state leads back to its thread through st.t, which only
+// the kernel-facing edges follow (Pick's nap loop, Steal, readyTop).
 //
 // Ordering must reproduce the legacy linear scan bit-for-bit: the scan
 // picked the *first* best thread in runnable-slice order, and slice order
@@ -23,7 +27,7 @@ import (
 type shard struct {
 	// ready is the indexed heap of dispatchable queued threads: registered
 	// threads with budget and the unmanaged round-robin class below them.
-	ready []*kernel.Thread
+	ready []*state
 	// buckets/buckets2/overflow/curSlot form the period-boundary wheel of
 	// queued registered threads by next period end; Pick drains the due
 	// entries instead of refreshing every runnable thread. Each bucket is
@@ -31,13 +35,13 @@ type shard struct {
 	// kernel tick per slot; level 2 spans bwSlots ticks per slot, so any
 	// boundary within bwSlots² ticks (≈65 s at a 1 ms tick) files in O(1);
 	// only boundaries beyond that fall back to the overflow min-heap.
-	buckets  [bwSlots]*kernel.Thread
-	buckets2 [bwSlots]*kernel.Thread
-	overflow []*kernel.Thread
+	buckets  [bwSlots]*state
+	buckets2 [bwSlots]*state
+	overflow []*state
 	curSlot  int64
 	// exhausted lists queued registered threads with spent budgets, in
 	// enqueue order; Pick naps them until their next period begins.
-	exhausted []*kernel.Thread
+	exhausted []*state
 	// curMin is a conservative lower bound on the smallest boundKey filed
 	// in the current cursor slot's L1 bucket: while curMin > now, no entry
 	// there is due and boundDrain skips the bucket walk entirely. Inserts
@@ -57,8 +61,7 @@ const timeMax = sim.Time(1<<63 - 1)
 // registered threads with budget beat unmanaged threads; within the
 // registered class RMS prefers shorter (clamped) periods and EDF earlier
 // period ends; all remaining ties fall back to enqueue order.
-func (p *Policy) readyLess(a, b *kernel.Thread) bool {
-	sa, sb := stateOf(a), stateOf(b)
+func (p *Policy) readyLess(sa, sb *state) bool {
 	ca := sa.registered && sa.budget > 0
 	cb := sb.registered && sb.budget > 0
 	if ca != cb {
@@ -96,16 +99,14 @@ func clampedPeriodMs(st *state) int64 {
 
 // --- ready heap: queued threads eligible to run ---
 
-func (p *Policy) readyPush(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	st.heapIdx = len(sh.ready)
-	sh.ready = append(sh.ready, t)
-	p.readyUp(sh, st.heapIdx)
+func (p *Policy) readyPush(sh *shard, st *state) {
+	i := len(sh.ready)
+	sh.ready = append(sh.ready, st)
+	p.readyUp(sh, i)
 }
 
-func (p *Policy) readyRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.heapIdx
+func (p *Policy) readyRemove(sh *shard, st *state) {
+	i := int(st.heapIdx)
 	if i < 0 {
 		return
 	}
@@ -118,13 +119,13 @@ func (p *Policy) readyRemove(sh *shard, t *kernel.Thread) {
 		return
 	}
 	sh.ready[i] = moved
-	stateOf(moved).heapIdx = i
+	moved.heapIdx = int32(i)
 	p.readyFixAt(sh, i)
 }
 
-// readyFix restores the heap property after t's key changed in place.
-func (p *Policy) readyFix(sh *shard, t *kernel.Thread) {
-	if i := stateOf(t).heapIdx; i >= 0 {
+// readyFix restores the heap property after st's key changed in place.
+func (p *Policy) readyFix(sh *shard, st *state) {
+	if i := int(st.heapIdx); i >= 0 {
 		p.readyFixAt(sh, i)
 	}
 }
@@ -139,26 +140,26 @@ func (p *Policy) readyTop(sh *shard) *kernel.Thread {
 	if len(sh.ready) == 0 {
 		return nil
 	}
-	return sh.ready[0]
+	return sh.ready[0].t
 }
 
 func (p *Policy) readyUp(sh *shard, i int) {
-	t := sh.ready[i]
+	st := sh.ready[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.readyLess(t, sh.ready[parent]) {
+		if !p.readyLess(st, sh.ready[parent]) {
 			break
 		}
 		sh.ready[i] = sh.ready[parent]
-		stateOf(sh.ready[i]).heapIdx = i
+		sh.ready[i].heapIdx = int32(i)
 		i = parent
 	}
-	sh.ready[i] = t
-	stateOf(t).heapIdx = i
+	sh.ready[i] = st
+	st.heapIdx = int32(i)
 }
 
 func (p *Policy) readyDown(sh *shard, i int) bool {
-	t := sh.ready[i]
+	st := sh.ready[i]
 	n := len(sh.ready)
 	moved := false
 	for {
@@ -169,16 +170,16 @@ func (p *Policy) readyDown(sh *shard, i int) bool {
 		if r := kid + 1; r < n && p.readyLess(sh.ready[r], sh.ready[kid]) {
 			kid = r
 		}
-		if !p.readyLess(sh.ready[kid], t) {
+		if !p.readyLess(sh.ready[kid], st) {
 			break
 		}
 		sh.ready[i] = sh.ready[kid]
-		stateOf(sh.ready[i]).heapIdx = i
+		sh.ready[i].heapIdx = int32(i)
 		i = kid
 		moved = true
 	}
-	sh.ready[i] = t
-	stateOf(t).heapIdx = i
+	sh.ready[i] = st
+	st.heapIdx = int32(i)
 	return moved
 }
 
@@ -202,8 +203,8 @@ const (
 	bwMask  = bwSlots - 1
 	bwBits  = 8 // log2(bwSlots): shift from an L1 slot to its L2 span
 
-	// boundNone is the boundSlot sentinel for "not filed"; values >= 0 are
-	// bucket indices within the level named by boundLevel.
+	// boundNone is the boundPos sentinel for "not filed"; values >= 0 are
+	// a bucket index (L1/L2) or an overflow heap index, per boundLevel.
 	boundNone = -1
 )
 
@@ -215,12 +216,11 @@ const (
 	levelHeap
 )
 
-// boundInsert files t under its current period end in t's shard. t must be
-// queued, registered, and not already filed. Wheel buckets are intrusive
-// doubly linked lists threaded through the scheduling state, so filing and
-// unfiling never allocate no matter how boundaries cluster.
-func (p *Policy) boundInsert(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+// boundInsert files st under its current period end in shard sh. st must
+// be queued, registered, and not already filed. Wheel buckets are
+// intrusive doubly linked lists threaded through the scheduling states, so
+// filing and unfiling never allocate no matter how boundaries cluster.
+func (p *Policy) boundInsert(sh *shard, st *state) {
 	key := p.periodEnd(st)
 	st.boundKey = key
 	slot := int64(key) / p.slotW
@@ -228,61 +228,58 @@ func (p *Policy) boundInsert(sh *shard, t *kernel.Thread) {
 		slot = sh.curSlot // defensive; boundKey is re-checked when draining
 	}
 	if slot < sh.curSlot+bwSlots {
-		p.bucketLink(sh, &sh.buckets, t, levelL1, int(slot&bwMask))
+		bucketLink(&sh.buckets, st, levelL1, int(slot&bwMask))
 		if slot == sh.curSlot && key < sh.curMin {
 			sh.curMin = key
 		}
 		return
 	}
 	if slot>>bwBits < (sh.curSlot>>bwBits)+bwSlots {
-		p.bucketLink(sh, &sh.buckets2, t, levelL2, int((slot>>bwBits)&bwMask))
+		bucketLink(&sh.buckets2, st, levelL2, int((slot>>bwBits)&bwMask))
 		return
 	}
 	st.boundLevel = levelHeap
-	st.boundIdx = len(sh.overflow)
-	sh.overflow = append(sh.overflow, t)
-	p.overflowUp(sh, st.boundIdx)
+	i := len(sh.overflow)
+	sh.overflow = append(sh.overflow, st)
+	overflowUp(sh, i)
 }
 
-// bucketLink pushes t onto the head of a wheel bucket's intrusive list.
-func (p *Policy) bucketLink(sh *shard, buckets *[bwSlots]*kernel.Thread, t *kernel.Thread, level, b int) {
-	st := stateOf(t)
+// bucketLink pushes st onto the head of a wheel bucket's intrusive list.
+func bucketLink(buckets *[bwSlots]*state, st *state, level int8, b int) {
 	st.boundLevel = level
-	st.boundSlot = b
+	st.boundPos = int32(b)
 	st.boundPrev = nil
 	st.boundNext = buckets[b]
 	if st.boundNext != nil {
-		stateOf(st.boundNext).boundPrev = t
+		st.boundNext.boundPrev = st
 	}
-	buckets[b] = t
+	buckets[b] = st
 }
 
-func (p *Policy) boundRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+func (p *Policy) boundRemove(sh *shard, st *state) {
 	switch st.boundLevel {
 	case levelNone:
 		return
 	case levelHeap:
-		p.overflowRemove(sh, t)
+		overflowRemove(sh, st)
 	case levelL1, levelL2:
 		buckets := &sh.buckets
 		if st.boundLevel == levelL2 {
 			buckets = &sh.buckets2
 		}
 		if st.boundPrev != nil {
-			stateOf(st.boundPrev).boundNext = st.boundNext
+			st.boundPrev.boundNext = st.boundNext
 		} else {
-			buckets[st.boundSlot] = st.boundNext
+			buckets[st.boundPos] = st.boundNext
 		}
 		if st.boundNext != nil {
-			stateOf(st.boundNext).boundPrev = st.boundPrev
+			st.boundNext.boundPrev = st.boundPrev
 		}
 		st.boundPrev = nil
 		st.boundNext = nil
 	}
 	st.boundLevel = levelNone
-	st.boundSlot = boundNone
-	st.boundIdx = -1
+	st.boundPos = boundNone
 }
 
 // boundDrain rolls every queued registered thread in sh whose period ended
@@ -313,15 +310,14 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 			first = target - bwSlots + 1 // the wheel holds nothing older
 		}
 		for s := first; s <= target; s++ {
-			t := sh.buckets[s&bwMask]
-			for t != nil {
-				st := stateOf(t)
+			st := sh.buckets[s&bwMask]
+			for st != nil {
 				next := st.boundNext
 				if st.boundKey <= now {
-					p.boundRemove(sh, t)
-					p.rollDue(t, st, now)
+					p.boundRemove(sh, st)
+					p.rollDue(sh, st, now)
 				}
-				t = next
+				st = next
 			}
 		}
 
@@ -336,13 +332,12 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 		for s2 := first2; s2 <= tgt2; s2++ {
 			b := int(s2 & bwMask)
 			for sh.buckets2[b] != nil {
-				t := sh.buckets2[b]
-				st := stateOf(t)
-				p.boundRemove(sh, t)
+				st := sh.buckets2[b]
+				p.boundRemove(sh, st)
 				if st.boundKey <= now {
-					p.rollDue(t, st, now)
+					p.rollDue(sh, st, now)
 				} else {
-					p.boundInsert(sh, t) // refiles against the advanced cursor
+					p.boundInsert(sh, st) // refiles against the advanced cursor
 				}
 			}
 		}
@@ -351,38 +346,35 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 		// everything the walk refiled into it; later inserts keep it fresh
 		// through boundInsert.
 		min := timeMax
-		for t := sh.buckets[target&bwMask]; t != nil; t = stateOf(t).boundNext {
-			if k := stateOf(t).boundKey; k < min {
-				min = k
+		for st := sh.buckets[target&bwMask]; st != nil; st = st.boundNext {
+			if st.boundKey < min {
+				min = st.boundKey
 			}
 		}
 		sh.curMin = min
 	}
 
 	for len(sh.overflow) > 0 {
-		t := sh.overflow[0]
-		st := stateOf(t)
+		st := sh.overflow[0]
 		if st.boundKey > now {
 			break
 		}
-		p.boundRemove(sh, t)
-		p.rollDue(t, st, now)
+		p.boundRemove(sh, st)
+		p.rollDue(sh, st, now)
 	}
 }
 
 // --- overflow min-heap on (boundKey, seq), for far-future boundaries ---
 
-func (p *Policy) overflowLess(a, b *kernel.Thread) bool {
-	sa, sb := stateOf(a), stateOf(b)
+func overflowLess(sa, sb *state) bool {
 	if sa.boundKey != sb.boundKey {
 		return sa.boundKey < sb.boundKey
 	}
 	return sa.seq < sb.seq
 }
 
-func (p *Policy) overflowRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.boundIdx
+func overflowRemove(sh *shard, st *state) {
+	i := int(st.boundPos)
 	last := len(sh.overflow) - 1
 	moved := sh.overflow[last]
 	sh.overflow[last] = nil
@@ -391,29 +383,29 @@ func (p *Policy) overflowRemove(sh *shard, t *kernel.Thread) {
 		return
 	}
 	sh.overflow[i] = moved
-	stateOf(moved).boundIdx = i
-	if !p.overflowDown(sh, i) {
-		p.overflowUp(sh, i)
+	moved.boundPos = int32(i)
+	if !overflowDown(sh, i) {
+		overflowUp(sh, i)
 	}
 }
 
-func (p *Policy) overflowUp(sh *shard, i int) {
-	t := sh.overflow[i]
+func overflowUp(sh *shard, i int) {
+	st := sh.overflow[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.overflowLess(t, sh.overflow[parent]) {
+		if !overflowLess(st, sh.overflow[parent]) {
 			break
 		}
 		sh.overflow[i] = sh.overflow[parent]
-		stateOf(sh.overflow[i]).boundIdx = i
+		sh.overflow[i].boundPos = int32(i)
 		i = parent
 	}
-	sh.overflow[i] = t
-	stateOf(t).boundIdx = i
+	sh.overflow[i] = st
+	st.boundPos = int32(i)
 }
 
-func (p *Policy) overflowDown(sh *shard, i int) bool {
-	t := sh.overflow[i]
+func overflowDown(sh *shard, i int) bool {
+	st := sh.overflow[i]
 	n := len(sh.overflow)
 	moved := false
 	for {
@@ -421,46 +413,44 @@ func (p *Policy) overflowDown(sh *shard, i int) bool {
 		if kid >= n {
 			break
 		}
-		if r := kid + 1; r < n && p.overflowLess(sh.overflow[r], sh.overflow[kid]) {
+		if r := kid + 1; r < n && overflowLess(sh.overflow[r], sh.overflow[kid]) {
 			kid = r
 		}
-		if !p.overflowLess(sh.overflow[kid], t) {
+		if !overflowLess(sh.overflow[kid], st) {
 			break
 		}
 		sh.overflow[i] = sh.overflow[kid]
-		stateOf(sh.overflow[i]).boundIdx = i
+		sh.overflow[i].boundPos = int32(i)
 		i = kid
 		moved = true
 	}
-	sh.overflow[i] = t
-	stateOf(t).boundIdx = i
+	sh.overflow[i] = st
+	st.boundPos = int32(i)
 	return moved
 }
 
 // --- exhausted list: queued registered threads with no budget ---
 
-// exhAdd inserts t into the exhausted list keeping it sorted by enqueue
+// exhAdd inserts st into the exhausted list keeping it sorted by enqueue
 // sequence, which is the order the legacy scan napped exhausted threads
 // in (their runnable-slice order). The list is almost always tiny.
-func (p *Policy) exhAdd(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
+func exhAdd(sh *shard, st *state) {
 	if st.exhIdx >= 0 {
 		return
 	}
 	i := len(sh.exhausted)
 	sh.exhausted = append(sh.exhausted, nil)
-	for i > 0 && stateOf(sh.exhausted[i-1]).seq > st.seq {
+	for i > 0 && sh.exhausted[i-1].seq > st.seq {
 		sh.exhausted[i] = sh.exhausted[i-1]
-		stateOf(sh.exhausted[i]).exhIdx = i
+		sh.exhausted[i].exhIdx = int32(i)
 		i--
 	}
-	sh.exhausted[i] = t
-	st.exhIdx = i
+	sh.exhausted[i] = st
+	st.exhIdx = int32(i)
 }
 
-func (p *Policy) exhRemove(sh *shard, t *kernel.Thread) {
-	st := stateOf(t)
-	i := st.exhIdx
+func exhRemove(sh *shard, st *state) {
+	i := int(st.exhIdx)
 	if i < 0 {
 		return
 	}
@@ -470,6 +460,6 @@ func (p *Policy) exhRemove(sh *shard, t *kernel.Thread) {
 	sh.exhausted[last] = nil
 	sh.exhausted = sh.exhausted[:last]
 	for ; i < last; i++ {
-		stateOf(sh.exhausted[i]).exhIdx = i
+		sh.exhausted[i].exhIdx = int32(i)
 	}
 }

@@ -17,9 +17,12 @@
 //
 // The dispatcher's hot path is O(log n) in the number of queued threads:
 // the runnable set is an intrusive indexed heap ordered by the discipline
-// (see heap.go), period refresh is driven by a period-boundary heap
-// processed at dispatch points instead of a full refresh scan per Pick,
-// and the registered-proportion total is maintained incrementally. The
+// (see heap.go), period refresh is driven by a two-level period-boundary
+// timer wheel (with an overflow heap for boundaries past its horizon)
+// drained at dispatch points instead of a full refresh scan per Pick, and
+// the registered-proportion total is maintained incrementally. These
+// structures hold the per-thread scheduling states themselves, so the
+// drain and the heap sifts read only the policy's own memory. The
 // resulting schedule is bit-identical to the legacy linear scan's (the
 // Verify hook cross-checks every Pick against the scan order).
 package rbs
@@ -69,52 +72,56 @@ func (r Reservation) String() string {
 	return fmt.Sprintf("%d/1000 over %v", r.Proportion, r.Period)
 }
 
-// state is the per-thread scheduling state.
+// state is the per-thread scheduling state. The shard structures (ready
+// heap, boundary wheel, exhausted list) hold and link states directly, and
+// t leads back to the thread, so the dispatch hot path never loads a
+// kernel.Thread to reach its Sched slot.
+//
+// The layout is hot-first and two cache lines long. The first line holds
+// everything the wheel drain, refresh, boundInsert/boundRemove and
+// readyLess read; the second holds the positions and counters a roll
+// writes, then the cold fields. The size is a multiple of 64 so every state carved from a
+// page-aligned slab chunk starts on a line boundary (TestStateLayout).
 type state struct {
-	registered bool
-	res        Reservation
-
+	// boundKey caches the period end the wheel entry was filed under;
+	// boundNext/boundPrev link the intrusive bucket list. While the state
+	// is pooled (recycle mode), boundNext links the policy's free list.
+	boundKey    sim.Time
+	boundNext   *state
 	periodStart sim.Time
+	res         Reservation
 	budget      sim.Duration // remaining allocation this period
-	used        sim.Duration // consumed this period
 	// perBudget caches res.Budget() so the per-period roll does no
 	// multiply/divide; SetReservation keeps it in sync.
 	perBudget sim.Duration
-	queued    bool
-	napping   bool // asleep on budget exhaustion (not a voluntary sleep)
-	missed    uint64
+	// boundLevel/boundPos place the entry in the two-level period-boundary
+	// wheel (see heap.go): the level, then the bucket index (L1/L2) or the
+	// overflow heap index.
+	boundPos   int32
+	boundLevel int8
+	registered bool
+	queued     bool
+	napping    bool // asleep on budget exhaustion (not a voluntary sleep)
 
+	boundPrev *state
 	// seq reconstructs the legacy runnable-slice order: assigned when the
 	// thread enters the queue and reassigned on round-robin rotation, so
 	// FIFO-among-equals tie-breaking matches the linear scan exactly.
 	seq uint64
-	// heapIdx/exhIdx track the thread's positions in the ready heap and
+	// heapIdx/exhIdx track the state's positions in the ready heap and
 	// the exhausted list (-1 = absent).
-	heapIdx int
-	exhIdx  int
-	// boundLevel/boundSlot/boundIdx/boundKey track the thread's entry in
-	// the two-level period-boundary wheel (L1/L2 bucket or overflow heap,
-	// see heap.go); boundKey caches the period end the entry was filed
-	// under, and boundPrev/boundNext link the intrusive bucket list.
-	boundLevel int
-	boundSlot  int
-	boundIdx   int
-	boundKey   sim.Time
-	boundPrev  *kernel.Thread
-	boundNext  *kernel.Thread
-	// counted marks threads included in the incremental proportion total.
-	counted bool
-
-	// rrUsed is quantum usage for unregistered threads.
-	rrUsed sim.Duration
-
+	heapIdx int32
+	exhIdx  int32
+	used    sim.Duration // consumed this period
 	// totalGranted accumulates the budgets granted across periods, for the
 	// proportion-delivery property tests.
 	totalGranted sim.Duration
-
-	// freeNext links the object into the policy's free list while pooled
-	// (recycle mode only).
-	freeNext *state
+	// rrUsed is quantum usage for unregistered threads.
+	rrUsed sim.Duration
+	// t is the thread this state schedules; nil while pooled.
+	t *kernel.Thread
+	// counted marks threads included in the incremental proportion total.
+	counted bool
 }
 
 // Policy is the reservation-based dispatcher.
@@ -148,7 +155,8 @@ type Policy struct {
 	missedTotal uint64
 
 	// stSlab is the chunk backing new per-thread states; freeState heads
-	// the free list of recycled ones (recycle mode only).
+	// the free list of recycled ones (recycle mode only), linked through
+	// boundNext.
 	stSlab    []state
 	freeState *state
 	// recycle pools a thread's state at RemoveThread (see SetRecycle).
@@ -197,10 +205,10 @@ const stateSlabSize = 256
 
 // allocState returns a fresh unregistered state: from the free pool when
 // recycling has banked one, otherwise carved from the current slab chunk.
-func (p *Policy) allocState() *state {
+func (p *Policy) allocState(t *kernel.Thread) *state {
 	if st := p.freeState; st != nil {
-		p.freeState = st.freeNext
-		*st = state{heapIdx: -1, exhIdx: -1, boundLevel: levelNone, boundSlot: boundNone, boundIdx: -1}
+		p.freeState = st.boundNext
+		*st = state{heapIdx: -1, exhIdx: -1, boundLevel: levelNone, boundPos: boundNone, t: t}
 		return st
 	}
 	if len(p.stSlab) == 0 {
@@ -209,13 +217,14 @@ func (p *Policy) allocState() *state {
 	st := &p.stSlab[0]
 	p.stSlab = p.stSlab[1:]
 	st.heapIdx, st.exhIdx = -1, -1
-	st.boundLevel, st.boundSlot, st.boundIdx = levelNone, boundNone, -1
+	st.boundLevel, st.boundPos = levelNone, boundNone
+	st.t = t
 	return st
 }
 
 // AddThread implements kernel.Policy: new threads start unregistered.
 func (p *Policy) AddThread(t *kernel.Thread, now sim.Time) {
-	t.Sched = p.allocState()
+	t.Sched = p.allocState(t)
 }
 
 // RemoveThread implements kernel.Policy. The thread leaves the proportion
@@ -235,7 +244,8 @@ func (p *Policy) RemoveThread(t *kernel.Thread, now sim.Time) {
 	}
 	if p.recycle {
 		t.Sched = nil
-		st.freeNext = p.freeState
+		st.t = nil
+		st.boundNext = p.freeState
 		p.freeState = st
 	}
 }
@@ -279,7 +289,7 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		}
 		st.res = res
 		st.perBudget = res.Budget()
-		p.refresh(t, st, now)
+		p.refresh(st, now)
 		// Re-derive the remaining budget from the new proportion so total
 		// usage this period tops out at the new allocation.
 		b := res.Budget() - st.used
@@ -288,7 +298,7 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		}
 		st.budget = b
 	}
-	p.reconcile(t, st)
+	p.reconcile(st)
 	if st.napping && st.budget > 0 {
 		// The nap was based on the old, smaller allocation.
 		st.napping = false
@@ -320,7 +330,7 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 	}
 	st.registered = false
 	st.res = Reservation{}
-	p.reconcile(t, st)
+	p.reconcile(st)
 }
 
 // UsedThisPeriod returns the CPU t consumed in its current period, zero
@@ -354,14 +364,14 @@ func (p *Policy) MissedDeadlines() uint64 { return p.missedTotal }
 // instead of a scan over every thread ever created.
 func (p *Policy) TotalProportion() int { return p.totalProp }
 
-// refresh rolls t's period forward to contain now, refilling the budget and
-// recording deadline misses. The roll is closed-form over the k periods
-// that ended (the legacy loop rolled one at a time): the first ended
-// period misses iff the thread was queued with budget left, and each
-// further one iff it was queued with a non-empty refill. Callers with t in
-// the queue must re-fix the priority structures afterwards (roll does
-// both).
-func (p *Policy) refresh(t *kernel.Thread, st *state, now sim.Time) {
+// refresh rolls st's period forward to contain now, refilling the budget
+// and recording deadline misses. The roll is closed-form over the k
+// periods that ended (the legacy loop rolled one at a time): the first
+// ended period misses iff the thread was queued with budget left, and
+// each further one iff it was queued with a non-empty refill. Callers with
+// st in the queue must re-fix the priority structures afterwards (roll
+// does both).
+func (p *Policy) refresh(st *state, now sim.Time) {
 	if !st.registered {
 		return
 	}
@@ -378,7 +388,6 @@ func (p *Policy) refresh(t *kernel.Thread, st *state, now sim.Time) {
 		if k > 1 && st.perBudget > 0 {
 			miss += uint64(k - 1)
 		}
-		st.missed += miss
 		p.missedTotal += miss
 	}
 	st.periodStart = st.periodStart.Add(sim.Duration(k * int64(st.res.Period)))
@@ -396,49 +405,49 @@ func (p *Policy) roll(t *kernel.Thread, st *state, now sim.Time) {
 		return
 	}
 	if !st.queued {
-		p.refresh(t, st, now)
+		p.refresh(st, now)
 		return
 	}
-	p.boundRemove(p.shardOf(t), t)
-	p.rollDue(t, st, now)
+	sh := p.shardOf(t)
+	p.boundRemove(sh, st)
+	p.rollDue(sh, st, now)
 }
 
-// rollDue rolls a queued registered thread whose boundary entry has been
-// taken out of the wheel, and refiles it.
-func (p *Policy) rollDue(t *kernel.Thread, st *state, now sim.Time) {
-	sh := p.shardOf(t)
+// rollDue rolls a queued registered thread of shard sh whose boundary
+// entry has been taken out of the wheel, and refiles it.
+func (p *Policy) rollDue(sh *shard, st *state, now sim.Time) {
 	wasExhausted := st.exhIdx >= 0
-	p.refresh(t, st, now)
-	p.boundInsert(sh, t)
+	p.refresh(st, now)
+	p.boundInsert(sh, st)
 	if wasExhausted && st.budget > 0 {
-		p.exhRemove(sh, t)
-		p.readyPush(sh, t)
+		exhRemove(sh, st)
+		p.readyPush(sh, st)
 	} else if p.Discipline == EDF {
-		p.readyFix(sh, t)
+		p.readyFix(sh, st)
 	}
 }
 
-// reconcile re-derives t's structure memberships and keys from its state,
-// after SetReservation/Unregister mutate the reservation arbitrarily.
-func (p *Policy) reconcile(t *kernel.Thread, st *state) {
+// reconcile re-derives st's structure memberships and keys from its
+// reservation, after SetReservation/Unregister mutate it arbitrarily.
+func (p *Policy) reconcile(st *state) {
 	if !st.queued {
 		return
 	}
-	sh := p.shardOf(t)
-	p.boundRemove(sh, t)
+	sh := p.shardOf(st.t)
+	p.boundRemove(sh, st)
 	if st.registered {
-		p.boundInsert(sh, t)
+		p.boundInsert(sh, st)
 	}
 	if !st.registered || st.budget > 0 {
-		p.exhRemove(sh, t)
+		exhRemove(sh, st)
 		if st.heapIdx < 0 {
-			p.readyPush(sh, t)
+			p.readyPush(sh, st)
 		} else {
-			p.readyFix(sh, t)
+			p.readyFix(sh, st)
 		}
 	} else {
-		p.readyRemove(sh, t)
-		p.exhAdd(sh, t)
+		p.readyRemove(sh, st)
+		exhAdd(sh, st)
 	}
 }
 
@@ -466,7 +475,7 @@ func (p *Policy) goodness(t *kernel.Thread) int64 {
 func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st := stateOf(t)
 	st.napping = false
-	p.refresh(t, st, now)
+	p.refresh(st, now)
 	if st.queued {
 		return
 	}
@@ -475,14 +484,14 @@ func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st.seq = p.seqGen
 	p.seqGen++
 	if st.registered {
-		p.boundInsert(sh, t)
+		p.boundInsert(sh, st)
 		if st.budget > 0 {
-			p.readyPush(sh, t)
+			p.readyPush(sh, st)
 		} else {
-			p.exhAdd(sh, t)
+			exhAdd(sh, st)
 		}
 	} else {
-		p.readyPush(sh, t)
+		p.readyPush(sh, st)
 	}
 	if cur := p.k.CurrentOn(t.CPU()); cur != nil && p.better(t, cur) {
 		p.needResched[t.CPU()] = true
@@ -497,9 +506,9 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 	}
 	sh := p.shardOf(t)
 	st.queued = false
-	p.readyRemove(sh, t)
-	p.boundRemove(sh, t)
-	p.exhRemove(sh, t)
+	p.readyRemove(sh, st)
+	p.boundRemove(sh, st)
+	exhRemove(sh, st)
 }
 
 // Steal implements kernel.Policy: hand over a migratable runnable thread
@@ -507,10 +516,12 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 // index order, so the heap top — the thread that would run there next —
 // is preferred when movable.
 func (p *Policy) Steal(from int, now sim.Time) *kernel.Thread {
-	sh := &p.shards[from]
-	if t := kernel.StealCandidate(sh.ready, p.k.CurrentOn(from)); t != nil {
-		p.Dequeue(t, now)
-		return t
+	cur := p.k.CurrentOn(from)
+	for _, st := range p.shards[from].ready {
+		if t := st.t; kernel.Movable(t, cur) {
+			p.Dequeue(t, now)
+			return t
+		}
 	}
 	return nil
 }
@@ -554,12 +565,11 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 		// skips the list and the whole drain is O(n), in enqueue order (nap
 		// order fixes timer order at equal deadlines, hence wake order).
 		for i := 0; i < n; i++ {
-			t := sh.exhausted[i]
+			st := sh.exhausted[i]
 			sh.exhausted[i] = nil
-			st := stateOf(t)
 			st.exhIdx = -1
 			st.napping = true
-			p.k.SleepThreadUntil(t, p.periodEnd(st))
+			p.k.SleepThreadUntil(st.t, p.periodEnd(st))
 		}
 		sh.exhausted = sh.exhausted[:0]
 	}
@@ -572,16 +582,23 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 // verifyPick replays the legacy linear scan — runnable threads in slice
 // (enqueue) order, first-best wins via better() — and panics if the heap
 // disagrees. It also asserts the invariants the heap relies on: every due
-// period has been rolled and no exhausted thread lingers in the ready set.
+// period has been rolled, no exhausted thread lingers in the ready set,
+// and every ready entry is its thread's live state at its recorded slot.
 func (p *Policy) verifyPick(sh *shard, now sim.Time) {
-	scan := make([]*kernel.Thread, len(sh.ready))
+	for i, st := range sh.ready {
+		if st.t == nil || st.t.Sched != st {
+			panic(fmt.Sprintf("rbs: verify: ready slot %d holds a state its thread %v does not own", i, st.t))
+		}
+		if int(st.heapIdx) != i {
+			panic(fmt.Sprintf("rbs: verify: %v at ready slot %d records heapIdx %d", st.t, i, st.heapIdx))
+		}
+	}
+	scan := make([]*state, len(sh.ready))
 	copy(scan, sh.ready)
-	sort.Slice(scan, func(i, j int) bool {
-		return stateOf(scan[i]).seq < stateOf(scan[j]).seq
-	})
+	sort.Slice(scan, func(i, j int) bool { return scan[i].seq < scan[j].seq })
 	var best *kernel.Thread
-	for _, t := range scan {
-		st := stateOf(t)
+	for _, st := range scan {
+		t := st.t
 		if st.registered && now.Sub(st.periodStart) >= st.res.Period {
 			panic(fmt.Sprintf("rbs: verify: %v has an unrolled period at Pick", t))
 		}
@@ -646,8 +663,8 @@ func (p *Policy) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Tim
 			// Stays queued with a spent budget (the legacy scan kept such
 			// threads in the runnable slice); Pick naps it next dispatch.
 			sh := p.shardOf(t)
-			p.readyRemove(sh, t)
-			p.exhAdd(sh, t)
+			p.readyRemove(sh, st)
+			exhAdd(sh, st)
 		}
 		return true
 	}
@@ -664,7 +681,7 @@ func (p *Policy) rotate(t *kernel.Thread) {
 	}
 	st.seq = p.seqGen
 	p.seqGen++
-	p.readyFix(p.shardOf(t), t)
+	p.readyFix(p.shardOf(t), st)
 }
 
 // Tick implements kernel.Policy.

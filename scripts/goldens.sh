@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates the Figure 5-8 outputs and a sweep of generated rbs
-# scenarios, and byte-compares them against the committed goldens in
+# Regenerates the Figure 5-8 outputs, sweeps of generated rbs scenarios
+# and the SMP storm, and byte-compares them against the committed goldens in
 # testdata/goldens/. Any drift in the dispatch
 # schedule or controller arithmetic fails the build.
 #
@@ -57,4 +57,16 @@ done
   "$tmp/rrexp" -gen -policy rbs -controller event -seeds 5
 } > "$tmp/gen_rbs.out" || true
 check gen_rbs
+
+# SMP dispatch: the run-to-completion storm on 1/2/4/8 CPUs. Its migration
+# counts pin the ready-array order that work-pull stealing scans.
+"$tmp/rrexp" -storm -quick > "$tmp/storm_smp.out"
+check storm_smp
+
+# Multi-shard periodic planes: three shards on one CPU and four on four.
+{
+  "$tmp/rrexp" -gen -policy rbs -shards 3 -seeds 5
+  "$tmp/rrexp" -gen -policy rbs -cpus 4 -shards 4 -seeds 5
+} > "$tmp/gen_shards.out" || true
+check gen_shards
 exit $status
