@@ -13,8 +13,11 @@ build:
 examples:
 	$(GO) build ./examples/...
 
+# vet also gates formatting: any file gofmt would rewrite fails the step.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that are not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

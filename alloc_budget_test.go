@@ -16,17 +16,11 @@ import (
 	"repro/internal/workload/gen"
 )
 
-// countAllocs returns the number of heap objects allocated while fn runs.
-// A single measured run (after one warmup to populate lazy globals) is
-// deterministic enough here: the simulator is single-goroutine and the
-// ceilings leave 2x headroom.
-func countAllocs(t *testing.T, fn func()) uint64 {
-	objs, _ := measureAllocs(t, fn)
-	return objs
-}
-
 // measureAllocs returns the heap objects and bytes allocated while fn runs,
-// after one warmup run.
+// after one warmup run. A single measured run (after one warmup to
+// populate lazy globals) is deterministic enough here: the simulator is
+// single-goroutine, the object ceilings leave 2x headroom and the byte
+// ceilings 5%.
 func measureAllocs(t *testing.T, fn func()) (objs, bytes uint64) {
 	t.Helper()
 	fn() // warmup: interned tables, lazy pools, timer rings
@@ -39,13 +33,18 @@ func measureAllocs(t *testing.T, fn func()) (objs, bytes uint64) {
 }
 
 // TestAllocBudgetSLOSessions holds the live-service session storm
-// (BenchmarkSLOSessions n=10000) to its allocation budget.
+// (BenchmarkSLOSessions n=10000) to its allocation budget, in objects and
+// in bytes. Most of the bytes are per-spawn state that outlives the run's
+// pools — the public Thread handles, never pooled by design — plus the
+// SLO report, so the byte budget — 5% above the 4,365,400 bytes the run
+// allocated with 152-byte handles, slot tables and one sort per report
+// series (5,826,848 before) — catches any of them growing back.
 func TestAllocBudgetSLOSessions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget run is a full session storm")
 	}
-	const budget = 30_000
-	got := countAllocs(t, func() {
+	const budget, byteBudget = 30_000, 4_584_000
+	got, bytes := measureAllocs(t, func() {
 		sp := experiments.SLOSpec(1, 10_000, 1.0, time.Second, 8)
 		if _, err := gen.Generate(sp).Run(gen.RunOpts{
 			Policy: "rbs", Controller: "event", NoInvariants: true,
@@ -53,9 +52,12 @@ func TestAllocBudgetSLOSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("SLOSessions n=10000: %d allocs (budget %d)", got, budget)
+	t.Logf("SLOSessions n=10000: %d allocs (budget %d), %d bytes (budget %d)", got, budget, bytes, byteBudget)
 	if got > budget {
 		t.Fatalf("session storm allocated %d objects, budget is %d: the pooled spawn→exit lifecycle regressed", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Fatalf("session storm allocated %d bytes, budget is %d: the handle, the slot tables or the SLO report grew", bytes, byteBudget)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/kernel"
 )
 
 // churnProg returns a program that computes for a few steps and exits.
@@ -65,9 +67,155 @@ func TestChurnPoolNonLeak(t *testing.T) {
 	if free := sys.kern.FreeThreads(); free > peak {
 		t.Errorf("kernel free list holds %d threads, exceeds peak live %d: exits are leaking objects", free, peak)
 	}
-	if n := len(sys.byKern); n > peak {
-		t.Errorf("byKern still indexes %d threads, exceeds peak live %d: retired handles are leaking", n, peak)
+	n, err := linkedHandles(sys)
+	if err != nil {
+		t.Error(err)
 	}
+	if n > peak {
+		t.Errorf("%d kernel threads still link a public handle, exceeds peak live %d: retired handles are leaking", n, peak)
+	}
+}
+
+// linkedHandles counts the kernel threads that link a public handle and
+// checks each link: only a live thread may link one, and the handle must
+// name that thread back. An exited thread still linking its handle would
+// pin the handle and hand its events to whichever thread reuses the slot.
+func linkedHandles(sys *System) (int, error) {
+	n := 0
+	for _, kt := range sys.kern.Threads() {
+		th := handleOf(kt)
+		if th == nil {
+			continue
+		}
+		n++
+		if kt.State() == kernel.StateExited || th.exited {
+			return n, fmt.Errorf("exited thread %s still links its public handle", th.Name())
+		}
+		if th.t != kt {
+			return n, fmt.Errorf("kernel thread %v links the handle of %v", kt, th.t)
+		}
+	}
+	return n, nil
+}
+
+// checkSlotTables runs the slot-table checks of every layer that indexes
+// by kernel-thread or job slot, plus the ground truth the progress table
+// cannot know on its own: a live handle has metrics registered exactly
+// when it was spawned with progress sources (realRate), and nothing else
+// holds a registration.
+func checkSlotTables(sys *System, realRate map[*Thread]bool) error {
+	if err := sys.ctl.CheckSlots(); err != nil {
+		return err
+	}
+	if err := sys.plane.CheckSlots(); err != nil {
+		return err
+	}
+	if err := sys.reg.CheckSlots(); err != nil {
+		return err
+	}
+	for _, j := range sys.ctl.Jobs() {
+		for _, m := range j.Members() {
+			if m.State() == kernel.StateExited {
+				return fmt.Errorf("controlled job still lists exited member %v", m)
+			}
+		}
+	}
+	want := 0
+	for _, kt := range sys.kern.Threads() {
+		th := handleOf(kt)
+		if th == nil {
+			continue
+		}
+		if realRate[th] {
+			want++
+		}
+		if sys.reg.HasMetrics(kt) != realRate[th] {
+			return fmt.Errorf("thread %s: registry says metrics %v, spawned real-rate %v", th.Name(), sys.reg.HasMetrics(kt), realRate[th])
+		}
+	}
+	if got := sys.reg.Registered(); got != want {
+		return fmt.Errorf("registry holds %d registrations, %d live real-rate threads", got, want)
+	}
+	return nil
+}
+
+// TestChurnSlotTablesClean storms the pooled spawn→exit lifecycle —
+// every managed class, job members, kills, and real-rate threads with
+// progress sources — under a sharded event-driven plane on two CPUs,
+// and checks every 10 ms and at the end that no slot of the controller's
+// job table, the progress registry or the control plane's entry table
+// names an exited thread or a retired job. Kernel threads and jobs are
+// reissued many times over, so a slot left behind by one life would be
+// read by the next.
+func TestChurnSlotTablesClean(t *testing.T) {
+	sys := NewSystem(Config{CPUs: 2, CtlPlane: CtlPlaneConfig{Mode: ControllerEventDriven, Shards: 2}})
+	realRate := make(map[*Thread]bool)
+	var live []*Thread
+	spawned, step := 0, 0
+	var failed error
+	sys.Every(10*time.Millisecond, func(now time.Duration) {
+		if failed != nil {
+			return
+		}
+		if failed = checkSlotTables(sys, realRate); failed != nil {
+			return
+		}
+		step++
+		name := fmt.Sprintf("s%d", step%7)
+		var th *Thread
+		var err error
+		switch step % 5 {
+		case 0:
+			th, err = sys.Spawn(name, churnProg(4), Reserve(20, 10*time.Millisecond))
+		case 1:
+			th, err = sys.Spawn(name, churnProg(3), Miscellaneous())
+		case 2:
+			if th, err = sys.Spawn(name, churnProg(5), RealRate(0, NewPace(name, 100, 20))); err == nil {
+				realRate[th] = true
+			}
+		case 3:
+			th, err = sys.Spawn(name, churnProg(2), Interactive())
+		default:
+			// A member joins the newest live thread's job, when it has one.
+			for i := len(live) - 1; i >= 0; i-- {
+				if lead := live[i]; !lead.Exited() && lead.Class() != "unmanaged" {
+					th, err = sys.Spawn(name, churnProg(3), InJob(lead))
+					break
+				}
+			}
+		}
+		if th == nil || err != nil {
+			return
+		}
+		spawned++
+		live = append(live, th)
+		if step%11 == 0 {
+			live[step%len(live)].Kill()
+		}
+		kept := live[:0]
+		for _, h := range live {
+			if !h.Exited() {
+				kept = append(kept, h)
+			} else {
+				delete(realRate, h)
+			}
+		}
+		live = kept
+	})
+	sys.Run(5 * time.Second)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if err := checkSlotTables(sys, realRate); err != nil {
+		t.Fatal(err)
+	}
+	if spawned < 300 {
+		t.Fatalf("storm only spawned %d threads", spawned)
+	}
+	if n := sys.kern.FreeThreads(); n == 0 {
+		t.Fatal("no kernel thread was recycled: the storm never reissued a slot")
+	}
+	t.Logf("spawned %d, free %d, live %d", spawned, sys.kern.FreeThreads(), len(sys.kern.Threads()))
 }
 
 // runChurnSchedule executes one fuzz-decoded churn schedule and returns

@@ -191,15 +191,18 @@ func (s *System) fireInjected(ev faults.Event) {
 	}
 }
 
-// threadByName finds a live public handle by thread name. Only the rare
-// event paths use it; the hot paths stay on the byKern map.
+// threadByName finds a live public handle by thread name; among live
+// threads sharing the name it picks the lowest thread ID, so the answer
+// never depends on iteration order. Only the rare fault-event path uses
+// it: it walks every live kernel thread.
 func (s *System) threadByName(name string) *Thread {
-	for _, th := range s.byKern {
-		if th.t.Name() == name {
-			return th
+	var best *Thread
+	for _, t := range s.kern.Threads() {
+		if th := handleOf(t); th != nil && th.name == name && (best == nil || t.ID() < best.t.ID()) {
+			best = th
 		}
 	}
-	return nil
+	return best
 }
 
 // fireFault translates a controller-detected fault to the public event.
@@ -215,7 +218,7 @@ func (s *System) fireFault(f core.Fault) {
 		Err:    f.Err,
 	}
 	if f.Job != nil {
-		ev.Thread = s.byKern[f.Job.Thread()]
+		ev.Thread = handleOf(f.Job.Thread())
 	}
 	for _, o := range s.hub.obs {
 		o.OnFault(ev)
@@ -229,7 +232,7 @@ func (s *System) fireDegrade(d core.Degradation) {
 	}
 	ev := DegradeEvent{
 		Time:   time.Duration(d.Time),
-		Thread: s.byKern[d.Job.Thread()],
+		Thread: handleOf(d.Job.Thread()),
 		From:   d.From.String(),
 		To:     d.To.String(),
 		Reason: d.Reason,
@@ -246,7 +249,7 @@ func (s *System) fireRecover(d core.Degradation) {
 	}
 	ev := RecoverEvent{
 		Time:   time.Duration(d.Time),
-		Thread: s.byKern[d.Job.Thread()],
+		Thread: handleOf(d.Job.Thread()),
 		From:   d.From.String(),
 		To:     d.To.String(),
 	}

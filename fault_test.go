@@ -153,3 +153,47 @@ func TestFaultPlanZeroWhenUnused(t *testing.T) {
 		t.Fatalf("healthy run reported non-zero health: %+v", h)
 	}
 }
+
+// TestFaultEventNamesLowestIDAmongDuplicateNames pins which handle a
+// named fault event reports when several live threads share the target
+// name: the one with the lowest thread ID, whatever order the kernel
+// keeps its live threads in. Killing a thread spawned before the two
+// namesakes swaps the younger one ahead of the older in the kernel's
+// live list, so a first-match walk would name the wrong thread. Once the
+// older namesake exits, a later spec names the younger.
+func TestFaultEventNamesLowestIDAmongDuplicateNames(t *testing.T) {
+	obs := &ladderObserver{}
+	sys := realrate.NewSystem(realrate.Config{Faults: &realrate.FaultPlan{Seed: 1, Specs: []realrate.FaultSpec{
+		{Kind: realrate.FaultStuckThread, Target: "dup", At: 20 * time.Millisecond, For: 5 * time.Millisecond},
+		{Kind: realrate.FaultStuckThread, Target: "dup", At: 60 * time.Millisecond, For: 5 * time.Millisecond},
+	}}})
+	sys.Observe(obs)
+	spawn := func(name string) *realrate.Thread {
+		th, err := sys.Spawn(name, realrate.HogProgram(100_000), realrate.Miscellaneous())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	filler := spawn("filler")
+	older, younger := spawn("dup"), spawn("dup")
+	filler.Kill()
+	sys.After(40*time.Millisecond, func(time.Duration) { older.Kill() })
+	sys.Run(100 * time.Millisecond)
+
+	var named []*realrate.Thread
+	for _, ev := range obs.faults {
+		if ev.Kind == "stuck-thread" {
+			named = append(named, ev.Thread)
+		}
+	}
+	if len(named) != 2 {
+		t.Fatalf("got %d stuck-thread injections, want 2: %+v", len(named), obs.faults)
+	}
+	if named[0] != older {
+		t.Errorf("first injection names %p, want the older namesake %p (lowest thread ID)", named[0], older)
+	}
+	if named[1] != younger {
+		t.Errorf("second injection names %p, want the younger namesake %p (the older one exited)", named[1], younger)
+	}
+}

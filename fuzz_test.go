@@ -52,28 +52,32 @@ func decodeSpawnOptions(data []byte, sys *System, q *Queue, lead *Thread) ([]Spa
 // exit path: with no controller running, the kernel exit hook alone must
 // unlink a dead thread's progress registration — otherwise open-loop
 // paced/real-rate arrivals under a baseline policy grow the registry
-// without bound.
+// without bound. It runs with pools off too: there the exited kernel
+// thread is never scrubbed, so only the exit hook can clear its link to
+// the public handle.
 func TestExitUnregistersProgressUnderBaseline(t *testing.T) {
-	sys := NewSystem(Config{Policy: Stride(10 * time.Millisecond)})
-	pace := NewPace("w", 100, 50)
-	th, err := sys.Spawn("w", ProgramFunc(func(th *Thread, now time.Duration) Action {
-		return Exit()
-	}), RealRate(30*time.Millisecond, pace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sys.reg.HasMetrics(th.t) {
-		t.Fatal("progress source not registered at spawn")
-	}
-	sys.Run(100 * time.Millisecond)
-	if th.State() != "exited" {
-		t.Fatalf("thread did not exit: %v", th.State())
-	}
-	if sys.reg.HasMetrics(th.t) {
-		t.Fatal("exited thread leaked its progress registration (no controller to reap it)")
-	}
-	if _, ok := sys.byKern[th.t]; ok {
-		t.Fatal("exited thread leaked its byKern entry")
+	for _, pooled := range []bool{true, false} {
+		sys := NewSystem(Config{Policy: Stride(10 * time.Millisecond), disablePools: !pooled})
+		pace := NewPace("w", 100, 50)
+		th, err := sys.Spawn("w", ProgramFunc(func(th *Thread, now time.Duration) Action {
+			return Exit()
+		}), RealRate(30*time.Millisecond, pace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sys.reg.HasMetrics(th.t) {
+			t.Fatal("progress source not registered at spawn")
+		}
+		sys.Run(100 * time.Millisecond)
+		if th.State() != "exited" {
+			t.Fatalf("pooled=%v: thread did not exit: %v", pooled, th.State())
+		}
+		if sys.reg.HasMetrics(th.t) || sys.reg.Registered() != 0 {
+			t.Fatalf("pooled=%v: exited thread leaked its progress registration (no controller to reap it)", pooled)
+		}
+		if handleOf(th.t) != nil {
+			t.Fatalf("pooled=%v: exited thread's kernel slot still links its public handle", pooled)
+		}
 	}
 }
 
@@ -128,8 +132,8 @@ func FuzzSpawnOptions(f *testing.F) {
 					if kt.State() != kernel.StateExited {
 						t.Fatalf("rejected spawn left thread in state %v (opts error: %v)", kt.State(), err)
 					}
-					if _, ok := sys.byKern[kt]; ok {
-						t.Fatalf("rejected spawn left a stale byKern entry (opts error: %v)", err)
+					if handleOf(kt) != nil {
+						t.Fatalf("rejected spawn left its kernel slot linked to a handle (opts error: %v)", err)
 					}
 					if sys.reg.HasMetrics(kt) {
 						t.Fatalf("rejected spawn left progress metrics registered (opts error: %v)", err)
@@ -141,8 +145,8 @@ func FuzzSpawnOptions(f *testing.F) {
 			if th.State() == "exited" {
 				t.Fatal("successful spawn returned an exited thread")
 			}
-			if sys.byKern[th.t] != th {
-				t.Fatal("successful spawn not indexed")
+			if handleOf(th.t) != th {
+				t.Fatal("successful spawn not linked from its kernel thread")
 			}
 		}
 
@@ -158,10 +162,8 @@ func FuzzSpawnOptions(f *testing.F) {
 			}
 		}
 		// Exit bookkeeping stays closed: live public handles only.
-		for kt, th := range sys.byKern {
-			if kt.State() == kernel.StateExited {
-				t.Fatalf("stale byKern entry for exited thread %s", th.Name())
-			}
+		if _, err := linkedHandles(sys); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -187,8 +187,12 @@ type Controller struct {
 	policy      *rbs.Policy
 	reg         *progress.Registry
 
-	jobs  []*Job
-	byThr map[*kernel.Thread]*Job
+	jobs []*Job
+	// jobAt maps a kernel thread slot (kernel.Thread.Slot) to the job the
+	// thread belongs to, nil for uncontrolled slots. Entries are cleared
+	// the moment a member leaves its job, before the kernel can reissue
+	// the slot.
+	jobAt []*Job
 
 	// admitted sums the proportions of real-time and aperiodic real-time
 	// reservations plus the controller's own.
@@ -291,8 +295,11 @@ type Controller struct {
 	// be referenced by that step's squishable scratch, so reissue must
 	// wait for the epoch boundary.
 	jobSlab []Job
-	freeJob *Job
-	retired []*Job
+	// carvedJobs counts the Job objects cut from slab chunks so far; it
+	// is the next object's slot index (Job.Slot).
+	carvedJobs int32
+	freeJob    *Job
+	retired    []*Job
 	// freePID pools the per-job PID filters; every pooled filter was
 	// built from cfg.PID, so Reset restores the fresh-filter state.
 	freePID []*pid.Controller
@@ -389,7 +396,6 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		kern:               kern,
 		policy:             policy,
 		reg:                reg,
-		byThr:              make(map[*kernel.Thread]*Job),
 		ncpu:               ncpu,
 		ceiling:            cfg.OverloadThreshold * ncpu,
 		effectiveThreshold: cfg.OverloadThreshold * ncpu,
@@ -412,8 +418,49 @@ func (c *Controller) Jobs() []*Job { return c.jobs }
 
 // JobOf returns the job controlling t, if any.
 func (c *Controller) JobOf(t *kernel.Thread) (*Job, bool) {
-	j, ok := c.byThr[t]
-	return j, ok
+	j := c.jobOf(t)
+	return j, j != nil
+}
+
+// jobOf returns the job controlling t, or nil.
+func (c *Controller) jobOf(t *kernel.Thread) *Job {
+	if s := t.Slot(); s < len(c.jobAt) {
+		return c.jobAt[s]
+	}
+	return nil
+}
+
+// index records t as a member of j in the slot table.
+func (c *Controller) index(t *kernel.Thread, j *Job) {
+	s := t.Slot()
+	c.jobAt = kernel.GrowSlots(c.jobAt, s)
+	c.jobAt[s] = j
+}
+
+// CheckSlots verifies the slot-indexed job table against the job list:
+// every member of every controlled job must map to its job, and no other
+// slot may name a job. A slot left naming a departed member's job, or a
+// removed job, is reported. Leak tests call it after churn storms.
+func (c *Controller) CheckSlots() error {
+	members := 0
+	for _, j := range c.jobs {
+		for _, t := range j.members {
+			if c.jobOf(t) != j {
+				return fmt.Errorf("core: slot %d of member %v does not name its job", t.Slot(), t)
+			}
+		}
+		members += len(j.members)
+	}
+	indexed := 0
+	for _, j := range c.jobAt {
+		if j != nil {
+			indexed++
+		}
+	}
+	if indexed != members {
+		return fmt.Errorf("core: %d slots name a job, but the controlled jobs have %d members", indexed, members)
+	}
+	return nil
 }
 
 // Steps returns the number of control intervals executed.
@@ -730,11 +777,11 @@ func (c *Controller) Renegotiate(j *Job, proportion int) error {
 // allocation is shared (split evenly) across its members, its progress is
 // the sum of its members' metrics, and its usage is their combined CPU.
 func (c *Controller) AddMember(j *Job, t *kernel.Thread) {
-	if _, dup := c.byThr[t]; dup {
+	if c.jobOf(t) != nil {
 		panic(fmt.Sprintf("core: thread %v already controlled", t))
 	}
 	j.members = append(j.members, t)
-	c.byThr[t] = j
+	c.index(t, j)
 	if t.State() == kernel.StateExited {
 		c.reapDue = true
 	}
@@ -777,7 +824,7 @@ func (c *Controller) Remove(j *Job) {
 		c.adaptive--
 	}
 	for _, t := range j.members {
-		delete(c.byThr, t)
+		c.jobAt[t.Slot()] = nil
 		c.policy.Unregister(t)
 		c.reg.Unregister(t)
 	}
@@ -798,11 +845,11 @@ func (c *Controller) Remove(j *Job) {
 // idempotent with reap) for any caller's exit hook. Unknown threads are
 // ignored.
 func (c *Controller) ThreadExited(t *kernel.Thread) {
-	j, ok := c.byThr[t]
-	if !ok {
+	j := c.jobOf(t)
+	if j == nil {
 		return
 	}
-	delete(c.byThr, t)
+	c.jobAt[t.Slot()] = nil
 	c.policy.Unregister(t)
 	c.reg.Unregister(t)
 	for i, m := range j.members {
@@ -847,6 +894,8 @@ func (c *Controller) allocJob() *Job {
 	}
 	j := &c.jobSlab[0]
 	c.jobSlab = c.jobSlab[1:]
+	j.slot = c.carvedJobs
+	c.carvedJobs++
 	return j
 }
 
@@ -890,8 +939,8 @@ func (c *Controller) flushRetired() {
 			j.members[k] = nil
 		}
 		members := j.members[:0]
-		fill, fillFor := j.fill, j.fillFor
-		*j = Job{members: members, fill: fill, fillFor: fillFor}
+		fill, fillFor, slot := j.fill, j.fillFor, j.slot
+		*j = Job{members: members, fill: fill, fillFor: fillFor, slot: slot}
 		j.freeNext = c.freeJob
 		c.freeJob = j
 	}
@@ -899,7 +948,7 @@ func (c *Controller) flushRetired() {
 }
 
 func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
-	if _, dup := c.byThr[t]; dup {
+	if c.jobOf(t) != nil {
 		panic(fmt.Sprintf("core: thread %v already controlled", t))
 	}
 	j := c.allocJob()
@@ -927,7 +976,7 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 		j.g = c.allocPID()
 	}
 	c.jobs = append(c.jobs, j)
-	c.byThr[t] = j
+	c.index(t, j)
 	if class.Adaptive() {
 		c.adaptive++
 	}
@@ -1200,7 +1249,7 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 	share := prop / n
 	rem := prop - share*n
 	for i, t := range members {
-		if i > 0 && c.byThr[t] != j {
+		if i > 0 && c.jobOf(t) != j {
 			continue
 		}
 		p := share
@@ -1350,7 +1399,7 @@ func (c *Controller) reap() {
 		live := j.members[:0]
 		for _, t := range j.members {
 			if t.State() == kernel.StateExited {
-				delete(c.byThr, t)
+				c.jobAt[t.Slot()] = nil
 				c.policy.Unregister(t)
 				c.reg.Unregister(t)
 				continue

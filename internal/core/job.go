@@ -119,6 +119,10 @@ type Job struct {
 	periodFixed bool
 	// haveSample gates the watchdog's first comparison (see lastSample).
 	haveSample bool
+	// slot is the job object's dense index among every Job the controller
+	// has carved: assigned when the object is cut from a slab chunk and
+	// kept across recycling (see Slot).
+	slot int32
 
 	// memberBuf is the initial backing array of members, inside the job so
 	// a small job's member walk stays on the job's own cache lines.
@@ -175,6 +179,12 @@ type Job struct {
 
 // Thread returns the job's primary kernel thread.
 func (j *Job) Thread() *kernel.Thread { return j.thread }
+
+// Slot returns the job object's dense slot index. Slots are numbered
+// from 0 in the order the controller carves Job objects, and a pooled job
+// keeps its slot when reissued, so at any instant no two controlled jobs
+// share one. The control plane indexes its per-job table by it.
+func (j *Job) Slot() int { return int(j.slot) }
 
 // Members returns all of the job's threads. The slice must not be
 // modified.

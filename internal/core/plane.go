@@ -41,7 +41,7 @@ func (c *Controller) EpochPrologue(now sim.Time) {
 		pend := c.delayed
 		c.delayed = nil
 		for _, d := range pend {
-			if c.byThr[d.job.thread] != d.job {
+			if c.jobOf(d.job.thread) != d.job {
 				continue // job reaped while the actuation was in flight
 			}
 			c.apply(d.job, d.prop, d.period)

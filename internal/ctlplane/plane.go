@@ -187,8 +187,11 @@ type Plane struct {
 	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
 	// where homes hash the thread ID instead.
 	cpuShard []int
-	byJob    map[*core.Job]*entry
-	epoch    int64
+	// entryAt maps a job's slot (core.Job.Slot) to its live entry, nil
+	// once the job is removed; cleared at jobRemoved, before the
+	// controller can reissue the job object.
+	entryAt []*entry
+	epoch   int64
 
 	// scratch buffers shared across shards — safe because shard ticks are
 	// serialized by the simulation. squishEnt holds the entries of the
@@ -243,7 +246,6 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 		interval:  ccfg.Interval,
 		threshold: cfg.Threshold,
 		maxPPT:    ccfg.MaxProportion,
-		byJob:     make(map[*core.Job]*entry),
 	}
 	p.stalenessEpochs = (int64(cfg.MaxStaleness) + int64(ccfg.Interval) - 1) / int64(ccfg.Interval)
 	if p.stalenessEpochs < 1 {
@@ -400,7 +402,8 @@ func (p *Plane) jobAdded(j *core.Job) {
 	e.shard = p.homeOf(j)
 	class := j.Class()
 	e.adaptive, e.realRate = class.Adaptive(), class == core.RealRate
-	p.byJob[j] = e
+	p.entryAt = kernel.GrowSlots(p.entryAt, j.Slot())
+	p.entryAt[j.Slot()] = e
 	sh := p.shards[e.shard]
 	sh.list = append(sh.list, e)
 	sh.live++
@@ -409,11 +412,42 @@ func (p *Plane) jobAdded(j *core.Job) {
 // jobRemoved marks the entry dead; the owning shard drops it at its next
 // visit. The aggregates self-correct at the same tick.
 func (p *Plane) jobRemoved(j *core.Job) {
-	if e := p.byJob[j]; e != nil {
+	if e := p.entryOf(j); e != nil {
 		e.removed = true
 		p.shards[e.shard].live--
-		delete(p.byJob, j)
+		p.entryAt[j.Slot()] = nil
 	}
+}
+
+// entryOf returns the live entry of j, or nil.
+func (p *Plane) entryOf(j *core.Job) *entry {
+	if s := j.Slot(); s < len(p.entryAt) {
+		return p.entryAt[s]
+	}
+	return nil
+}
+
+// CheckSlots verifies the slot-indexed entry table against the
+// controller's job list: every controlled job must map to a live entry
+// naming it, and no other slot may hold an entry. An entry left behind
+// by a removed job is reported. Leak tests call it after churn storms.
+func (p *Plane) CheckSlots() error {
+	jobs := p.ctl.Jobs()
+	for _, j := range jobs {
+		if e := p.entryOf(j); e == nil || e.job != j || e.removed {
+			return fmt.Errorf("ctlplane: job slot %d does not hold the job's live entry", j.Slot())
+		}
+	}
+	n := 0
+	for _, e := range p.entryAt {
+		if e != nil {
+			n++
+		}
+	}
+	if n != len(jobs) {
+		return fmt.Errorf("ctlplane: %d slots hold an entry, but the controller has %d jobs", n, len(jobs))
+	}
+	return nil
 }
 
 // markDirty is the registry's dirty hook: a watched metric of one of the
@@ -423,7 +457,7 @@ func (p *Plane) markDirty(t *kernel.Thread) {
 	if !ok {
 		return
 	}
-	if e := p.byJob[j]; e != nil {
+	if e := p.entryOf(j); e != nil {
 		e.dirty = true
 	}
 }

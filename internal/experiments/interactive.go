@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	realrate "repro"
@@ -52,8 +53,9 @@ func interactiveRow(name string, ij *workload.InteractiveJob) InteractiveRow {
 		for i, l := range lats {
 			secs[i] = l.Seconds()
 		}
-		row.P50 = sim.Duration(metrics.Percentile(secs, 50) * float64(sim.Second))
-		row.P99 = sim.Duration(metrics.Percentile(secs, 99) * float64(sim.Second))
+		sort.Float64s(secs)
+		row.P50 = sim.Duration(metrics.PercentileSorted(secs, 50) * float64(sim.Second))
+		row.P99 = sim.Duration(metrics.PercentileSorted(secs, 99) * float64(sim.Second))
 	}
 	return row
 }

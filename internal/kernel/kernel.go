@@ -155,6 +155,9 @@ type Kernel struct {
 	// fresh zeroed threads out of it so an admission storm costs one
 	// allocation per chunk instead of one per thread.
 	thrSlab []Thread
+	// carved counts the Thread objects cut from slab chunks so far; it is
+	// the next object's slot index (Thread.Slot).
+	carved int32
 	// queueSlab backs NewQueue the same way: session-pipeline storms
 	// create queues in the tens of thousands.
 	queueSlab []Queue
@@ -1106,10 +1109,28 @@ func (k *Kernel) exit(t *Thread, now sim.Time) {
 // threadSlabSize is how many Thread objects one slab chunk holds.
 const threadSlabSize = 256
 
+// SlotStep is the step in which slot-indexed tables grow once they hold
+// a full slab: one kernel slab chunk of Thread objects, and one
+// controller slab chunk of jobs.
+const SlotStep = threadSlabSize
+
+// GrowSlots returns tbl extended with zero values until slot is a valid
+// index. A table doubles from 8 entries up to one SlotStep, so a machine
+// with a handful of threads pays for a handful of entries, and grows in
+// SlotStep-sized steps after that. Slots are dense, so a table stays
+// within one step of the peak object count.
+func GrowSlots[T any](tbl []T, slot int) []T {
+	for len(tbl) <= slot {
+		tbl = append(tbl, make([]T, min(max(len(tbl), 8), SlotStep))...)
+	}
+	return tbl
+}
+
 // allocThread returns a zeroed Thread object: from the free pool when
 // recycling has banked one, otherwise carved from the current slab chunk.
-// The caller fills the identity fields; gen carries over from the slot's
-// previous life so stale-reference detection survives reissue.
+// The caller fills the identity fields; gen and slot carry over from the
+// object's previous life, so stale-reference detection survives reissue
+// and slot-indexed tables never see two live threads in one slot.
 func (k *Kernel) allocThread() *Thread {
 	if t := k.freeThread; t != nil {
 		k.freeThread = t.freeNext
@@ -1121,6 +1142,8 @@ func (k *Kernel) allocThread() *Thread {
 	}
 	t := &k.thrSlab[0]
 	k.thrSlab = k.thrSlab[1:]
+	t.slot = k.carved
+	k.carved++
 	return t
 }
 
@@ -1166,8 +1189,8 @@ func (k *Kernel) recycleThread(t *Thread) {
 	// instead of silent corruption; state stays Exited so raw pointer
 	// holders that poll State() keep reading a retired thread until the
 	// slot is reissued.
-	gen := t.gen + 1
-	*t = Thread{gen: gen, state: StateExited}
+	gen, slot := t.gen+1, t.slot
+	*t = Thread{gen: gen, slot: slot, state: StateExited}
 	t.freeNext = k.freeThread
 	k.freeThread = t
 }

@@ -194,3 +194,38 @@ func TestRetireIdempotent(t *testing.T) {
 	}
 	k.Stop()
 }
+
+// TestSlotsDenseAndKeptAcrossRecycling pins the slot contract the
+// slot-indexed tables above the kernel rely on: fresh thread objects are
+// numbered 0, 1, 2, … in carving order, a recycled object keeps its slot
+// under a new ID and generation, and live threads never share a slot.
+func TestSlotsDenseAndKeptAcrossRecycling(t *testing.T) {
+	_, k := newRRMachine(10 * sim.Millisecond)
+	k.SetRecycle(true)
+	a := k.Spawn("a", sleeper(sim.Millisecond))
+	b := k.Spawn("b", sleeper(sim.Millisecond))
+	if a.Slot() != 0 || b.Slot() != 1 {
+		t.Fatalf("fresh slots %d, %d, want 0, 1", a.Slot(), b.Slot())
+	}
+	k.Retire(a)
+	c := k.Spawn("c", sleeper(sim.Millisecond))
+	if c != a || c.Slot() != 0 || c.Gen() != 1 {
+		t.Fatalf("reissued object: same=%v slot %d gen %d, want the retired object at slot 0, gen 1", c == a, c.Slot(), c.Gen())
+	}
+	d := k.Spawn("d", sleeper(sim.Millisecond))
+	if d.Slot() != 2 {
+		t.Fatalf("next fresh slot %d, want 2", d.Slot())
+	}
+
+	var tbl []int
+	for slot, want := range map[int]int{0: 8, 7: 8, 8: 16, 200: 256, 256: 512, 700: 768} {
+		if got := len(kernel.GrowSlots(tbl, slot)); got != want {
+			t.Errorf("GrowSlots(empty, %d) has %d entries, want %d", slot, got, want)
+		}
+	}
+	tbl = kernel.GrowSlots(tbl, 3)
+	tbl[3] = 42
+	if tbl = kernel.GrowSlots(tbl, 300); tbl[3] != 42 || len(tbl) != 512 {
+		t.Fatalf("growing lost an entry or overshot: tbl[3]=%d len %d", tbl[3], len(tbl))
+	}
+}

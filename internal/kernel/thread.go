@@ -83,6 +83,11 @@ type Thread struct {
 	// reference can detect that the slot now belongs to a stranger. It is
 	// 0 for the object's first occupant and survives field resets.
 	gen uint32
+	// slot is the object's dense index among every Thread object the
+	// kernel has carved (0, 1, 2, …): assigned once when the object is cut
+	// from a slab chunk and kept across recycling, so the layers above can
+	// index per-thread tables by it instead of hashing the pointer.
+	slot int32
 	// listIdx is the thread's index in Kernel.threads, maintained so a
 	// recycling kernel can swap-remove an exited thread in O(1).
 	listIdx int
@@ -110,6 +115,14 @@ func (t *Thread) ID() int { return t.id }
 // the generation at spawn can detect use-after-retire of a recycled slot
 // deterministically: saved != current means the slot was reissued.
 func (t *Thread) Gen() uint32 { return t.gen }
+
+// Slot returns the thread object's dense slot index. Slots are numbered
+// from 0 in the order the kernel carves Thread objects, and a recycled
+// object keeps its slot, so at any instant no two live threads share one
+// and the highest slot is bounded by the peak number of thread objects —
+// not by the number of spawns. Per-thread tables indexed by slot must
+// clear an entry when its thread exits, before the slot is reissued.
+func (t *Thread) Slot() int { return int(t.slot) }
 
 // CPU returns the CPU the thread is currently assigned to.
 func (t *Thread) CPU() int { return t.cpu }

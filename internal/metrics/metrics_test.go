@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,86 @@ func TestPercentile(t *testing.T) {
 	}
 	if p := Percentile(vs, 50); math.Abs(p-5.5) > 1e-12 {
 		t.Fatalf("P50 = %v", p)
+	}
+}
+
+// referencePercentile is Percentile as it stood before the one-sort
+// helper: copy, sort, interpolate between closest ranks. The differential
+// test below holds SortedCopy+PercentileSorted, Percentile and Summarize
+// to it bit for bit.
+func referencePercentile(vs []float64, p float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(vs))
+	copy(sorted, vs)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileSortedDifferential checks that one sort read at many
+// percentiles gives bit-identical floats to a fresh copy-and-sort per
+// percentile, on random samples of every small length with heavy
+// duplication, ±Inf, signed zeros and the odd NaN mixed in. The scratch
+// buffer is reused across samples, as the SLO report reuses it.
+func TestPercentileSortedDifferential(t *testing.T) {
+	rng := sim.NewRNG(7)
+	special := []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.NaN()}
+	ps := []float64{-1, 0, 0.1, 1, 25, 33.3, 50, 95, 99, 99.9, 99.99, 100, 150}
+	var buf []float64
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		vs := make([]float64, n)
+		for i := range vs {
+			switch r := rng.Intn(10); {
+			case r < 3 && i > 0:
+				vs[i] = vs[rng.Intn(i)] // duplicate an earlier value
+			case r == 3:
+				vs[i] = special[rng.Intn(len(special))]
+			default:
+				vs[i] = (rng.Float64() - 0.5) * 1e3
+			}
+		}
+		orig := append([]float64(nil), vs...)
+		buf = SortedCopy(buf, vs)
+		for _, p := range ps {
+			want := math.Float64bits(referencePercentile(vs, p))
+			if got := math.Float64bits(PercentileSorted(buf, p)); got != want {
+				t.Fatalf("trial %d p%v: PercentileSorted %v, reference %v (sample %v)", trial, p, math.Float64frombits(got), math.Float64frombits(want), vs)
+			}
+			if got := math.Float64bits(Percentile(vs, p)); got != want {
+				t.Fatalf("trial %d p%v: Percentile %v, reference %v", trial, p, math.Float64frombits(got), math.Float64frombits(want))
+			}
+		}
+		if n > 0 {
+			s := Summarize(vs)
+			for _, c := range []struct {
+				p   float64
+				got float64
+			}{{50, s.P50}, {95, s.P95}, {99, s.P99}} {
+				if math.Float64bits(c.got) != math.Float64bits(referencePercentile(vs, c.p)) {
+					t.Fatalf("trial %d: Summarize P%v %v, reference %v", trial, c.p, c.got, referencePercentile(vs, c.p))
+				}
+			}
+		}
+		for i := range vs {
+			if math.Float64bits(vs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: SortedCopy modified its input", trial)
+			}
+		}
 	}
 }
 

@@ -35,14 +35,31 @@ func Variance(vs []float64) float64 {
 func StdDev(vs []float64) float64 { return math.Sqrt(Variance(vs)) }
 
 // Percentile returns the p'th percentile (0..100) of vs using linear
-// interpolation between closest ranks. It copies vs before sorting.
+// interpolation between closest ranks. It copies vs before sorting; to
+// read several percentiles of one sample, sort once with SortedCopy and
+// read each with PercentileSorted.
 func Percentile(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(vs))
-	copy(sorted, vs)
-	sort.Float64s(sorted)
+	return PercentileSorted(SortedCopy(nil, vs), p)
+}
+
+// SortedCopy copies vs into buf, reusing buf's storage when it is large
+// enough, sorts the copy ascending and returns it. vs is left untouched.
+func SortedCopy(buf, vs []float64) []float64 {
+	buf = append(buf[:0], vs...)
+	sort.Float64s(buf)
+	return buf
+}
+
+// PercentileSorted returns the p'th percentile (0..100) of an ascending
+// sample — SortedCopy's result — with Percentile's order statistics and
+// interpolation, so the two agree bit for bit. An empty sample reads 0.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -88,9 +105,10 @@ func Summarize(vs []float64) Summary {
 			s.Max = v
 		}
 	}
-	s.P50 = Percentile(vs, 50)
-	s.P95 = Percentile(vs, 95)
-	s.P99 = Percentile(vs, 99)
+	sorted := SortedCopy(nil, vs)
+	s.P50 = PercentileSorted(sorted, 50)
+	s.P95 = PercentileSorted(sorted, 95)
+	s.P99 = PercentileSorted(sorted, 99)
 	return s
 }
 

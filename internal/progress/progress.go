@@ -179,7 +179,9 @@ func (v *VirtualQueue) Describe() string {
 // Registry is the kernel-side table the meta-interface system call fills
 // in: which queues (or other metrics) each thread's progress is linked to.
 type Registry struct {
-	entries map[*kernel.Thread][]Metric
+	// bySlot holds each registered thread's metrics at its kernel slot
+	// (kernel.Thread.Slot); an unregistered slot has nil metrics.
+	bySlot []regEntry
 
 	// freeEnts recycles the per-thread metric slices across
 	// register/unregister churn: an open-loop storm registering one
@@ -204,9 +206,18 @@ type Registry struct {
 	dirty func(t *kernel.Thread)
 }
 
+// regEntry is one thread's registration: its metrics, plus the thread
+// and slot generation that registered them, so the hook wiring and the
+// slot check can name the owner.
+type regEntry struct {
+	ms  []Metric
+	t   *kernel.Thread
+	gen uint32
+}
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: make(map[*kernel.Thread][]Metric)}
+	return &Registry{}
 }
 
 // SetDirtyHook installs the dirty-signal callback: fn is invoked with the
@@ -218,9 +229,10 @@ func (r *Registry) SetDirtyHook(fn func(t *kernel.Thread)) {
 	if fn == nil {
 		return
 	}
-	for t, ms := range r.entries {
-		for _, m := range ms {
-			r.watch(t, m)
+	for i := range r.bySlot {
+		e := &r.bySlot[i]
+		for _, m := range e.ms {
+			r.watch(e.t, m)
 		}
 	}
 }
@@ -273,7 +285,7 @@ func (w *queueWatcher) QueueChanged() {
 // i.e. whether the dirty hook sees all of t's signal changes. Jobs with
 // any unwatchable metric must be re-sampled on the staleness bound alone.
 func (r *Registry) Watched(t *kernel.Thread) bool {
-	ms := r.entries[t]
+	ms := r.Metrics(t)
 	if len(ms) == 0 {
 		return false
 	}
@@ -289,12 +301,17 @@ func (r *Registry) Watched(t *kernel.Thread) bool {
 // metrics (a pipeline stage is consumer of one queue and producer of the
 // next); their pressures sum per Figure 3.
 func (r *Registry) Register(t *kernel.Thread, m Metric) {
-	ms, ok := r.entries[t]
-	if !ok && len(r.freeEnts) > 0 {
-		ms = r.freeEnts[len(r.freeEnts)-1]
-		r.freeEnts = r.freeEnts[:len(r.freeEnts)-1]
+	s := t.Slot()
+	r.bySlot = kernel.GrowSlots(r.bySlot, s)
+	e := &r.bySlot[s]
+	if e.ms == nil {
+		if n := len(r.freeEnts); n > 0 {
+			e.ms = r.freeEnts[n-1]
+			r.freeEnts = r.freeEnts[:n-1]
+		}
+		e.t, e.gen = t, t.Gen()
 	}
-	r.entries[t] = append(ms, m)
+	e.ms = append(e.ms, m)
 	if r.dirty != nil {
 		r.watch(t, m)
 	}
@@ -318,14 +335,12 @@ func (r *Registry) RegisterQueue(t *kernel.Thread, q *kernel.Queue, role Role) {
 // thread's metric slice is scrubbed and kept for reuse by a later
 // Register.
 func (r *Registry) Unregister(t *kernel.Thread) {
-	ms, ok := r.entries[t]
-	if !ok {
+	s := t.Slot()
+	if s >= len(r.bySlot) || r.bySlot[s].ms == nil {
 		return
 	}
-	delete(r.entries, t)
-	if cap(ms) == 0 {
-		return
-	}
+	ms := r.bySlot[s].ms
+	r.bySlot[s] = regEntry{}
 	ms = ms[:cap(ms)]
 	for i := range ms {
 		ms[i] = nil
@@ -336,12 +351,47 @@ func (r *Registry) Unregister(t *kernel.Thread) {
 // HasMetrics reports whether t supplied any progress metric — the
 // controller's real-rate versus miscellaneous classification hinges on it.
 func (r *Registry) HasMetrics(t *kernel.Thread) bool {
-	return len(r.entries[t]) > 0
+	return len(r.Metrics(t)) > 0
 }
 
-// Metrics returns the metrics registered for t.
+// Metrics returns the metrics registered for t (nil when it has none).
 func (r *Registry) Metrics(t *kernel.Thread) []Metric {
-	return r.entries[t]
+	if s := t.Slot(); s < len(r.bySlot) {
+		return r.bySlot[s].ms
+	}
+	return nil
+}
+
+// Registered returns how many threads currently have metrics linked.
+func (r *Registry) Registered() int {
+	n := 0
+	for s := range r.bySlot {
+		if r.bySlot[s].ms != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// CheckSlots verifies the slot-indexed table: every registration must
+// sit at its thread's slot and belong to the slot's current occupant — a
+// live thread of the generation that registered it. A registration left
+// behind by an exited thread is reported. Leak tests call it after churn
+// storms.
+func (r *Registry) CheckSlots() error {
+	for s := range r.bySlot {
+		e := &r.bySlot[s]
+		if e.ms == nil {
+			continue
+		}
+		switch {
+		case e.t.Slot() != s:
+			return fmt.Errorf("progress: slot %d holds metrics of %v, whose slot is %d", s, e.t, e.t.Slot())
+		case e.t.Gen() != e.gen || e.t.State() == kernel.StateExited:
+			return fmt.Errorf("progress: slot %d holds metrics of exited thread %v (generation %d, slot now %d)", s, e.t, e.gen, e.t.Gen())
+		}
+	}
+	return nil
 }
 
 // SummedPressure computes Σ_i R·F for thread t, clamped to [−½, ½] so a
@@ -350,7 +400,7 @@ func (r *Registry) Metrics(t *kernel.Thread) []Metric {
 // and ½".
 func (r *Registry) SummedPressure(t *kernel.Thread, now sim.Time) float64 {
 	var sum float64
-	for _, m := range r.entries[t] {
+	for _, m := range r.Metrics(t) {
 		sum += m.Pressure(now)
 	}
 	if sum > 0.5 {

@@ -9,6 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
+// fuzzSimBudget caps the simulated time the advance ops of one
+// FuzzBoundaryWheel input may run in total. At a 1 ms tick, two seconds
+// wrap L1 and cross an L2 span (256 ms each) seven times, roll
+// medium-period boundaries filed in L2, and let a far-period boundary of
+// the smallest arguments cascade from the overflow heap into L2 — while
+// a 30 s fuzz budget runs about three times as many inputs as it did
+// uncapped.
+const fuzzSimBudget = 2 * sim.Second
+
 // FuzzBoundaryWheel interprets fuzz bytes as an op script against a
 // Verify-mode dispatcher: every Pick replays the legacy linear scan and
 // panics on divergence, and asserts that every due period was rolled and
@@ -20,6 +29,9 @@ import (
 // are hit. The first byte picks the discipline and turns on state and
 // thread recycling, so exits pool states that later spawns reissue; the
 // second picks 1, 2 or 4 CPUs, so idle CPUs pull work through Steal.
+// Advance ops share a simulated-time budget per input (fuzzSimBudget):
+// one advance may ask for up to 65 s, and without a cap a script of them
+// spends seconds of host time on a single input.
 //
 //	go test -run '^$' -fuzz=FuzzBoundaryWheel ./internal/rbs
 func FuzzBoundaryWheel(f *testing.F) {
@@ -46,6 +58,7 @@ func FuzzBoundaryWheel(f *testing.F) {
 
 		var threads []*kernel.Thread
 		spawned := 0
+		budget := fuzzSimBudget
 		spawn := func() *kernel.Thread {
 			th := k.Spawn(fmt.Sprintf("t%d", spawned), hog(300_000))
 			spawned++
@@ -91,7 +104,9 @@ func FuzzBoundaryWheel(f *testing.F) {
 					threads = append(threads[:ti], threads[ti+1:]...)
 				}
 			default: // advance time, crossing L1 wraps and L2 spans
-				eng.RunFor(sim.Duration(1+arg*arg) * sim.Millisecond)
+				d := min(sim.Duration(1+arg*arg)*sim.Millisecond, budget)
+				eng.RunFor(d)
+				budget -= d
 			}
 		}
 		eng.RunFor(500 * sim.Millisecond)

@@ -150,15 +150,15 @@ func (d *wheelDriver) checkPending() {
 // deltas spanning every placement class: same-slot, near wheel, far wheel,
 // and overflow (beyond the ~33.5 ms wheel horizon).
 var deltaClasses = []Duration{
-	0,                     // same instant (FIFO tie-break)
-	500 * Nanosecond,      // same slot
-	100 * Microsecond,     // adjacent slot
-	Millisecond,           // a few slots out (the kernel-tick distance)
-	10 * Millisecond,      // mid-wheel
-	30 * Millisecond,      // near the horizon edge
-	40 * Millisecond,      // just past the horizon: overflow
-	Second,                // deep overflow
-	10 * Second,           // deeper overflow
+	0,                                // same instant (FIFO tie-break)
+	500 * Nanosecond,                 // same slot
+	100 * Microsecond,                // adjacent slot
+	Millisecond,                      // a few slots out (the kernel-tick distance)
+	10 * Millisecond,                 // mid-wheel
+	30 * Millisecond,                 // near the horizon edge
+	40 * Millisecond,                 // just past the horizon: overflow
+	Second,                           // deep overflow
+	10 * Second,                      // deeper overflow
 	33*Millisecond + 500*Microsecond, // straddles the horizon boundary
 }
 

@@ -252,6 +252,7 @@ func (r *Recorder) Summaries() []Summary {
 	}
 	sort.Strings(names)
 	out := make([]Summary, 0, len(names))
+	var sorted []float64 // latency scratch, reused across threads
 	for _, n := range names {
 		st := r.threads[n]
 		s := Summary{
@@ -265,8 +266,9 @@ func (r *Recorder) Summaries() []Summary {
 			s.MeanSegment = sim.Duration(int64(st.totalRun) / int64(st.segments))
 		}
 		if len(st.latencies) > 0 {
-			s.LatencyP50 = sim.Duration(metrics.Percentile(st.latencies, 50) * float64(sim.Second))
-			s.LatencyP99 = sim.Duration(metrics.Percentile(st.latencies, 99) * float64(sim.Second))
+			sorted = metrics.SortedCopy(sorted, st.latencies)
+			s.LatencyP50 = sim.Duration(metrics.PercentileSorted(sorted, 50) * float64(sim.Second))
+			s.LatencyP99 = sim.Duration(metrics.PercentileSorted(sorted, 99) * float64(sim.Second))
 		}
 		out = append(out, s)
 	}

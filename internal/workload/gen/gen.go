@@ -518,7 +518,7 @@ func (sc *Scenario) Run(opts RunOpts) (*RunResult, error) {
 		res.Report = Report{Policy: name}
 	}
 	if r.sess != nil {
-		r.sess.finish(sys)
+		r.sess.finish(sys, &res.SLO)
 		res.Report.Sessions = r.sess.report()
 		res.Report.Violations = append(res.Report.Violations, r.sess.violations...)
 	}

@@ -359,7 +359,8 @@ func (c *checker) OnMigration(now time.Duration, th *realrate.Thread, from, to i
 
 // OnActuation implements realrate.Observer. An actuation that cannot be
 // resolved to a public handle means the controller actuated a job whose
-// thread already retired (stale byKern or a missed reap).
+// thread already retired (a stale kernel-thread→handle link or a
+// missed reap).
 func (c *checker) OnActuation(now time.Duration, th *realrate.Thread, prop int, period time.Duration) {
 	if prop < 0 {
 		c.violate("floor", now, "negative actuation %d ppt", prop)
@@ -769,7 +770,7 @@ func (c *checker) finish() {
 			c.violate("lost-thread", end, "thread %s in unknown state %q", tt.name, state)
 		}
 		// Exit bookkeeping closes: a kernel-exited thread must have been
-		// announced exactly once (a miss means a stale byKern entry), and
+		// announced exactly once (a miss means a stale handle link), and
 		// an announced thread must really be gone.
 		if state == "exited" && !tt.exited {
 			c.violate("exit-hook", end, "thread %s exited without an OnExit (stale index?)", tt.name)

@@ -62,8 +62,8 @@ func TestParseReplayRejectsMalformed(t *testing.T) {
 	for _, line := range []string{
 		"",
 		"rrexp -figures",
-		"rrexp -gen -scenario churn",                          // missing -policy
-		"rrexp -gen -policy rbs -seed 1",                      // missing -scenario
+		"rrexp -gen -scenario churn",     // missing -policy
+		"rrexp -gen -policy rbs -seed 1", // missing -scenario
 		"rrexp -gen -scenario churn -policy rbs -seed",        // flag without value
 		"rrexp -gen -scenario churn -policy rbs -warp 9",      // unknown flag
 		"rrexp -gen -scenario churn -policy rbs -seed banana", // untyped value

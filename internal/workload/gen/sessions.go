@@ -728,8 +728,9 @@ func (sr *sessionRun) violate(invariant string, now time.Duration, format string
 	})
 }
 
-// finish runs the end-of-run session oracles.
-func (sr *sessionRun) finish(sys *realrate.System) {
+// finish runs the end-of-run session oracles against the run's SLO
+// report (System.SLO, read once by the caller).
+func (sr *sessionRun) finish(sys *realrate.System, rep *realrate.SLOReport) {
 	end := sys.Now()
 
 	// Session conservation: every arrival is in exactly one bucket.
@@ -763,7 +764,6 @@ func (sr *sessionRun) finish(sys *realrate.System) {
 	// (their edges are open or void, not missed) — the per-kind series
 	// partition the total, and the tracker's exact attainment counter
 	// agrees with the runner's met count.
-	rep := sys.SLO()
 	if rep.Session.Samples != uint64(sr.completed) {
 		sr.violate("session-slo-closure", end,
 			"SLO report holds %d session samples, %d sessions completed",

@@ -126,22 +126,17 @@ func (o *Ops) SleepUntil(at time.Duration) Action {
 	return Action{&o.sleepUntil}
 }
 
-// programAdapter bridges the public Program to the kernel's interface.
-type programAdapter struct {
-	sys  *System
-	prog Program
-	self *Thread
-	// stuckOp is the reused spin burst emitted while a StuckThread fault
-	// hijacks the program: CPU is consumed, no progress is made.
-	stuckOp kernel.OpCompute
-}
+// programAdapter is the kernel-facing view of a Thread handle: a type
+// conversion of the handle, so bridging the public Program to the
+// kernel's interface costs no second object and no back-pointer.
+type programAdapter Thread
 
 func (a *programAdapter) Next(t *kernel.Thread, now sim.Time) kernel.Op {
-	if a.sys.faults != nil && a.sys.faults.ThreadStuck(t.Name(), now) {
-		a.stuckOp.Cycles = a.sys.stuckCycles
-		return &a.stuckOp
+	th := (*Thread)(a)
+	if th.sys.faults != nil && th.sys.faults.ThreadStuck(t.Name(), now) {
+		return &th.sys.stuckOp
 	}
-	act := a.prog.Next(a.self, time.Duration(now))
+	act := th.prog.Next(th, time.Duration(now))
 	if act.op == nil {
 		panic("realrate: program returned zero Action; use Exit() to retire a thread")
 	}

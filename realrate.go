@@ -158,12 +158,6 @@ type System struct {
 	// plane drives ctl; nil exactly when ctl is.
 	plane *ctlplane.Plane
 
-	// byKern maps kernel threads back to their public handles, so quality
-	// events and observer callbacks stay O(1) at 10k threads. Entries are
-	// dropped when the thread exits (see threadExited), so admission churn
-	// cannot grow the map without bound.
-	byKern map[*kernel.Thread]*Thread
-
 	// thSlab is the current chunk backing public Thread handles. Handles
 	// are deliberately NOT pooled — a caller may hold one long after the
 	// thread exits and read its frozen statistics — but carving them from
@@ -182,10 +176,10 @@ type System struct {
 
 	// faults is the compiled fault injector, nil without Config.Faults.
 	faults *faults.Injector
-	// stuckCycles is the spin-burst length for StuckThread faults (1 ms
-	// of this machine's clock), precomputed so the hijacked program path
-	// does not divide on every step.
-	stuckCycles sim.Cycles
+	// stuckOp is the spin burst every thread hijacked by a StuckThread
+	// fault emits: 1 ms of this machine's clock, built once. The kernel
+	// only reads an operation, so stuck threads share it.
+	stuckOp kernel.OpCompute
 	// srcRejects counts NaN/Inf values refused by the custom-source
 	// clamping adapter (see customMetric), feeding Health.
 	srcRejects uint64
@@ -290,13 +284,12 @@ func NewSystem(cfg Config) *System {
 		policy: kpol,
 		rbs:    rbsPol,
 		reg:    reg,
-		byKern: make(map[*kernel.Thread]*Thread),
 	}
 	s.hub.sys = s
 	kern.SetExitHook(s.threadExited)
 	if cfg.Faults != nil && len(cfg.Faults.Specs) > 0 {
 		s.faults = s.buildInjector(cfg.Faults)
-		s.stuckCycles = sim.DurationToCycles(sim.Millisecond, kcfg.ClockRate)
+		s.stuckOp.Cycles = sim.DurationToCycles(sim.Millisecond, kcfg.ClockRate)
 		kern.SetFaultInjector(s.faults)
 	}
 	if rbsPol != nil {
@@ -457,7 +450,7 @@ func (s *System) OnQuality(fn func(QualityEvent)) { s.onQuality = fn }
 // fans it out to the OnQuality callback and every observer.
 func (s *System) fireQuality(ex core.QualityException) {
 	ev := QualityEvent{
-		Thread:    s.byKern[ex.Job.Thread()],
+		Thread:    handleOf(ex.Job.Thread()),
 		Time:      time.Duration(ex.Time),
 		Pressure:  ex.Pressure,
 		Desired:   ex.Desired,
@@ -557,7 +550,7 @@ func (s *System) CPUStats() []CPUStat {
 			Migrations: ks.MigrationsIn,
 		}
 		if t := s.kern.CurrentOn(i); t != nil {
-			out[i].Current = s.byKern[t]
+			out[i].Current = handleOf(t)
 		}
 	}
 	return out

@@ -75,8 +75,9 @@ func (ss *sloSeries) add(lat float64, ok bool, cap int) {
 // sloTracker is installed on the observer hub when Config.Overload is
 // set; the hub feeds it every OnWake/OnDispatch edge. The pending wake
 // instant and the per-job/per-class series pointers are cached on the
-// Thread handle, so the per-sample cost is one pointer-map translation
-// plus reservoir arithmetic — no map churn, no string hashing.
+// Thread handle, so the per-sample cost is one type assertion on the
+// kernel thread's User link plus reservoir arithmetic — no map lookups,
+// no string hashing.
 type sloTracker struct {
 	sys           *System
 	target        sim.Duration
@@ -95,7 +96,9 @@ type sloTracker struct {
 	// governor's SLO trip probe.
 	recent    []float64
 	recentIdx int
-	scratch   []float64
+	// scratch is the sorted copy the percentile reads share: the probe's
+	// window, and each series of an SLO report in turn.
+	scratch []float64
 }
 
 // DefaultLatencySLO is the wake→dispatch target used when
@@ -185,8 +188,8 @@ func (tr *sloTracker) recentP99() sim.Duration {
 	if len(tr.recent) == 0 {
 		return 0
 	}
-	tr.scratch = append(tr.scratch[:0], tr.recent...)
-	return sim.Duration(metrics.Percentile(tr.scratch, 99) * float64(sim.Second))
+	tr.scratch = metrics.SortedCopy(tr.scratch, tr.recent)
+	return sim.Duration(metrics.PercentileSorted(tr.scratch, 99) * float64(sim.Second))
 }
 
 // SLOStat summarizes one job's or class's wake→dispatch latency.
@@ -226,15 +229,19 @@ type SLOReport struct {
 	Sessions      map[string]SLOStat
 }
 
-func (ss *sloSeries) stat() SLOStat {
+// stat summarizes one series. Its reservoir is copied into the tracker's
+// scratch buffer and sorted once; the three percentiles read that one
+// sorted copy.
+func (tr *sloTracker) stat(ss *sloSeries) SLOStat {
 	st := SLOStat{Samples: ss.seen}
 	if ss.seen > 0 {
 		st.Attainment = float64(ss.attained) / float64(ss.seen)
 	}
 	if len(ss.samples) > 0 {
-		st.P50 = secDur(metrics.Percentile(ss.samples, 50))
-		st.P99 = secDur(metrics.Percentile(ss.samples, 99))
-		st.P999 = secDur(metrics.Percentile(ss.samples, 99.9))
+		tr.scratch = metrics.SortedCopy(tr.scratch, ss.samples)
+		st.P50 = secDur(metrics.PercentileSorted(tr.scratch, 50))
+		st.P99 = secDur(metrics.PercentileSorted(tr.scratch, 99))
+		st.P999 = secDur(metrics.PercentileSorted(tr.scratch, 99.9))
 	}
 	return st
 }
@@ -263,7 +270,8 @@ func (s *System) ObserveSessionLatency(kind string, latency time.Duration) {
 // SLO returns the wake→dispatch latency accounting: overall, per-class,
 // and per-job p50/p99/p999 with exact SLO attainment, plus the recorded
 // end-to-end session dimension. It returns a zero report unless
-// Config.Overload enabled SLO accounting.
+// Config.Overload enabled SLO accounting. Each call builds a fresh report,
+// sorting every series' reservoir once, so read it once per snapshot.
 func (s *System) SLO() SLOReport {
 	if s.slo == nil {
 		return SLOReport{}
@@ -276,19 +284,19 @@ func (s *System) SLO() SLOReport {
 		Jobs:          make(map[string]SLOStat, len(tr.byJob)),
 		Sessions:      make(map[string]SLOStat, len(tr.sessByKind)),
 	}
-	tot := tr.total.stat()
+	tot := tr.stat(tr.total)
 	rep.Samples = tot.Samples
 	rep.Attainment = tot.Attainment
 	rep.P50, rep.P99, rep.P999 = tot.P50, tot.P99, tot.P999
 	for cls, ss := range tr.byClass {
-		rep.Classes[cls] = ss.stat()
+		rep.Classes[cls] = tr.stat(ss)
 	}
 	for name, ss := range tr.byJob {
-		rep.Jobs[name] = ss.stat()
+		rep.Jobs[name] = tr.stat(ss)
 	}
-	rep.Session = tr.sessTotal.stat()
+	rep.Session = tr.stat(tr.sessTotal)
 	for kind, ss := range tr.sessByKind {
-		rep.Sessions[kind] = ss.stat()
+		rep.Sessions[kind] = tr.stat(ss)
 	}
 	return rep
 }

@@ -22,10 +22,31 @@ type Thread struct {
 	sys *System
 	t   *kernel.Thread
 	job *core.Job
+	// prog is the public program. The handle itself is the program the
+	// kernel runs (see programAdapter), so one allocation covers both.
+	prog Program
 
-	// adapter bridges the public program to the kernel, embedded so one
-	// allocation covers handle and adapter together.
-	adapter programAdapter
+	// name is immutable for the thread's whole life, cached so accessors
+	// never need the (possibly reissued) kernel slot.
+	name string
+
+	// The open wake→dispatch SLO edge and the tracker's cached series
+	// live on the handle so the per-dispatch tap touches no maps and
+	// hashes no strings (slo.go).
+	sloWake  sim.Time
+	sloJob   *sloSeries
+	sloClass *sloSeries
+
+	// The exit* fields hold the final statistics frozen when the exit
+	// hook retires the handle (see exited).
+	exitCPUTime    time.Duration
+	exitMigrations uint64
+	exitPeriod     time.Duration
+	exitPressure   float64
+	exitImportance float64
+	exitCPU        int32
+	exitAlloc      int32
+	exitDesired    int32
 
 	// gen snapshots the kernel slot's generation at spawn; a mismatch
 	// against t.Gen() means the slot was recycled under a live handle —
@@ -33,54 +54,46 @@ type Thread struct {
 	// panic rather than an action against a stranger.
 	gen uint32
 
-	// name and pinned are immutable for the thread's whole life, cached
-	// so accessors never need the (possibly reissued) kernel slot.
-	name   string
+	// pinned is immutable, like name.
 	pinned bool
-
-	// exited flips when the exit hook retires the handle; the exit*
-	// fields below hold the final statistics frozen at that instant.
-	exited         bool
-	exitCPU        int
-	exitCPUTime    time.Duration
-	exitMigrations uint64
-	exitAlloc      int
-	exitDesired    int
-	exitPeriod     time.Duration
-	exitPressure   float64
-	exitSquished   bool
-	exitClass      string
-	exitDegraded   string
-	exitImportance float64
-
-	// The open wake→dispatch SLO edge and the tracker's cached series
-	// live on the handle so the per-dispatch tap touches no maps beyond
-	// the byKern translation and hashes no strings (slo.go).
-	sloWake    sim.Time
-	sloPending bool
-	sloJob     *sloSeries
-	sloClass   *sloSeries
+	// exited flips when the exit hook retires the handle.
+	exited       bool
+	exitSquished bool
+	sloPending   bool
+	// exitClass is the frozen class, core.Class+1, or exitUnmanaged for a
+	// thread without a job; exitDegraded is the frozen core.DegradeLevel.
+	exitClass    uint8
+	exitDegraded uint8
 }
 
-// spawn creates the kernel thread wired to the public program and indexes
-// the handle for O(1) kernel-thread lookups.
+// exitUnmanaged is the exitClass of a handle that had no controller job.
+const exitUnmanaged = 0
+
+// spawn creates the kernel thread wired to the public program and links
+// the handle from the kernel thread for O(1) kernel-thread lookups.
 func (s *System) spawn(name string, prog Program, affinity int) *Thread {
 	if len(s.thSlab) == 0 {
 		s.thSlab = make([]Thread, 256)
 	}
 	th := &s.thSlab[0]
 	s.thSlab = s.thSlab[1:]
-	*th = Thread{sys: s, name: name, pinned: affinity != kernel.AffinityAny}
-	th.adapter = programAdapter{sys: s, prog: prog, self: th}
-	th.t = s.kern.SpawnAffinity(name, &th.adapter, affinity)
+	*th = Thread{sys: s, prog: prog, name: name, pinned: affinity != kernel.AffinityAny}
+	th.t = s.kern.SpawnAffinity(name, (*programAdapter)(th), affinity)
 	th.gen = th.t.Gen()
 	th.t.User = th
-	s.byKern[th.t] = th
 	if s.slo != nil {
-		// The spawn's own wake edge traced before the handle was indexed;
+		// The spawn's own wake edge traced before the handle was linked;
 		// open it here so the first dispatch still yields a sample.
 		th.sloPending, th.sloWake = true, s.kern.Now()
 	}
+	return th
+}
+
+// handleOf returns the public handle of a kernel thread, or nil for a
+// thread with none: a control-plane thread, an exited thread, or a
+// rejected spawn.
+func handleOf(t *kernel.Thread) *Thread {
+	th, _ := t.User.(*Thread)
 	return th
 }
 
@@ -91,35 +104,33 @@ func (s *System) spawn(name string, prog Program, affinity int) *Thread {
 // this thread's.
 func (th *Thread) retire(t *kernel.Thread) {
 	th.exited = true
-	th.exitCPU = t.CPU()
+	th.exitCPU = int32(t.CPU())
 	th.exitCPUTime = time.Duration(t.CPUTime())
 	th.exitMigrations = t.Migrations()
 	if j := th.job; j != nil {
-		th.exitAlloc = j.Allocated()
-		th.exitDesired = j.Desired()
+		th.exitAlloc = int32(j.Allocated())
+		th.exitDesired = int32(j.Desired())
 		th.exitPeriod = time.Duration(j.Period())
 		th.exitPressure = j.Pressure()
 		th.exitSquished = j.Squished()
-		th.exitClass = j.Class().String()
-		th.exitDegraded = j.Degraded().String()
+		th.exitClass = uint8(j.Class()) + 1
+		th.exitDegraded = uint8(j.Degraded())
 		th.exitImportance = j.Importance()
-	} else {
-		th.exitClass = "unmanaged"
 	}
 	th.job = nil
-	th.adapter.prog = nil // release the program for the collector
+	th.prog = nil // release the program for the collector
 }
 
 // threadExited is the kernel exit hook: it freezes the handle, reaps the
 // controller job eagerly (a pooled slot can be reissued before the next
 // control epoch, by which time every stale reference must be gone), and
 // tells observers the thread is over. Threads removed by removeThread
-// (rejected spawns) were unindexed before retirement, so they never ran
+// (rejected spawns) were unlinked before retirement, so they never ran
 // and never surface an OnExit.
 func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
-	th, ok := s.byKern[t]
-	if ok {
-		delete(s.byKern, t)
+	th := handleOf(t)
+	if th != nil {
+		t.User = nil
 		th.sloPending = false // drop any open wake edge with the handle
 		// Freeze before the controller reap below: the reap may scrub and
 		// pool the job object the frozen values are read from.
@@ -135,7 +146,7 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 	if s.ctl != nil {
 		s.ctl.ThreadExited(t)
 	}
-	if !ok {
+	if th == nil {
 		return
 	}
 	for _, o := range s.hub.obs {
@@ -146,10 +157,10 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 // removeThread undoes a spawn whose registration failed: the kernel thread
 // is retired (so a rejected program does not keep running in the leftover
 // CPU), any progress sources registered before the failure are unlinked,
-// and the public handle is unindexed. Unindexing happens before Retire so
+// and the public handle is unlinked. Unlinking happens before Retire so
 // the exit hook does not announce a thread that never publicly existed.
 func (s *System) removeThread(th *Thread) {
-	delete(s.byKern, th.t)
+	th.t.User = nil
 	s.reg.Unregister(th.t)
 	s.kern.Retire(th.t)
 }
@@ -197,7 +208,7 @@ func (th *Thread) Name() string { return th.name }
 // single-CPU machine); for an exited thread, the CPU it last ran on.
 func (th *Thread) CPU() int {
 	if th.exited {
-		return th.exitCPU
+		return int(th.exitCPU)
 	}
 	return th.t.CPU()
 }
@@ -235,7 +246,7 @@ func (th *Thread) State() string {
 // unmanaged threads); for an exited thread, its final proportion.
 func (th *Thread) Allocation() int {
 	if th.exited {
-		return th.exitAlloc
+		return int(th.exitAlloc)
 	}
 	if th.job == nil {
 		return 0
@@ -246,7 +257,7 @@ func (th *Thread) Allocation() int {
 // Desired returns the pre-squish proportion the controller last computed.
 func (th *Thread) Desired() int {
 	if th.exited {
-		return th.exitDesired
+		return int(th.exitDesired)
 	}
 	if th.job == nil {
 		return 0
@@ -282,7 +293,10 @@ func (th *Thread) Pressure() float64 {
 // or "misc" after the watchdog demoted it, and "" for unmanaged threads.
 func (th *Thread) Degraded() string {
 	if th.exited {
-		return th.exitDegraded
+		if th.exitClass == exitUnmanaged {
+			return ""
+		}
+		return core.DegradeLevel(th.exitDegraded).String()
 	}
 	if th.job == nil {
 		return ""
@@ -293,7 +307,10 @@ func (th *Thread) Degraded() string {
 // Class returns the taxonomy class name, or "unmanaged".
 func (th *Thread) Class() string {
 	if th.exited {
-		return th.exitClass
+		if th.exitClass == exitUnmanaged {
+			return "unmanaged"
+		}
+		return core.Class(th.exitClass - 1).String()
 	}
 	if th.job == nil {
 		return "unmanaged"
