@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates the Figure 5-8 outputs, sweeps of generated rbs scenarios
-# and the SMP storm, and byte-compares them against the committed goldens in
-# testdata/goldens/. Any drift in the dispatch
-# schedule or controller arithmetic fails the build.
+# Regenerates the Figure 5-8 outputs, sweeps of generated rbs scenarios,
+# the SMP storm and the observer event stream, and byte-compares them
+# against the committed goldens in testdata/goldens/. Any drift in the
+# dispatch schedule or controller arithmetic fails the build.
 #
 # To re-bless after an intentional change: scripts/goldens.sh -update
 set -euo pipefail
@@ -23,6 +23,18 @@ if go test -run 'TestRBSDispatchTraceGolden|TestSMPOneCPUGoldenEquivalence' -cou
   echo "rbs_dispatch (CPUs=1): byte-identical"
 else
   echo "rbs_dispatch (CPUs=1): diverged" >&2
+  status=1
+fi
+
+# The controller-to-observer event stream of one faulted, overloaded run:
+# every non-dispatch Observer callback, one line each.
+if [ "$update" = 1 ]; then
+  go test -run 'TestObserverEventGolden' -count=1 -update . >/dev/null
+  echo "observer_events: updated"
+elif go test -run 'TestObserverEventGolden' -count=1 . >/dev/null; then
+  echo "observer_events: byte-identical"
+else
+  echo "observer_events: diverged (go test -run TestObserverEventGolden . for the first differing line)" >&2
   status=1
 fi
 
