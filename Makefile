@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples vet test race bench benchtest fuzz goldens stress clean
+.PHONY: all build examples vet test race bench benchsmoke benchtest fuzz goldens stress clean
 
 all: build vet test goldens
 
@@ -30,6 +30,11 @@ race:
 # pre-rewrite baseline, so the perf trajectory is tracked PR over PR.
 bench:
 	./scripts/bench.sh
+
+# benchsmoke runs every Go micro-benchmark once: `go test` only compiles
+# benchmarks, so one that panics at run time would otherwise pass.
+benchsmoke:
+	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x ./...
 
 # benchtest runs rrbench's own tests (fold, the compare verdicts, a smoke
 # run of all four workloads). bench/ is a Go module of its own, so the root
@@ -80,9 +85,9 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 4 -controller event -shards 2 -seeds $(STRESS_SLO_SEEDS)
 
 # goldens byte-compares the Figure 5-8 outputs, the gen_rbs and gen_shards
-# sweeps of generated rbs scenarios and the storm_smp drain against the
-# committed goldens in testdata/goldens/ (re-bless with
-# scripts/goldens.sh -update).
+# sweeps of generated rbs scenarios, the storm_smp drain and the observer
+# event stream against the committed goldens in testdata/goldens/
+# (re-bless with scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
 

@@ -3,7 +3,6 @@ package realrate
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -203,57 +202,4 @@ func (s *System) threadByName(name string) *Thread {
 		}
 	}
 	return best
-}
-
-// fireFault translates a controller-detected fault to the public event.
-func (s *System) fireFault(f core.Fault) {
-	if len(s.hub.obs) == 0 {
-		return
-	}
-	ev := FaultEvent{
-		Time:   time.Duration(f.Time),
-		Kind:   f.Kind,
-		CPU:    -1,
-		Detail: f.Detail,
-		Err:    f.Err,
-	}
-	if f.Job != nil {
-		ev.Thread = handleOf(f.Job.Thread())
-	}
-	for _, o := range s.hub.obs {
-		o.OnFault(ev)
-	}
-}
-
-// fireDegrade fans a ladder demotion out to observers.
-func (s *System) fireDegrade(d core.Degradation) {
-	if len(s.hub.obs) == 0 {
-		return
-	}
-	ev := DegradeEvent{
-		Time:   time.Duration(d.Time),
-		Thread: handleOf(d.Job.Thread()),
-		From:   d.From.String(),
-		To:     d.To.String(),
-		Reason: d.Reason,
-	}
-	for _, o := range s.hub.obs {
-		o.OnDegrade(ev)
-	}
-}
-
-// fireRecover fans a ladder promotion out to observers.
-func (s *System) fireRecover(d core.Degradation) {
-	if len(s.hub.obs) == 0 {
-		return
-	}
-	ev := RecoverEvent{
-		Time:   time.Duration(d.Time),
-		Thread: handleOf(d.Job.Thread()),
-		From:   d.From.String(),
-		To:     d.To.String(),
-	}
-	for _, o := range s.hub.obs {
-		o.OnRecover(ev)
-	}
 }

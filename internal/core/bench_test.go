@@ -52,6 +52,43 @@ func TestControllerStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEventEmissionZeroAlloc pins that the control-event stream is free:
+// with a sink subscribed to every kind, an epoch that emits a step and an
+// actuation (a renegotiated reservation) allocates nothing — events are
+// values, so none escapes to the heap.
+func TestEventEmissionZeroAlloc(t *testing.T) {
+	r := stepRig(10)
+	op := kernel.OpSleep{D: 50 * sim.Millisecond}
+	rt := r.kern.Spawn("rt", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return &op }))
+	j, err := r.ctl.AddRealTime(rt, 100, 10*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps, actuations int
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		switch ev.Kind {
+		case core.EventStep:
+			steps++
+		case core.EventActuate:
+			actuations++
+		}
+	}), ^core.EventKind(0))
+	prop := 100
+	allocs := testing.AllocsPerRun(100, func() {
+		prop = 300 - prop
+		if err := r.ctl.Renegotiate(j, prop); err != nil {
+			t.Fatal(err)
+		}
+		r.epoch(t)
+	})
+	if allocs != 0 {
+		t.Fatalf("an epoch emitting events allocates %.1f allocs/op, want 0", allocs)
+	}
+	if steps < 100 || actuations < 100 {
+		t.Fatalf("sink saw %d steps and %d actuations over 101 epochs; the emissions were not measured", steps, actuations)
+	}
+}
+
 // TestControllerStepScalesPastFloorLimit pins the graceful floor
 // degradation: with more adaptive jobs than the capacity has ppt for their
 // floors, an epoch must squish to a scaled floor instead of panicking (the

@@ -212,20 +212,13 @@ type Controller struct {
 	effectiveThreshold int
 	lastMisses         uint64
 
-	exceptions []QualityException
-	onQuality  func(QualityException)
-	onStep     func(now sim.Time)
-	// onActuate observes every reservation change pushed to the dispatcher.
-	// Nil (the default) keeps actuate's hot path a single branch.
-	onActuate func(j *Job, prop int, period sim.Duration, now sim.Time)
+	// subs are the event sinks (see Subscribe); subscribed is the OR of
+	// their kinds, so every emission site is one bit test.
+	subs       []subscription
+	subscribed EventKind
 
 	// faults is the optional fault injector; nil in healthy runs.
 	faults FaultInjector
-	// onFault/onDegrade/onRecover surface fault-tolerance events to the
-	// observer layer.
-	onFault   func(Fault)
-	onDegrade func(Degradation)
-	onRecover func(Degradation)
 	// health accumulates the fault-tolerance counters.
 	health Health
 	// delayed holds actuations deferred by DelayActuation faults until
@@ -235,11 +228,6 @@ type Controller struct {
 	// gov is the optional supervisory overload governor (the outer control
 	// loop over this inner one); nil keeps every hot path a single branch.
 	gov *overload.Governor
-	// onShed fires for every job the shed rung kills, before the kill, so
-	// observers can still resolve the job's threads.
-	onShed func(j *Job, now sim.Time)
-	// onRung fires on every ladder movement with the signals that drove it.
-	onRung func(now sim.Time, from, to overload.Rung, sig overload.Signals)
 	// sloProbe, when set, supplies the recent p99 wake→dispatch latency for
 	// the governor's SLO-driven trip point.
 	sloProbe func() sim.Duration
@@ -257,11 +245,6 @@ type Controller struct {
 	// samples counts adaptive-job feedback samples (pass-1 evaluations),
 	// the denominator of the event-driven mode's skip ratio.
 	samples uint64
-
-	// onJobAdd/onJobRemove announce membership changes to the control
-	// plane (internal/ctlplane), which owns per-shard job lists.
-	onJobAdd    func(j *Job)
-	onJobRemove func(j *Job)
 
 	// reapedExits is the kernel's exit count at the last reap scan. A
 	// member turns StateExited only through a kernel exit, so while the
@@ -475,46 +458,9 @@ func (c *Controller) Actuations() uint64 { return c.actuations }
 // in event-driven mode, only by the jobs actually re-sampled.
 func (c *Controller) Samples() uint64 { return c.samples }
 
-// OnJobChange installs the membership hooks the control plane uses
-// to maintain per-shard job lists: add fires after a job is registered,
-// remove after it leaves (Remove or reap). Either may be nil.
-func (c *Controller) OnJobChange(add, remove func(j *Job)) {
-	c.onJobAdd = add
-	c.onJobRemove = remove
-}
-
-// Exceptions returns the quality exceptions raised so far.
-func (c *Controller) Exceptions() []QualityException { return c.exceptions }
-
-// OnQuality installs a callback invoked for every quality exception.
-func (c *Controller) OnQuality(fn func(QualityException)) { c.onQuality = fn }
-
-// OnStep installs a callback invoked at the end of every control interval;
-// experiments use it to sample allocations in phase with the controller.
-func (c *Controller) OnStep(fn func(now sim.Time)) { c.onStep = fn }
-
-// OnActuate installs a callback invoked for every reservation change the
-// controller pushes into the dispatcher — the actuation seam observers and
-// trace tools consume. Pass nil to remove it.
-func (c *Controller) OnActuate(fn func(j *Job, prop int, period sim.Duration, now sim.Time)) {
-	c.onActuate = fn
-}
-
 // SetFaults installs (or clears, with nil) a fault injector. Healthy runs
 // keep the injector-nil fast path.
 func (c *Controller) SetFaults(fi FaultInjector) { c.faults = fi }
-
-// OnFault installs a callback invoked for every controller-detected fault:
-// rejected progress samples and failed/dropped/delayed actuations.
-func (c *Controller) OnFault(fn func(Fault)) { c.onFault = fn }
-
-// OnDegrade installs a callback invoked when the watchdog demotes a job
-// one rung down the degradation ladder.
-func (c *Controller) OnDegrade(fn func(Degradation)) { c.onDegrade = fn }
-
-// OnRecover installs a callback invoked when a degraded job's signal
-// recovers and the job is promoted one rung back up.
-func (c *Controller) OnRecover(fn func(Degradation)) { c.onRecover = fn }
 
 // SetGovernor installs (or clears, with nil) the supervisory overload
 // governor. Without one every governor-related path is a single nil check.
@@ -522,17 +468,6 @@ func (c *Controller) SetGovernor(g *overload.Governor) { c.gov = g }
 
 // Governor returns the installed overload governor, or nil.
 func (c *Controller) Governor() *overload.Governor { return c.gov }
-
-// OnShed installs a callback invoked for every job the governor's shed
-// rung kills. It fires before the job's threads are retired, so the
-// callback can still resolve them.
-func (c *Controller) OnShed(fn func(j *Job, now sim.Time)) { c.onShed = fn }
-
-// OnRungChange installs a callback invoked on every brownout-ladder
-// movement, with the interval's saturation signals.
-func (c *Controller) OnRungChange(fn func(now sim.Time, from, to overload.Rung, sig overload.Signals)) {
-	c.onRung = fn
-}
 
 // SetSLOProbe installs a callback supplying the recent p99 wake→dispatch
 // latency, sampled once per control interval for the governor's
@@ -828,8 +763,8 @@ func (c *Controller) Remove(j *Job) {
 		c.policy.Unregister(t)
 		c.reg.Unregister(t)
 	}
-	if c.onJobRemove != nil {
-		c.onJobRemove(j)
+	if c.wants(EventJobRemoved) {
+		c.emit(Event{Kind: EventJobRemoved, Time: c.kern.Now(), Job: j})
 	}
 	if c.recycle {
 		c.retired = append(c.retired, j)
@@ -980,8 +915,8 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 	if class.Adaptive() {
 		c.adaptive++
 	}
-	if c.onJobAdd != nil {
-		c.onJobAdd(j)
+	if c.wants(EventJobAdded) {
+		c.emit(Event{Kind: EventJobAdded, Time: c.kern.Now(), Job: j})
 	}
 	return j
 }
@@ -1027,9 +962,10 @@ func (c *Controller) maxMemberShare(j *Job, proportion int) int {
 // rung's importance-ordered load shedding. Only best-effort work is ever
 // a candidate: reservation-holding (real-time, aperiodic) and real-rate
 // jobs are never shed, and neither are interactive jobs (a user is
-// waiting on them). Ties break toward the oldest registration. Reports
+// waiting on them). Ties break toward the oldest registration. rung, the
+// ladder position that ordered the shed, rides on the EventShed. Reports
 // whether a victim was found.
-func (c *Controller) shedOne(now sim.Time) bool {
+func (c *Controller) shedOne(now sim.Time, rung overload.Rung) bool {
 	var victim *Job
 	for _, j := range c.jobs {
 		if j.class != Miscellaneous {
@@ -1053,8 +989,8 @@ func (c *Controller) shedOne(now sim.Time) bool {
 		return false
 	}
 	c.health.Sheds++
-	if c.onShed != nil {
-		c.onShed(victim, now)
+	if c.wants(EventShed) {
+		c.emit(Event{Kind: EventShed, Time: now, Job: victim, To: int8(rung)})
 	}
 	// Retire is re-entrancy-safe from inside the controller's step (the
 	// kernel's busy guard defers the reschedule), and the exit hook runs
@@ -1194,14 +1130,9 @@ func (c *Controller) maybeRaiseQuality(j *Job, alloc int, now sim.Time) {
 		return
 	}
 	if j.overloadStreak == c.cfg.OverloadStreak {
-		ex := QualityException{
-			Job: j, Time: now, Pressure: j.g.Output(),
-			Desired: j.desired, Allocated: alloc,
-			Reason: "sustained overload: renegotiate resource requirements",
-		}
-		c.exceptions = append(c.exceptions, ex)
-		if c.onQuality != nil {
-			c.onQuality(ex)
+		if c.wants(EventQuality) {
+			c.emit(Event{Kind: EventQuality, Time: now, Job: j, Value: j.g.Output(),
+				Desired: j.desired, Granted: alloc})
 		}
 		j.overloadStreak = 0
 	}
@@ -1215,15 +1146,15 @@ func (c *Controller) actuate(j *Job, prop int, period sim.Duration) {
 		if drop, delay := c.faults.ActuationFault(j.thread.Name(), now); drop || delay {
 			if drop {
 				c.health.ActuationsDropped++
-				if c.onFault != nil {
-					c.onFault(Fault{Time: now, Job: j, Kind: "actuation-dropped"})
+				if c.wants(EventActuationDropped) {
+					c.emit(Event{Kind: EventActuationDropped, Time: now, Job: j})
 				}
 				return
 			}
 			c.health.ActuationsDelayed++
 			c.delayed = append(c.delayed, delayedActuation{job: j, prop: prop, period: period})
-			if c.onFault != nil {
-				c.onFault(Fault{Time: now, Job: j, Kind: "actuation-delayed"})
+			if c.wants(EventActuationDelayed) {
+				c.emit(Event{Kind: EventActuationDelayed, Time: now, Job: j})
 			}
 			return
 		}
@@ -1261,9 +1192,9 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 		}
 		if err := c.policy.SetReservation(t, rbs.Reservation{Proportion: p, Period: period}); err != nil {
 			c.health.ActuationErrors++
-			if c.onFault != nil {
+			if c.wants(EventActuationError) {
 				aerr := &ActuationError{Job: j, Proportion: p, Period: period, Err: err}
-				c.onFault(Fault{Time: c.kern.Now(), Job: j, Kind: "actuation-error", Err: aerr})
+				c.emit(Event{Kind: EventActuationError, Time: c.kern.Now(), Job: j, Err: aerr})
 			}
 			continue
 		}
@@ -1275,8 +1206,8 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 	// may exit — all before this line. An actuation event for a thread
 	// that retired mid-actuation must not escape: observers are promised
 	// that nothing fires after retirement.
-	if c.onActuate != nil && j.thread.State() != kernel.StateExited {
-		c.onActuate(j, prop, period, c.kern.Now())
+	if c.wants(EventActuate) && j.thread.State() != kernel.StateExited {
+		c.emit(Event{Kind: EventActuate, Time: c.kern.Now(), Job: j, Prop: prop, Period: period})
 	}
 }
 
@@ -1296,9 +1227,8 @@ func (c *Controller) samplePressure(j *Job, now sim.Time) (float64, bool) {
 	}
 	if math.IsNaN(sum) || math.IsInf(sum, 0) {
 		c.health.SignalsRejected++
-		if c.onFault != nil {
-			c.onFault(Fault{Time: now, Job: j, Kind: "signal-rejected",
-				Detail: fmt.Sprintf("pressure %v", sum)})
+		if c.wants(EventSignalRejected) {
+			c.emit(Event{Kind: EventSignalRejected, Time: now, Job: j, Value: sum})
 		}
 		return j.lastRaw, false
 	}
@@ -1366,9 +1296,8 @@ func (c *Controller) demote(j *Job, now sim.Time) {
 		}
 	}
 	c.health.Degradations++
-	if c.onDegrade != nil {
-		c.onDegrade(Degradation{Time: now, Job: j, From: from, To: j.degraded,
-			Reason: "flat progress signal"})
+	if c.wants(EventDegrade) {
+		c.emit(Event{Kind: EventDegrade, Time: now, Job: j, From: int8(from), To: int8(j.degraded)})
 	}
 }
 
@@ -1377,9 +1306,8 @@ func (c *Controller) promote(j *Job, now sim.Time) {
 	from := j.degraded
 	j.degraded--
 	c.health.Recoveries++
-	if c.onRecover != nil {
-		c.onRecover(Degradation{Time: now, Job: j, From: from, To: j.degraded,
-			Reason: "progress signal recovered"})
+	if c.wants(EventRecover) {
+		c.emit(Event{Kind: EventRecover, Time: now, Job: j, From: int8(from), To: int8(j.degraded)})
 	}
 }
 

@@ -216,10 +216,10 @@ func TestConsumerAllocationDoublesOnRateStep(t *testing.T) {
 	q, _, ct := buildPipeline(r, 1<<20, 100, rate, 40)
 
 	alloc := metrics.NewSeries("consumer.alloc")
-	r.ctl.OnStep(func(now sim.Time) {
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
 		j, _ := r.ctl.JobOf(ct)
-		alloc.Add(now, float64(j.Allocated()))
-	})
+		alloc.Add(ev.Time, float64(j.Allocated()))
+	}), core.EventStep)
 	r.start()
 	r.run(8 * sim.Second)
 	r.kern.Stop()
@@ -326,11 +326,11 @@ func TestQualityExceptionOnSustainedOverload(t *testing.T) {
 	// squished to what is left.
 	q, _, _ := buildPipeline(r, 1<<20, 100, workload.ConstantRate(50), 400)
 	raised := 0
-	r.ctl.OnQuality(func(ex core.QualityException) { raised++ })
+	r.ctl.Subscribe(core.SinkFunc(func(core.Event) { raised++ }), core.EventQuality)
 	r.start()
 	r.run(20 * sim.Second)
 	r.kern.Stop()
-	if raised == 0 && len(r.ctl.Exceptions()) == 0 {
+	if raised == 0 {
 		t.Fatalf("no quality exception despite overload (fill=%.2f)", q.FillLevel())
 	}
 }

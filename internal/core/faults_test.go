@@ -113,9 +113,17 @@ func TestWatchdogWalksLadderAndRecovers(t *testing.T) {
 	r.reg.Register(th, m)
 	j := r.ctl.AddRealRate(th, 10*sim.Millisecond)
 
-	var degrades, recovers []core.Degradation
-	r.ctl.OnDegrade(func(d core.Degradation) { degrades = append(degrades, d) })
-	r.ctl.OnRecover(func(d core.Degradation) { recovers = append(recovers, d) })
+	var degrades, recovers []core.Event
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		if ev.Kind == core.EventDegrade {
+			degrades = append(degrades, ev)
+		} else {
+			recovers = append(recovers, ev)
+		}
+	}), core.EventDegrade|core.EventRecover)
+	step := func(ev core.Event) [2]core.DegradeLevel {
+		return [2]core.DegradeLevel{core.DegradeLevel(ev.From), core.DegradeLevel(ev.To)}
+	}
 
 	// Phase 1: a bit-flat mid-range signal while the thread burns CPU —
 	// the watchdog must demote real-rate → fallback → misc and stop there.
@@ -127,10 +135,9 @@ func TestWatchdogWalksLadderAndRecovers(t *testing.T) {
 	if len(degrades) != 2 {
 		t.Fatalf("degrade events = %d, want 2 (fallback, then misc)", len(degrades))
 	}
-	if degrades[0].From != core.LevelRealRate || degrades[0].To != core.LevelFallback ||
-		degrades[1].From != core.LevelFallback || degrades[1].To != core.LevelMisc {
-		t.Fatalf("ladder walked %v->%v then %v->%v", degrades[0].From, degrades[0].To,
-			degrades[1].From, degrades[1].To)
+	if step(degrades[0]) != [2]core.DegradeLevel{core.LevelRealRate, core.LevelFallback} ||
+		step(degrades[1]) != [2]core.DegradeLevel{core.LevelFallback, core.LevelMisc} {
+		t.Fatalf("ladder walked %v then %v", step(degrades[0]), step(degrades[1]))
 	}
 	h := r.ctl.Health()
 	if h.Degradations != 2 || h.JobsDegraded != 1 {
@@ -183,7 +190,7 @@ func TestRejectedSignalHoldsDesireAndCounts(t *testing.T) {
 	inj := &scriptedInjector{}
 	r.ctl.SetFaults(inj)
 	var kinds []string
-	r.ctl.OnFault(func(f core.Fault) { kinds = append(kinds, f.Kind) })
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { kinds = append(kinds, ev.Kind.String()) }), core.EventFaults)
 
 	r.start()
 	r.run(sim.Second)
@@ -213,7 +220,7 @@ func TestActuationFaultsDropDelayAndRecover(t *testing.T) {
 	inj := &scriptedInjector{}
 	r.ctl.SetFaults(inj)
 	kinds := map[string]int{}
-	r.ctl.OnFault(func(f core.Fault) { kinds[f.Kind]++ })
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { kinds[ev.Kind.String()]++ }), core.EventFaults)
 
 	r.start()
 	// Dropped actuations: the dispatcher never sees the controller's

@@ -40,7 +40,7 @@ func TestRenegotiateRefusedForWatchdogManagedJobs(t *testing.T) {
 	j := r.ctl.AddRealRate(th, 10*sim.Millisecond)
 
 	recovers := 0
-	r.ctl.OnRecover(func(core.Degradation) { recovers++ })
+	r.ctl.Subscribe(core.SinkFunc(func(core.Event) { recovers++ }), core.EventRecover)
 
 	// Flat signal long enough for the watchdog to demote twice.
 	r.start()
@@ -193,9 +193,9 @@ func TestGovernorShedsInImportanceOrder(t *testing.T) {
 	}
 	r.ctl.SetGovernor(governorAt(overload.Shed))
 	var shedOrder []string
-	r.ctl.OnShed(func(j *core.Job, now sim.Time) {
-		shedOrder = append(shedOrder, j.Thread().Name())
-	})
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		shedOrder = append(shedOrder, ev.Job.Thread().Name())
+	}), core.EventShed)
 
 	r.start()
 	r.run(sim.Second)

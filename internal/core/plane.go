@@ -170,9 +170,9 @@ func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []flo
 }
 
 // EpochEpilogue ends one control epoch: feed the governor the saturation
-// signals aggregated across every shard, execute its decision, and fire
-// the per-step callback. The control plane calls it once per epoch, on
-// the last shard's tick.
+// signals aggregated across every shard, execute its decision, and emit
+// EventStep. The control plane calls it once per epoch, on the last
+// shard's tick.
 //
 // desired and granted are the demand and granted proportion summed over
 // every job. A job's desire is clamped to MaxProportion, the most it could
@@ -201,17 +201,18 @@ func (c *Controller) EpochEpilogue(now sim.Time, desired, granted int) {
 			sig.RecentP99 = c.sloProbe()
 		}
 		dec := c.gov.Observe(sig)
-		if dec.Changed() && c.onRung != nil {
-			c.onRung(now, dec.From, dec.Rung, sig)
+		if dec.Changed() && c.wants(EventRung) {
+			c.emit(Event{Kind: EventRung, Time: now, From: int8(dec.From), To: int8(dec.Rung),
+				Desired: sig.Desired, Granted: sig.Granted, Capacity: sig.Capacity})
 		}
 		for n := dec.Shed; n > 0; n-- {
-			if !c.shedOne(now) {
+			if !c.shedOne(now, dec.Rung) {
 				break
 			}
 		}
 	}
-	if c.onStep != nil {
-		c.onStep(now)
+	if c.wants(EventStep) {
+		c.emit(Event{Kind: EventStep, Time: now})
 	}
 }
 

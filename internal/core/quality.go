@@ -6,30 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// QualityException is the controller's overload notification (§3.1/§4.2):
-// when the CPU cannot satisfy a job — its queue stays pinned full while its
-// allocation is squished — the controller notifies the job so it can adapt
-// by lowering its resource requirements.
-type QualityException struct {
-	// Job is the affected job.
-	Job *Job
-	// Time is when the exception was raised.
-	Time sim.Time
-	// Pressure is the job's saturated progress pressure.
-	Pressure float64
-	// Desired and Allocated record the squish that triggered the
-	// exception.
-	Desired, Allocated int
-	// Reason distinguishes overload squish from admission rejection and
-	// renegotiation.
-	Reason string
-}
-
-func (q QualityException) String() string {
-	return fmt.Sprintf("quality exception at %v: job %s (%s) pressure %.2f desired %d got %d: %s",
-		q.Time, q.Job.thread.Name(), q.Job.class, q.Pressure, q.Desired, q.Allocated, q.Reason)
-}
-
 // AdmissionError is returned when admission control rejects a real-time
 // reservation request (§3.3: "the controller performs admission control by
 // rejecting new real-time jobs which request more CPU than is currently
@@ -79,8 +55,9 @@ func (e *OverloadError) Error() string {
 
 // ActuationError is raised when the dispatcher refuses a reservation the
 // controller tried to install. It used to be a panic
-// ("core: actuation failed"); now it is counted, surfaced through OnFault,
-// and the controller carries on with the job's previous reservation.
+// ("core: actuation failed"); now it is counted, emitted as an
+// EventActuationError, and the controller carries on with the job's
+// previous reservation.
 type ActuationError struct {
 	Job        *Job
 	Proportion int
@@ -94,19 +71,6 @@ func (e *ActuationError) Error() string {
 }
 
 func (e *ActuationError) Unwrap() error { return e.Err }
-
-// Fault is a controller-detected anomaly: a rejected progress sample, a
-// failed/dropped/delayed actuation. Faults are counted in Health and fan
-// out through the OnFault hook; they never panic the controller.
-type Fault struct {
-	Time sim.Time
-	Job  *Job
-	// Kind is the taxonomy slug: "signal-rejected", "actuation-error",
-	// "actuation-dropped", "actuation-delayed".
-	Kind   string
-	Detail string
-	Err    error
-}
 
 // DegradeLevel is a rung of the graceful-degradation ladder a real-rate
 // job descends when its progress signal goes flat: full feedback control,
@@ -136,14 +100,6 @@ func (l DegradeLevel) String() string {
 	default:
 		return fmt.Sprintf("level(%d)", int(l))
 	}
-}
-
-// Degradation records one movement on the ladder, in either direction.
-type Degradation struct {
-	Time     sim.Time
-	Job      *Job
-	From, To DegradeLevel
-	Reason   string
 }
 
 // Health is the controller's fault-tolerance counters snapshot.

@@ -63,9 +63,9 @@ func TestRenegotiateExitDuringActuationSkipsEvent(t *testing.T) {
 	}
 
 	var actuated []*kernel.Thread
-	r.ctl.OnActuate(func(aj *core.Job, prop int, period sim.Duration, now sim.Time) {
-		actuated = append(actuated, aj.Thread())
-	})
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		actuated = append(actuated, ev.Job.Thread())
+	}), core.EventActuate)
 	// Growing the reservation re-arms the budget and wakes the napper; the
 	// wake preempts the hog, the victim is dispatched, and its program
 	// exits — inside the actuate call.

@@ -41,7 +41,7 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 		r.start()
 
 		bound := r.plane.StalenessEpochs()
-		r.ctl.OnStep(func(now sim.Time) {
+		r.onStep(func(now sim.Time) {
 			if _, _, err := skipContract(r.plane); err != nil {
 				t.Fatalf("threshold=%v staleness=%dms shards=%d: t=%v: %v", threshold, stalenessMs, shards, now, err)
 			}

@@ -71,11 +71,11 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		// Every actuation of the job, stamped with the epoch it happened
 		// in: two in one epoch would mean a double-sample slipped through.
 		perEpoch := make(map[int64]int)
-		r.ctl.OnActuate(func(j *core.Job, prop int, period sim.Duration, now sim.Time) {
-			if j == job {
+		r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+			if ev.Job == job {
 				perEpoch[r.plane.Epoch()]++
 			}
-		})
+		}), core.EventActuate)
 
 		r.start()
 		r.eng.RunFor(2 * sim.Second)

@@ -260,7 +260,7 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 			p.cpuShard[c] = c % cfg.Shards
 		}
 	}
-	ctl.OnJobChange(p.jobAdded, p.jobRemoved)
+	ctl.Subscribe(core.SinkFunc(p.jobChanged), core.EventJobAdded|core.EventJobRemoved)
 	for _, j := range ctl.Jobs() {
 		p.jobAdded(j)
 	}
@@ -391,6 +391,16 @@ func (p *Plane) allocEntry() *entry {
 	e := &p.entSlab[0]
 	p.entSlab = p.entSlab[1:]
 	return e
+}
+
+// jobChanged keeps the shard job lists in step with the controller's
+// membership events.
+func (p *Plane) jobChanged(ev core.Event) {
+	if ev.Kind == core.EventJobAdded {
+		p.jobAdded(ev.Job)
+	} else {
+		p.jobRemoved(ev.Job)
+	}
 }
 
 // jobAdded registers a plane entry for a newly admitted job on its home

@@ -44,6 +44,11 @@ func newRigCfg(cpus int, ccfg core.Config, cfg Config) *rig {
 	}
 }
 
+// onStep calls fn at the end of every control epoch.
+func (r *rig) onStep(fn func(now sim.Time)) {
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { fn(ev.Time) }), core.EventStep)
+}
+
 func (r *rig) start() {
 	r.plane.Start()
 	r.kern.Start()
@@ -197,7 +202,7 @@ func TestEventDrivenStalenessBound(t *testing.T) {
 	r.start()
 
 	bound := r.plane.StalenessEpochs()
-	r.ctl.OnStep(func(now sim.Time) {
+	r.onStep(func(now sim.Time) {
 		for _, sh := range r.plane.shards {
 			for _, e := range sh.list {
 				if !e.sampled {
@@ -240,7 +245,7 @@ func TestShardStaggering(t *testing.T) {
 	r := newRig(1, Config{Shards: 4})
 	r.addMisc(8)
 	var ticks []sim.Time
-	r.ctl.OnStep(func(now sim.Time) { ticks = append(ticks, now) })
+	r.onStep(func(now sim.Time) { ticks = append(ticks, now) })
 	r.start()
 	r.eng.RunFor(sim.Second)
 	// Every shard ticks once immediately at start (as a lone shard

@@ -113,8 +113,8 @@ func RunReclaimAblation(reclaimOn bool, duration sim.Duration) ReclaimAblationRe
 	var samples int
 	tailFrom := sim.Time(duration / 2)
 	var hogCPUAtTail, consCPUAtTail sim.Duration
-	r.ctl.OnStep(func(now sim.Time) {
-		if now >= tailFrom {
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		if now := ev.Time; now >= tailFrom {
 			if samples == 0 {
 				hogCPUAtTail = hog.CPUTime()
 				consCPUAtTail = ct.CPUTime()
@@ -122,7 +122,7 @@ func RunReclaimAblation(reclaimOn bool, duration sim.Duration) ReclaimAblationRe
 			allocSum += float64(cj.Allocated())
 			samples++
 		}
-	})
+	}), core.EventStep)
 	r.start()
 	r.eng.RunFor(duration)
 	r.kern.Stop()

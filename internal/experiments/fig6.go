@@ -125,11 +125,18 @@ type PipelineResult struct {
 func RunPipeline(cfg PipelineConfig) PipelineResult {
 	cfg.fillDefaults()
 	r := newRig(nil, cfg.Ctl)
+	var quality int
+	events := core.EventQuality
 	if cfg.OnActuation != nil {
-		r.ctl.OnActuate(func(j *core.Job, prop int, period sim.Duration, now sim.Time) {
-			cfg.OnActuation(now, j.Thread().Name(), prop, period)
-		})
+		events |= core.EventActuate
 	}
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
+		if ev.Kind == core.EventQuality {
+			quality++
+			return
+		}
+		cfg.OnActuation(ev.Time, ev.Job.Thread().Name(), ev.Prop, ev.Period)
+	}), events)
 
 	q := r.kern.NewQueue("pipe", cfg.QueueSize)
 	rate := workload.PulseTrain(cfg.BaseRate, cfg.PulseStart, cfg.PulseWidths, cfg.PulseGap)
@@ -205,7 +212,7 @@ func RunPipeline(cfg PipelineConfig) PipelineResult {
 	if hogThread != nil {
 		res.HogShare = hogThread.CPUTime().Seconds() / cfg.Duration.Seconds()
 	}
-	res.QualityExceptions = len(r.ctl.Exceptions())
+	res.QualityExceptions = quality
 	return res
 }
 

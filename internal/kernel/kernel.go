@@ -90,8 +90,9 @@ type Tracer interface {
 	OnDeschedule(now sim.Time, t *Thread, ran sim.Duration)
 	// OnWake fires when a blocked or sleeping thread becomes runnable.
 	OnWake(now sim.Time, t *Thread)
-	// OnBlock fires when a thread blocks voluntarily.
-	OnBlock(now sim.Time, t *Thread, on string)
+	// OnBlock fires when a thread blocks voluntarily on wq (wq.Label()
+	// names it).
+	OnBlock(now sim.Time, t *Thread, wq *WaitQueue)
 	// OnMigration fires when a thread is moved between CPUs (work-pull on
 	// an idle CPU). It never fires on a single-CPU machine.
 	OnMigration(now sim.Time, t *Thread, from, to int)
@@ -962,7 +963,7 @@ func (k *Kernel) block(t *Thread, wq *WaitQueue, now sim.Time) {
 	t.waitingOn = wq
 	wq.push(t)
 	if k.tracer != nil {
-		k.tracer.OnBlock(now, t, wq.label())
+		k.tracer.OnBlock(now, t, wq)
 	}
 	k.policy.Dequeue(t, now)
 	if c := &k.cpus[t.cpu]; c.current == t {

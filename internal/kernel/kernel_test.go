@@ -208,6 +208,32 @@ func TestProducerConsumerPipeline(t *testing.T) {
 	}
 }
 
+// TestBlockOnQueueHalfAllocatesNothing pins that a block event costs a
+// tracer nothing it does not ask for: the wait queue's label (the queue
+// name plus its half's suffix) is built only by a tracer that reads it,
+// so with one that ignores OnBlock a block/wake cycle on a queue half
+// allocates nothing.
+func TestBlockOnQueueHalfAllocatesNothing(t *testing.T) {
+	eng, k := newRRMachine(sim.Millisecond)
+	k.SetTracer(traceFunc(func(sim.Time, *kernel.Thread) {}))
+	q := k.NewQueue("pipe", 1024)
+	// A slow producer keeps the consumer blocking on the notEmpty half.
+	k.Spawn("prod", &pcProgram{q: q, cycles: 40_000, bytes: 128, produce: true})
+	cons := k.Spawn("cons", &pcProgram{q: q, cycles: 1000, bytes: 128})
+	k.Start()
+	// Warm up until every timer-wheel slot has grown to its working size.
+	eng.RunFor(sim.Second)
+	blocked := cons.BlockedCount()
+	allocs := testing.AllocsPerRun(10, func() { eng.RunFor(10 * sim.Millisecond) })
+	k.Stop()
+	if cons.BlockedCount() == blocked {
+		t.Fatal("the consumer never blocked during the measured runs")
+	}
+	if allocs != 0 {
+		t.Fatalf("block/wake cycles allocated %v times per run, want 0", allocs)
+	}
+}
+
 func TestConsumerBlocksOnEmptyQueue(t *testing.T) {
 	eng, k := newRRMachine(sim.Millisecond)
 	q := k.NewQueue("pipe", 1024)

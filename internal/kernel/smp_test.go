@@ -49,8 +49,8 @@ func (tr *smpTracer) OnDeschedule(now sim.Time, t *kernel.Thread, ran sim.Durati
 	delete(tr.onCPU, cpu)
 }
 
-func (tr *smpTracer) OnWake(now sim.Time, t *kernel.Thread)             {}
-func (tr *smpTracer) OnBlock(now sim.Time, t *kernel.Thread, on string) {}
+func (tr *smpTracer) OnWake(now sim.Time, t *kernel.Thread)                        {}
+func (tr *smpTracer) OnBlock(now sim.Time, t *kernel.Thread, wq *kernel.WaitQueue) {}
 
 func (tr *smpTracer) OnMigration(now sim.Time, t *kernel.Thread, from, to int) {
 	tr.migrations++
@@ -238,5 +238,5 @@ type traceFunc func(now sim.Time, t *kernel.Thread)
 func (f traceFunc) OnDispatch(now sim.Time, t *kernel.Thread)                     { f(now, t) }
 func (f traceFunc) OnDeschedule(now sim.Time, t *kernel.Thread, ran sim.Duration) {}
 func (f traceFunc) OnWake(now sim.Time, t *kernel.Thread)                         {}
-func (f traceFunc) OnBlock(now sim.Time, t *kernel.Thread, on string)             {}
+func (f traceFunc) OnBlock(now sim.Time, t *kernel.Thread, wq *kernel.WaitQueue)  {}
 func (f traceFunc) OnMigration(now sim.Time, t *kernel.Thread, from, to int)      {}

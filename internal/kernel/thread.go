@@ -194,8 +194,9 @@ const (
 // NewWaitQueue returns an empty named wait queue.
 func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
 
-// label returns the trace name, deriving the queue-half suffix on demand.
-func (wq *WaitQueue) label() string {
+// Label returns the trace name, deriving the queue-half suffix on demand —
+// only a tracer that logs block events pays for the string.
+func (wq *WaitQueue) Label() string {
 	switch wq.kind {
 	case wqNotFull:
 		return wq.name + ".notFull"

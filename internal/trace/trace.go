@@ -215,8 +215,8 @@ func (r *Recorder) OnWake(now sim.Time, t *kernel.Thread) {
 // OnBlock implements kernel.Tracer. It logs without touching aggregates
 // (matching the original recorder), so a thread that only ever blocks does
 // not grow a summary row.
-func (r *Recorder) OnBlock(now sim.Time, t *kernel.Thread, on string) {
-	r.log(now, Block, t.Name(), 0, on, t.CPU(), 0)
+func (r *Recorder) OnBlock(now sim.Time, t *kernel.Thread, wq *kernel.WaitQueue) {
+	r.log(now, Block, t.Name(), 0, wq.Label(), t.CPU(), 0)
 }
 
 // OnMigration implements kernel.Tracer. Like OnBlock it logs without

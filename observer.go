@@ -1,10 +1,12 @@
 package realrate
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/overload"
 	"repro/internal/sim"
 )
 
@@ -123,13 +125,17 @@ func (s *System) Observe(o Observer) {
 	}
 	s.hub.obs = append(s.hub.obs, o)
 	s.hub.install()
+	if len(s.hub.obs) == 1 && s.ctl != nil {
+		// Actuations are the one frequent controller event; an unobserved
+		// system takes none of them.
+		s.ctl.Subscribe(&s.hub, core.EventActuate)
+	}
 }
 
-// observerHub multiplexes kernel trace events and controller actuations to
+// observerHub multiplexes kernel trace events and controller events to
 // the trace recorder and registered observers. It is installed as the
-// kernel tracer (and controller actuation hook) only once tracing or an
-// observer actually exists, so unobserved systems keep the kernel's
-// tracer-nil fast path.
+// kernel tracer only once tracing or an observer actually exists, so
+// unobserved systems keep the kernel's tracer-nil fast path.
 type observerHub struct {
 	sys *System
 	rec kernel.Tracer // the trace recorder, when tracing is enabled
@@ -143,16 +149,13 @@ type observerHub struct {
 
 var _ kernel.Tracer = (*observerHub)(nil)
 
-// install wires the hub into the kernel and controller on first use.
+// install wires the hub into the kernel on first use.
 func (h *observerHub) install() {
 	if h.installed {
 		return
 	}
 	h.installed = true
 	h.sys.kern.SetTracer(h)
-	if h.sys.ctl != nil {
-		h.sys.ctl.OnActuate(h.onActuate)
-	}
 }
 
 // OnDispatch implements kernel.Tracer.
@@ -204,20 +207,71 @@ func (h *observerHub) OnWake(now sim.Time, t *kernel.Thread) {
 }
 
 // OnBlock implements kernel.Tracer (recorder-only).
-func (h *observerHub) OnBlock(now sim.Time, t *kernel.Thread, on string) {
+func (h *observerHub) OnBlock(now sim.Time, t *kernel.Thread, wq *kernel.WaitQueue) {
 	if h.rec != nil {
-		h.rec.OnBlock(now, t, on)
+		h.rec.OnBlock(now, t, wq)
 	}
 }
 
-// onActuate is the controller actuation hook.
-func (h *observerHub) onActuate(j *core.Job, prop int, period sim.Duration, now sim.Time) {
+// Handle implements core.Sink: it translates controller events to the
+// OnQuality callback and the public observer events.
+func (h *observerHub) Handle(ev core.Event) {
+	var th *Thread
+	if ev.Job != nil {
+		th = handleOf(ev.Job.Thread())
+	}
+	now := time.Duration(ev.Time)
+	if ev.Kind == core.EventQuality {
+		qe := QualityEvent{Thread: th, Time: now, Pressure: ev.Value,
+			Desired: ev.Desired, Allocated: ev.Granted, Reason: qualityReason}
+		if h.sys.onQuality != nil {
+			h.sys.onQuality(qe)
+		}
+		for _, o := range h.obs {
+			o.OnQuality(qe)
+		}
+		return
+	}
 	if len(h.obs) == 0 {
 		return
 	}
-	th := handleOf(j.Thread())
-	for _, o := range h.obs {
-		o.OnActuation(time.Duration(now), th, prop, time.Duration(period))
+	switch ev.Kind {
+	case core.EventActuate:
+		for _, o := range h.obs {
+			o.OnActuation(now, th, ev.Prop, time.Duration(ev.Period))
+		}
+	case core.EventDegrade:
+		de := DegradeEvent{Time: now, Thread: th, From: core.DegradeLevel(ev.From).String(),
+			To: core.DegradeLevel(ev.To).String(), Reason: "flat progress signal"}
+		for _, o := range h.obs {
+			o.OnDegrade(de)
+		}
+	case core.EventRecover:
+		re := RecoverEvent{Time: now, Thread: th, From: core.DegradeLevel(ev.From).String(),
+			To: core.DegradeLevel(ev.To).String()}
+		for _, o := range h.obs {
+			o.OnRecover(re)
+		}
+	case core.EventShed:
+		se := ShedEvent{Time: now, Thread: th, Class: ev.Job.Class().String(),
+			Importance: ev.Job.Importance(), Rung: overload.Rung(ev.To).String()}
+		for _, o := range h.obs {
+			o.OnShed(se)
+		}
+	case core.EventRung:
+		oe := OverloadEvent{Time: now, From: overload.Rung(ev.From).String(), To: overload.Rung(ev.To).String(),
+			Desired: ev.Desired, Granted: ev.Granted, Capacity: ev.Capacity}
+		for _, o := range h.obs {
+			o.OnOverload(oe)
+		}
+	default: // a controller-detected fault
+		fe := FaultEvent{Time: now, Thread: th, Kind: ev.Kind.String(), CPU: -1, Err: ev.Err}
+		if ev.Kind == core.EventSignalRejected {
+			fe.Detail = fmt.Sprintf("pressure %v", ev.Value)
+		}
+		for _, o := range h.obs {
+			o.OnFault(fe)
+		}
 	}
 }
 

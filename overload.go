@@ -3,7 +3,6 @@ package realrate
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/overload"
 	"repro/internal/sim"
 )
@@ -101,45 +100,4 @@ type ShedEvent struct {
 	Importance float64
 	// Rung is the ladder position that ordered the shed.
 	Rung string
-}
-
-// fireOverload fans a ladder movement out to observers.
-func (s *System) fireOverload(now sim.Time, from, to overload.Rung, sig overload.Signals) {
-	if len(s.hub.obs) == 0 {
-		return
-	}
-	ev := OverloadEvent{
-		Time:     time.Duration(now),
-		From:     from.String(),
-		To:       to.String(),
-		Desired:  sig.Desired,
-		Granted:  sig.Granted,
-		Capacity: sig.Capacity,
-	}
-	for _, o := range s.hub.obs {
-		o.OnOverload(ev)
-	}
-}
-
-// fireShed fans a shed kill out to observers. It runs before the victim's
-// threads are retired, so their handles still resolve.
-func (s *System) fireShed(j *core.Job, now sim.Time) {
-	if len(s.hub.obs) == 0 {
-		return
-	}
-	ev := ShedEvent{
-		Time:       time.Duration(now),
-		Thread:     handleOf(j.Thread()),
-		Class:      j.Class().String(),
-		Importance: j.Importance(),
-		Rung:       "shed",
-	}
-	if s.ctl != nil {
-		if g := s.ctl.Governor(); g != nil {
-			ev.Rung = g.Rung().String()
-		}
-	}
-	for _, o := range s.hub.obs {
-		o.OnShed(ev)
-	}
 }

@@ -294,12 +294,11 @@ func NewSystem(cfg Config) *System {
 	}
 	if rbsPol != nil {
 		s.ctl = core.New(kern, rbsPol, reg, ccfg)
-		// Quality exceptions and faults are rare, so the hooks are
-		// installed unconditionally; they fan out to observers.
-		s.ctl.OnQuality(s.fireQuality)
-		s.ctl.OnFault(s.fireFault)
-		s.ctl.OnDegrade(s.fireDegrade)
-		s.ctl.OnRecover(s.fireRecover)
+		// Every controller event but actuation is rare, so the hub takes
+		// them unconditionally; actuations it takes once an observer
+		// exists (see Observe).
+		s.ctl.Subscribe(&s.hub, core.EventQuality|core.EventFaults|core.EventDegrade|
+			core.EventRecover|core.EventShed|core.EventRung)
 		if s.faults != nil {
 			s.ctl.SetFaults(s.faults)
 		}
@@ -314,8 +313,6 @@ func NewSystem(cfg Config) *System {
 		s.hub.install()
 		if s.ctl != nil {
 			s.ctl.SetGovernor(overload.New(cfg.Overload.governorConfig()))
-			s.ctl.OnShed(s.fireShed)
-			s.ctl.OnRungChange(s.fireOverload)
 			if cfg.Overload.LatencyTrip > 0 {
 				// The probe sorts the recent latency window every control
 				// interval — only worth paying when the ladder is actually
@@ -326,8 +323,8 @@ func NewSystem(cfg Config) *System {
 	}
 	if s.ctl != nil {
 		// Built last so the plane sees the fully-wired controller; it
-		// claims the controller's job-change hooks and — in event mode —
-		// the registry's dirty hook.
+		// subscribes to the controller's job-change events and — in event
+		// mode — claims the registry's dirty hook.
 		s.plane = buildPlane(s, cfg.CtlPlane)
 	}
 	if !cfg.disablePools {
@@ -446,24 +443,9 @@ func (s *System) Every(interval time.Duration, fn func(now time.Duration)) {
 // Under a baseline policy no controller runs, so the callback never fires.
 func (s *System) OnQuality(fn func(QualityEvent)) { s.onQuality = fn }
 
-// fireQuality translates a controller exception to the public event and
-// fans it out to the OnQuality callback and every observer.
-func (s *System) fireQuality(ex core.QualityException) {
-	ev := QualityEvent{
-		Thread:    handleOf(ex.Job.Thread()),
-		Time:      time.Duration(ex.Time),
-		Pressure:  ex.Pressure,
-		Desired:   ex.Desired,
-		Allocated: ex.Allocated,
-		Reason:    ex.Reason,
-	}
-	if s.onQuality != nil {
-		s.onQuality(ev)
-	}
-	for _, o := range s.hub.obs {
-		o.OnQuality(ev)
-	}
-}
+// qualityReason is the Reason of every QualityEvent: the controller raises
+// quality exceptions for sustained overload only.
+const qualityReason = "sustained overload: renegotiate resource requirements"
 
 // QualityEvent is a quality exception surfaced to the application.
 type QualityEvent struct {
