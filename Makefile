@@ -25,11 +25,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the sim/kernel hot-path benchmarks with -benchmem and records
-# the results (ns/op, B/op, allocs/op) in BENCH_results.json alongside the
-# pre-rewrite baseline, so the perf trajectory is tracked PR over PR.
+# bench runs rrbench, the repo's benchmark (bench/, see BENCHMARK.json):
+# every workload end to end, each in its own process, with host metrics
+# from quiet rounds. To keep a record, run the same command with
+# -out <file>; `bash bench/run.sh -compare base.json cand.json` compares
+# two. BENCH_results.json is frozen history from before rrbench and is no
+# longer appended to.
 bench:
-	./scripts/bench.sh
+	bash bench/run.sh -workload all -trace 0
 
 # benchsmoke runs every Go micro-benchmark once: `go test` only compiles
 # benchmarks, so one that panics at run time would otherwise pass.

@@ -127,8 +127,7 @@ func BenchmarkStormDispatch(b *testing.B) {
 // registered CPU-bound threads, each owing a fixed amount of work — on
 // machines of 1/2/4/8 CPUs. More CPUs retire the same backlog in fewer
 // simulated seconds (sim_elapsed_s), which is what pulls the wall time
-// down with it: the throughput claim of the SMP kernel, recorded in
-// BENCH_results.json by scripts/bench.sh.
+// down with it: the throughput claim of the SMP kernel.
 func BenchmarkStormSMP(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		for _, cpus := range []int{1, 2, 4, 8} {
@@ -363,8 +362,7 @@ func BenchmarkSLOSessions(b *testing.B) {
 // perturbs the schedule (TestGovernorIdleZeroThroughputCost pins this at
 // ≤1%, actually 0%, in the regular test suite). The ns/op delta is the
 // host-side instrumentation cost of the SLO tap and governor sampling —
-// wall clock, not machine throughput — recorded in BENCH_results.json
-// by scripts/bench.sh so the trajectory is tracked PR over PR.
+// wall clock, not machine throughput.
 func BenchmarkOverloadGovernor(b *testing.B) {
 	run := func(b *testing.B, overload *realrate.OverloadConfig) {
 		b.ReportAllocs()

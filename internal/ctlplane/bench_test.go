@@ -130,8 +130,8 @@ func TestEventDrivenPerJobCostScales(t *testing.T) {
 // TestSoak1MAdmission is the scale soak: admit one million miscellaneous
 // jobs and run a handful of control epochs under the sharded event-driven
 // plane. It exists to prove admission and the per-epoch machinery stay
-// tractable at six figures of jobs — the wall time is logged for
-// scripts/bench.sh history.
+// tractable at six figures of jobs — the wall time is logged in the test
+// output.
 func TestSoak1MAdmission(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

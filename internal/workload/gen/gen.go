@@ -354,10 +354,13 @@ type RunOpts struct {
 	// Shards splits the controller across this many staggered shard
 	// threads (0 or 1: one shard, the paper's single controller thread).
 	Shards int
-	// NoInvariants skips the invariant checker entirely. Large-scale
-	// perf runs (rrexp -slo at 100k+ sessions, BenchmarkSLOSessions) pay
-	// for the workload, not the oracles; the session counters and SLO
-	// report are still produced.
+	// NoInvariants skips the invariant checker and nothing else: the
+	// workload, including the session driver, runs the same code either
+	// way. Large-scale perf runs (rrexp -slo at 100k+ sessions,
+	// BenchmarkSLOSessions) pay for the workload, not the oracles; the
+	// session counters, session oracles and SLO report are still
+	// produced, but Report carries no checker counters and Allocations
+	// is nil.
 	NoInvariants bool
 }
 

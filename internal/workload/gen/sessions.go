@@ -68,10 +68,10 @@ type sessionRef struct {
 	stage int
 }
 
-// sessionState is one session's live bookkeeping. Under the fast path
-// (invariant checking off) states are pooled: a terminal session's state
-// — queues, thread slots, embedded stage programs — is recycled to a
-// later arrival instead of being reallocated per session.
+// sessionState is one session's live bookkeeping. States are pooled: a
+// terminal session's state — queues, thread slots, embedded stage
+// programs — is recycled to a later arrival instead of being reallocated
+// per session.
 type sessionState struct {
 	id      int
 	arrival time.Duration
@@ -80,11 +80,9 @@ type sessionState struct {
 	// done[i] is set by stage i's program just before its voluntary
 	// Exit; an OnExit with done[stage] unset is involuntary (shed or
 	// killed) and kills the session.
-	done                     []bool
-	refused, completed, dead bool
+	done            []bool
+	completed, dead bool
 
-	// Fast-path pooling fields.
-	//
 	// idx is the state's position in sr.sess for O(1) swap-removal (−1
 	// when not listed); alive counts threads that have not yet exited —
 	// the state recycles when it reaches zero on a terminal session.
@@ -123,11 +121,9 @@ type sessionRun struct {
 
 	violations []Violation
 
-	// Fast-path machinery (active when the invariant checker is off):
-	// pooled session states, a single rolling arrival timer instead of
-	// one armed closure per plan, per-kind interned thread names, and a
-	// reused SpawnReq so an admission allocates no option closures.
-	fast     bool
+	// Pooled session states, one rolling arrival timer for the whole
+	// plan list, per-kind interned thread names, and a reused SpawnReq,
+	// so an arrival allocates no timer, program or option closure.
 	names    [2]sessionNames // indexed rr=0, be=1
 	plans    []sessionPlan
 	next     int
@@ -191,35 +187,18 @@ func newSessionRun(r *run, spec SessionSpec) *sessionRun {
 		// tracker's, which falls back the same way.
 		sr.deadline = realrate.DefaultSessionSLO
 	}
-	if r.chk == nil {
-		// Without the invariant checker (open-loop storm benchmarks and
-		// production-shaped sweeps) the recycling fast path drives
-		// sessions; the checker-on path keeps the classic per-session
-		// allocation so the pools-on/off A/B comparison runs an identical
-		// driver on both sides.
-		sr.fast = true
-		sr.names[0] = makeSessionNames("rr", sr.stages)
-		sr.names[1] = makeSessionNames("be", sr.stages)
-	}
+	sr.names[0] = makeSessionNames("rr", sr.stages)
+	sr.names[1] = makeSessionNames("be", sr.stages)
 	return sr
 }
 
 // payload is the total bytes a session moves through each queue.
 func (sr *sessionRun) payload() int64 { return sr.chunks * sr.chunk }
 
-// schedule arms the planned arrivals: classically one timer closure per
-// plan; on the fast path one rolling Timer walks the (monotone) plan
-// list, batching every same-instant arrival through a single callback.
+// schedule arms the planned arrivals: one rolling Timer walks the
+// (monotone) plan list, batching every same-instant arrival through a
+// single callback.
 func (sr *sessionRun) schedule(plans []sessionPlan) {
-	if !sr.fast {
-		for i := range plans {
-			id, p := i, plans[i]
-			sr.r.sys.After(p.at, func(now time.Duration) {
-				sr.spawn(id, p, now)
-			})
-		}
-		return
-	}
 	if len(plans) == 0 {
 		return
 	}
@@ -228,7 +207,7 @@ func (sr *sessionRun) schedule(plans []sessionPlan) {
 		for sr.next < len(sr.plans) && sr.plans[sr.next].at <= now {
 			i := sr.next
 			sr.next++
-			sr.spawnFast(i, sr.plans[i], now)
+			sr.spawn(i, sr.plans[i], now)
 		}
 		if sr.next < len(sr.plans) {
 			sr.arr.Arm(sr.plans[sr.next].at - now)
@@ -237,23 +216,15 @@ func (sr *sessionRun) schedule(plans []sessionPlan) {
 	sr.arr.Arm(plans[0].at)
 }
 
-// kindOf names the session class for thread names and the SLO report's
-// per-kind session dimension.
-func kindOf(bestEffort bool) string {
-	if bestEffort {
-		return "be"
-	}
-	return "rr"
-}
-
 // spawn admits one whole session: primary ingest first (where admission
 // and the governor's veto apply), then the downstream stages into the
 // same job. Threads of every session share per-role names — "sess.rr.s1"
 // and friends — so the SLO tracker's by-job dimension stays O(stages),
-// not O(sessions).
+// not O(sessions). Session state, queues, stage programs, and thread
+// names all come from pools or interned tables, so a refused arrival
+// allocates nothing and an admitted one allocates only its thread
+// handles.
 func (sr *sessionRun) spawn(id int, p sessionPlan, now time.Duration) {
-	st := &sessionState{id: id, arrival: now, done: make([]bool, sr.stages)}
-	sr.sess = append(sr.sess, st)
 	sr.started++
 	if sr.spec.MaxLive > 0 && sr.live >= sr.spec.MaxLive {
 		// Accept-backlog overflow: the blind connection drop every real
@@ -262,78 +233,6 @@ func (sr *sessionRun) spawn(id int, p sessionPlan, now time.Duration) {
 		// shed load here — bluntly, with no importance order and no
 		// latency signal — which is exactly the contrast the attainment
 		// curves are meant to show.
-		st.refused = true
-		sr.refused++
-		return
-	}
-	kind := kindOf(p.bestEffort)
-
-	st.queues = make([]*realrate.Queue, sr.stages-1)
-	for i := range st.queues {
-		st.queues[i] = sr.r.sys.NewQueue(fmt.Sprintf("sess%d.q%d", id, i), sr.chunk*2)
-		sr.r.chk.watchQueue(st.queues[i])
-	}
-
-	var opts []realrate.SpawnOption
-	if p.bestEffort {
-		opts = []realrate.SpawnOption{realrate.Miscellaneous(), realrate.Importance(p.importance)}
-	} else {
-		opts = []realrate.SpawnOption{
-			realrate.RealRate(0, realrate.ProducerOf(st.queues[0])),
-			realrate.Importance(p.importance),
-		}
-	}
-	primary, err := sr.r.sys.Spawn("sess."+kind+".src", sr.srcProg(st, st.queues[0]), opts...)
-	sr.r.chk.spawned(primary, err, false, -1)
-	if err != nil {
-		st.refused = true
-		sr.refused++
-		return
-	}
-	st.threads = append(st.threads, primary)
-	sr.byTh[primary] = sessionRef{st, 0}
-	sr.live++
-	if sr.live > sr.peakLive {
-		sr.peakLive = sr.live
-	}
-
-	for s := 1; s < sr.stages; s++ {
-		var prog realrate.Program
-		name := fmt.Sprintf("sess.%s.s%d", kind, s)
-		if s < sr.stages-1 {
-			prog = sr.stageProg(st, s, st.queues[s-1], st.queues[s])
-		} else {
-			name = "sess." + kind + ".sink"
-			prog = sr.sinkProg(st, kind, st.queues[s-1])
-		}
-		var mopts []realrate.SpawnOption
-		if sr.r.policy == "rbs" {
-			// Members join the primary's job: exempt from the admission
-			// veto, so an admitted session never half-spawns.
-			mopts = append(mopts, realrate.InJob(primary))
-		}
-		mth, merr := sr.r.sys.Spawn(name, prog, mopts...)
-		sr.r.chk.spawned(mth, merr, false, -1)
-		if merr != nil {
-			// Members are veto-exempt; a refusal here is a harness bug.
-			sr.violate("session-conservation", now,
-				"session %d stage %d refused after the primary was admitted: %v", id, s, merr)
-			sr.killSession(st, nil)
-			return
-		}
-		st.threads = append(st.threads, mth)
-		sr.byTh[mth] = sessionRef{st, s}
-	}
-}
-
-// spawnFast is the pooled-admission form of spawn: session state, queues,
-// stage programs, and thread names all come from pools or interned
-// tables, so a refused arrival allocates nothing and an admitted one
-// allocates only its thread handles. Semantics match spawn exactly — the
-// same admission order, the same veto points, the same counters.
-func (sr *sessionRun) spawnFast(id int, p sessionPlan, now time.Duration) {
-	sr.started++
-	if sr.spec.MaxLive > 0 && sr.live >= sr.spec.MaxLive {
 		sr.refused++
 		return
 	}
@@ -353,6 +252,7 @@ func (sr *sessionRun) spawnFast(id int, p sessionPlan, now time.Duration) {
 	}
 	st.src = srcState{sr: sr, st: st, out: st.queues[0], compute: true}
 	primary, err := sr.r.sys.SpawnFrom(names.src, &st.src, &sr.req)
+	sr.r.chk.spawned(primary, err, false, -1)
 	if err != nil {
 		sr.refused++
 		sr.releaseState(st)
@@ -368,6 +268,8 @@ func (sr *sessionRun) spawnFast(id int, p sessionPlan, now time.Duration) {
 	st.idx = len(sr.sess)
 	sr.sess = append(sr.sess, st)
 
+	// Under rbs, members join the primary's job: exempt from the
+	// admission veto, so an admitted session never half-spawns.
 	member := sr.r.policy == "rbs"
 	for s := 1; s < sr.stages; s++ {
 		var prog realrate.Program
@@ -386,6 +288,7 @@ func (sr *sessionRun) spawnFast(id int, p sessionPlan, now time.Duration) {
 			sr.req.Job = primary
 		}
 		mth, merr := sr.r.sys.SpawnFrom(name, prog, &sr.req)
+		sr.r.chk.spawned(mth, merr, false, -1)
 		if merr != nil {
 			// Members are veto-exempt; a refusal here is a harness bug.
 			sr.violate("session-conservation", now,
@@ -401,15 +304,17 @@ func (sr *sessionRun) spawnFast(id int, p sessionPlan, now time.Duration) {
 
 // acquireState returns a scrubbed session state: from the pool when a
 // previous session has fully retired, otherwise freshly built with its
-// own queue pipeline (named per pool slot, not per session — the checker
-// is off on the fast path, and recycled queues keep their slot name
-// across logical sessions).
+// own queue pipeline. Queues are named per pool slot, not per session: a
+// recycled queue keeps its slot name across logical sessions, and the
+// checker watches it once, from its first build — Recycle zeroes
+// produced, consumed and fill together, so queue conservation holds
+// across every reuse.
 func (sr *sessionRun) acquireState(id int, now time.Duration) *sessionState {
 	if st := sr.freeSess; st != nil {
 		sr.freeSess = st.freeNext
 		st.freeNext = nil
 		st.id, st.arrival = id, now
-		st.refused, st.completed, st.dead = false, false, false
+		st.completed, st.dead = false, false
 		for i := range st.done {
 			st.done[i] = false
 		}
@@ -451,6 +356,7 @@ func (sr *sessionRun) acquireState(id int, now time.Duration) *sessionState {
 	sr.slots++
 	for i := range st.queues {
 		st.queues[i] = sr.r.sys.NewQueue(sr.queueName(slot, i), sr.chunk*2)
+		sr.r.chk.watchQueue(st.queues[i])
 	}
 	st.srcLink = realrate.ProducerOf(st.queues[0])
 	return st
@@ -494,10 +400,13 @@ func (sr *sessionRun) recycleSession(st *sessionState) {
 	sr.releaseState(st)
 }
 
-// srcState, midState, and sinkState are the struct forms of srcProg,
-// stageProg, and sinkProg: embedded in the pooled session state, stepping
-// through the exact same action sequences via a reusable Ops buffer, so a
-// recycled session admits with zero program or op-box allocations.
+// srcState, midState, and sinkState are a session's stage programs,
+// embedded in the pooled session state and stepping through a reusable
+// Ops buffer, so a recycled session admits with zero program or op-box
+// allocations.
+//
+// srcState is the ingest stage: per chunk, one compute burst then one
+// enqueue; marks its stage done and exits after the full payload.
 type srcState struct {
 	sr      *sessionRun
 	st      *sessionState
@@ -521,6 +430,8 @@ func (p *srcState) Next(th *realrate.Thread, now time.Duration) realrate.Action 
 	return p.ops.Produce(p.out, p.sr.chunk)
 }
 
+// midState is a transform stage: consume a chunk, process it, forward
+// it.
 type midState struct {
 	sr      *sessionRun
 	st      *sessionState
@@ -550,6 +461,9 @@ func (p *midState) Next(th *realrate.Thread, now time.Duration) realrate.Action 
 	}
 }
 
+// sinkState is the delivery stage: once the full payload has been
+// consumed and processed, the session is complete and its end-to-end
+// latency is recorded.
 type sinkState struct {
 	sr      *sessionRun
 	st      *sessionState
@@ -573,73 +487,6 @@ func (p *sinkState) Next(th *realrate.Thread, now time.Duration) realrate.Action
 	p.consume = true
 	p.got++
 	return p.ops.Compute(p.sr.work)
-}
-
-// srcProg is the ingest stage: per chunk, one compute burst then one
-// enqueue; marks its stage done and exits after the full payload.
-func (sr *sessionRun) srcProg(st *sessionState, out *realrate.Queue) realrate.Program {
-	var sent int64
-	compute := true
-	return realrate.ProgramFunc(func(th *realrate.Thread, now time.Duration) realrate.Action {
-		if sent >= sr.chunks {
-			st.done[0] = true
-			return realrate.Exit()
-		}
-		if compute {
-			compute = false
-			return realrate.Compute(sr.work)
-		}
-		compute = true
-		sent++
-		return realrate.Produce(out, sr.chunk)
-	})
-}
-
-// stageProg is a transform stage: consume a chunk, process it, forward
-// it.
-func (sr *sessionRun) stageProg(st *sessionState, stage int, in, out *realrate.Queue) realrate.Program {
-	var moved int64
-	phase := 0
-	return realrate.ProgramFunc(func(th *realrate.Thread, now time.Duration) realrate.Action {
-		switch phase {
-		case 0:
-			if moved >= sr.chunks {
-				st.done[stage] = true
-				return realrate.Exit()
-			}
-			phase = 1
-			return realrate.Consume(in, sr.chunk)
-		case 1:
-			phase = 2
-			return realrate.Compute(sr.work)
-		default:
-			phase = 0
-			moved++
-			return realrate.Produce(out, sr.chunk)
-		}
-	})
-}
-
-// sinkProg is the delivery stage: once the full payload has been
-// consumed and processed, the session is complete and its end-to-end
-// latency is recorded.
-func (sr *sessionRun) sinkProg(st *sessionState, kind string, in *realrate.Queue) realrate.Program {
-	var got int64
-	consume := true
-	return realrate.ProgramFunc(func(th *realrate.Thread, now time.Duration) realrate.Action {
-		if got >= sr.chunks {
-			st.done[len(st.done)-1] = true
-			sr.complete(st, kind, now)
-			return realrate.Exit()
-		}
-		if consume {
-			consume = false
-			return realrate.Consume(in, sr.chunk)
-		}
-		consume = true
-		got++
-		return realrate.Compute(sr.work)
-	})
 }
 
 // complete closes one session: attainment bookkeeping, the SLO report's
@@ -705,13 +552,11 @@ func (sr *sessionRun) OnExit(now time.Duration, th *realrate.Thread) {
 	if !ref.st.done[ref.stage] {
 		sr.killSession(ref.st, th) // involuntary: shed or killed mid-payload
 	}
-	if sr.fast {
-		ref.st.alive--
-		if ref.st.alive == 0 && (ref.st.completed || ref.st.dead) {
-			// Last thread of a terminal session: the pipeline can never be
-			// touched again, so its state returns to the pool.
-			sr.recycleSession(ref.st)
-		}
+	ref.st.alive--
+	if ref.st.alive == 0 && (ref.st.completed || ref.st.dead) {
+		// Last thread of a terminal session: the pipeline can never be
+		// touched again, so its state returns to the pool.
+		sr.recycleSession(ref.st)
 	}
 }
 
@@ -747,7 +592,7 @@ func (sr *sessionRun) finish(sys *realrate.System, rep *realrate.SLOReport) {
 	// Stage ordering for sessions still in flight: stage j can never
 	// have forwarded more bytes than stage j-1 released to it.
 	for _, st := range sr.sess {
-		if st.refused || st.dead {
+		if st.dead {
 			continue
 		}
 		for j := 1; j < len(st.queues); j++ {
