@@ -52,6 +52,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzWheelDifferential -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz=FuzzBoundaryWheel -fuzztime=$(FUZZTIME) ./internal/rbs/
+	$(GO) test -run '^$$' -fuzz=FuzzSleepHeap -fuzztime=$(FUZZTIME) ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz=FuzzSpawnOptions -fuzztime=$(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz=FuzzChurnSchedules -fuzztime=$(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz=FuzzFaultSchedule -fuzztime=$(FUZZTIME) ./internal/workload/gen/

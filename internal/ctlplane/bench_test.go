@@ -103,24 +103,27 @@ func TestEventDrivenPerJobCostScales(t *testing.T) {
 	}
 	// Minimum over several small batches: `go test ./...` runs packages
 	// concurrently, so any single timing window can be inflated by
-	// neighbors — the min is the undisturbed cost.
-	perJob := func(n int) float64 {
-		r, now := benchRig(n, Config{Mode: EventDriven, Shards: 8})
-		const batches, reps = 10, 3
-		best := time.Duration(1<<63 - 1)
-		for b := 0; b < batches; b++ {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				runEpoch(r, now)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return float64(best) / float64(reps) / float64(n)
+	// neighbors — the min is the undisturbed cost. The two sizes' batches
+	// alternate, so both minima come from the same load windows.
+	const batches, reps = 10, 3
+	sizes := []int{10_000, 100_000}
+	rigs := make([]*rig, len(sizes))
+	nows := make([]sim.Time, len(sizes))
+	for i, n := range sizes {
+		rigs[i], nows[i] = benchRig(n, Config{Mode: EventDriven, Shards: 8})
 	}
-	small := perJob(10_000)
-	big := perJob(100_000)
+	best := []time.Duration{1<<63 - 1, 1<<63 - 1}
+	for b := 0; b < batches; b++ {
+		for i := range sizes {
+			start := time.Now()
+			for j := 0; j < reps; j++ {
+				runEpoch(rigs[i], nows[i])
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	small := float64(best[0]) / reps / float64(sizes[0])
+	big := float64(best[1]) / reps / float64(sizes[1])
 	if big > 2*small {
 		t.Errorf("event-mode per-job epoch cost grew %.2fx from n=10k (%.1fns) to n=100k (%.1fns), want < 2x",
 			big/small, small, big)

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -58,29 +59,43 @@ func BenchmarkContextSwitchStorm(b *testing.B) {
 	k.Stop()
 }
 
-// BenchmarkTimerHeavySleepers measures the do_timers path with 100
-// periodically sleeping threads.
+// BenchmarkTimerHeavySleepers measures the do_timers path with n
+// periodically sleeping threads: at n=100 a handful wake per tick, and at
+// n=100k, the plane workload's population, the sleep heap holds about
+// 98k entries. Each thread computes 10k cycles (25 µs) per wake and
+// sleeps n × 50 µs, so the machine stays about half busy at either scale;
+// first sleeps are staggered so wakes spread evenly over ticks.
 func BenchmarkTimerHeavySleepers(b *testing.B) {
-	eng := sim.NewEngine()
-	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(sim.Millisecond))
-	for i := 0; i < 100; i++ {
-		phase := 0
-		sleepOp := kernel.OpSleep{D: 5 * sim.Millisecond}
-		computeOp := kernel.OpCompute{Cycles: 10_000}
-		k.Spawn("sleeper", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-			phase++
-			if phase%2 == 1 {
-				return &sleepOp
+	for _, n := range []int{100, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			eng := sim.NewEngine()
+			k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(sim.Millisecond))
+			period := sim.Duration(n) * 50 * sim.Microsecond
+			computeOp := kernel.OpCompute{Cycles: 10_000}
+			for i := 0; i < n; i++ {
+				first := kernel.OpSleepUntil{At: sim.Time(period / sim.Duration(n) * sim.Duration(i))}
+				sleepOp := kernel.OpSleep{D: period}
+				phase := 0
+				k.Spawn("sleeper", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
+					phase++
+					switch {
+					case phase == 1:
+						return &first
+					case phase%2 == 1:
+						return &sleepOp
+					}
+					return &computeOp
+				}))
 			}
-			return &computeOp
-		}))
+			k.Start()
+			eng.RunFor(period)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.RunFor(100 * sim.Millisecond)
+			}
+			b.StopTimer()
+			k.Stop()
+		})
 	}
-	k.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RunFor(100 * sim.Millisecond)
-	}
-	b.StopTimer()
-	k.Stop()
 }

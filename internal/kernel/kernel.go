@@ -5,7 +5,7 @@
 // work-pull), and CPU affinity. With CPUs=1 the machine reproduces the
 // paper's dispatch schedules byte-for-byte. It provides threads driven by
 // Programs, a pluggable scheduling Policy (with per-CPU run-queue
-// shards), kernel timers processed at timer interrupts (do_timers),
+// shards), sleep deadlines processed at timer interrupts (do_timers),
 // in-kernel bounded byte queues (the pipe/socket analog used by the
 // symbiotic interfaces), and mutexes (for the priority-inversion
 // scenarios).
@@ -179,12 +179,11 @@ type Kernel struct {
 	// machine has more than one CPU.
 	migrator Migrator
 
-	timers    *timerList
-	freeTimer *Timer
-	tickEv    *sim.Event
-	started   bool
-	stopped   bool
-	baseTime  sim.Time
+	sleepers sleepHeap
+	tickEv   *sim.Event
+	started  bool
+	stopped  bool
+	baseTime sim.Time
 
 	// tickFn is the tick callback bound once at construction; binding a
 	// method value per schedule would allocate on every tick.
@@ -255,7 +254,6 @@ func New(eng *sim.Engine, cfg Config, policy Policy) *Kernel {
 		eng:      eng,
 		cfg:      cfg,
 		policy:   policy,
-		timers:   newTimerList(),
 		baseTime: eng.Now(),
 		migrator: &WorkPull{},
 	}
@@ -410,19 +408,20 @@ func (k *Kernel) SpawnAffinity(name string, program Program, affinity int) *Thre
 	t.program = program
 	t.kern = k
 	t.state = StateReady
-	t.affinity = affinity
+	t.affinity = int32(affinity)
 	switch {
 	case affinity != AffinityAny:
-		t.cpu = affinity
+		t.cpu = int32(affinity)
 	case len(k.cpus) > 1:
-		t.cpu = k.migrator.Place(t, k)
-		if t.cpu < 0 || t.cpu >= len(k.cpus) {
+		cpu := k.migrator.Place(t, k)
+		if cpu < 0 || cpu >= len(k.cpus) {
 			panic(fmt.Sprintf("kernel: migrator %s placed %v on CPU %d outside [0,%d)",
-				k.migrator.Name(), t, t.cpu, len(k.cpus)))
+				k.migrator.Name(), t, cpu, len(k.cpus)))
 		}
+		t.cpu = int32(cpu)
 	}
 	k.nextID++
-	t.listIdx = len(k.threads)
+	t.listIdx = int32(len(k.threads))
 	k.threads = append(k.threads, t)
 	now := k.Now()
 	k.policy.AddThread(t, now)
@@ -475,33 +474,13 @@ func (k *Kernel) scheduleTick(at sim.Time) {
 	}
 }
 
-// AddTimer registers fn to run from the timer-interrupt handler at the
-// first tick at or after when. The returned Timer belongs to the kernel's
-// pool: it may be reused once it has expired, so callers must not retain it
-// past that point.
-func (k *Kernel) AddTimer(when sim.Time, fn func(now sim.Time)) *Timer {
-	tm := k.allocTimer()
-	tm.When = when
-	tm.fn = fn
-	k.timers.add(tm)
-	return tm
-}
+// PendingTimers returns the number of sleeping threads waiting for their
+// wake deadline.
+func (k *Kernel) PendingTimers() int { return k.sleepers.n }
 
-// addWakeTimer registers a sleep wakeup for t — the allocation-free fast
-// path behind every OpSleep/OpSleepUntil and budget nap.
-func (k *Kernel) addWakeTimer(t *Thread, when sim.Time) *Timer {
-	tm := k.allocTimer()
-	tm.When = when
-	tm.thread = t
-	k.timers.add(tm)
-	return tm
-}
-
-// PendingTimers returns the number of registered, unexpired timers.
-func (k *Kernel) PendingTimers() int { return k.timers.len() }
-
-// tick is the timer interrupt: every CPU is interrupted, expired timers
-// run once (globally), and every CPU reaches a dispatch point.
+// tick is the timer interrupt: every CPU is interrupted, expired sleep
+// deadlines are processed once (globally), and every CPU reaches a
+// dispatch point.
 func (k *Kernel) tick(now sim.Time) {
 	if k.stopped {
 		return
@@ -515,8 +494,8 @@ func (k *Kernel) tick(now sim.Time) {
 		k.chargeSegment(c, now)
 		k.overheadOn(c, k.cfg.TickCost)
 	}
-	// do_timers: run expired timers; they may wake threads.
-	k.stats.TimerFires += uint64(k.expireTimers(now))
+	// do_timers: wake the sleepers whose deadlines have passed.
+	k.stats.TimerFires += uint64(k.expireSleepers(now))
 	next := now.Add(k.cfg.TickInterval)
 	if k.faults != nil {
 		// Clock jitter: the injector may push the next interrupt late.
@@ -631,8 +610,8 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 // migrate reassigns a stolen thread (already out of every policy
 // structure) to its new CPU and re-enqueues it there.
 func (k *Kernel) migrate(t *Thread, to int, now sim.Time) {
-	from := t.cpu
-	t.cpu = to
+	from := int(t.cpu)
+	t.cpu = int32(to)
 	t.migrations++
 	k.stats.Migrations++
 	k.cpus[to].stats.MigrationsIn++
@@ -976,7 +955,7 @@ func (k *Kernel) sleepUntil(t *Thread, deadline, now sim.Time) {
 	t.state = StateSleeping
 	t.runSinceBlock = 0
 	k.policy.Dequeue(t, now)
-	t.wakeTimer = k.addWakeTimer(t, deadline)
+	k.sleepers.push(t, deadline)
 	if c := &k.cpus[t.cpu]; c.current == t {
 		c.current = nil
 	}
@@ -1003,9 +982,8 @@ func (k *Kernel) wake(t *Thread, now sim.Time) {
 		t.waitingOn.remove(t)
 		t.waitingOn = nil
 	}
-	if t.wakeTimer != nil {
-		t.wakeTimer.Cancel()
-		t.wakeTimer = nil
+	if t.sleepPos != 0 {
+		k.sleepers.remove(t)
 	}
 	t.state = StateReady
 	k.stats.Wakeups++
@@ -1065,7 +1043,7 @@ func (k *Kernel) unlock(t *Thread, m *Mutex, now sim.Time) {
 
 // Retire forcibly removes a thread from the machine, as if its program had
 // returned OpExit: it is dequeued from the policy, unhooked from any wait
-// queue or wake timer, and marked exited. Callers use it to undo a Spawn
+// queue or the sleep heap, and marked exited. Callers use it to undo a Spawn
 // whose higher-level registration (e.g. admission control) failed, so the
 // rejected thread does not keep running in the leftover CPU.
 func (k *Kernel) Retire(t *Thread) {
@@ -1080,9 +1058,8 @@ func (k *Kernel) Retire(t *Thread) {
 		t.waitingOn.remove(t)
 		t.waitingOn = nil
 	}
-	if t.wakeTimer != nil {
-		t.wakeTimer.Cancel()
-		t.wakeTimer = nil
+	if t.sleepPos != 0 {
+		k.sleepers.remove(t)
 	}
 	k.stats.Retires++
 	k.exit(t, now)
@@ -1109,6 +1086,15 @@ func (k *Kernel) exit(t *Thread, now sim.Time) {
 
 // threadSlabSize is how many Thread objects one slab chunk holds.
 const threadSlabSize = 256
+
+// threadSlab is one slab chunk: its Thread objects and the sleep-heap
+// storage their sleeps can need, in one allocation. At 208 bytes a thread
+// the pair fills seven 8 KiB pages exactly, the size the threads alone
+// rounded up to, so sleeping costs the spawn path no extra memory.
+type threadSlab struct {
+	threads [threadSlabSize]Thread
+	sleep   [threadSlabSize]sleeper
+}
 
 // SlotStep is the step in which slot-indexed tables grow once they hold
 // a full slab: one kernel slab chunk of Thread objects, and one
@@ -1139,7 +1125,9 @@ func (k *Kernel) allocThread() *Thread {
 		return t
 	}
 	if len(k.thrSlab) == 0 {
-		k.thrSlab = make([]Thread, threadSlabSize)
+		slab := new(threadSlab)
+		k.thrSlab = slab.threads[:]
+		k.sleepers.chunks = append(k.sleepers.chunks, &slab.sleep)
 	}
 	t := &k.thrSlab[0]
 	k.thrSlab = k.thrSlab[1:]
@@ -1157,16 +1145,15 @@ func (k *Kernel) recycleThread(t *Thread) {
 	if t.ownedMutexes != 0 {
 		return
 	}
-	// Defensive detach: the exit paths already cancel these, but a stale
-	// wake timer or wait-queue link reaching into the pool would wake a
-	// stranger.
+	// Defensive detach: the exit paths already drop these, but a stale
+	// sleep-heap entry or wait-queue link reaching into the pool would
+	// wake a stranger.
 	if t.waitingOn != nil {
 		t.waitingOn.remove(t)
 		t.waitingOn = nil
 	}
-	if t.wakeTimer != nil {
-		t.wakeTimer.Cancel()
-		t.wakeTimer = nil
+	if t.sleepPos != 0 {
+		k.sleepers.remove(t)
 	}
 	// The switch-cost test compares lastRan by identity; a reissued object
 	// must read as "someone else ran last", exactly like the stale,

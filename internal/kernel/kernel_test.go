@@ -518,31 +518,3 @@ func TestStopHaltsDispatching(t *testing.T) {
 		t.Fatal("thread kept running after Stop")
 	}
 }
-
-// TestTimerFireOrderFIFOAtSameTick pins the timer min-heap to the legacy
-// sorted list's order: timers with equal expiry fire in registration
-// order, and earlier expiries always fire first even when many timers are
-// pending (the heap replaced an O(n) insertion sort).
-func TestTimerFireOrderFIFOAtSameTick(t *testing.T) {
-	eng := sim.NewEngine()
-	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(sim.Millisecond))
-	var order []int
-	deadline := sim.Time(5 * sim.Millisecond)
-	// Register out of expiry order, with a batch sharing one deadline.
-	for i, when := range []sim.Time{deadline, deadline, sim.Time(3 * sim.Millisecond), deadline, sim.Time(2 * sim.Millisecond)} {
-		id := i
-		k.AddTimer(when, func(now sim.Time) { order = append(order, id) })
-	}
-	k.Start()
-	eng.RunFor(10 * sim.Millisecond)
-	k.Stop()
-	want := []int{4, 2, 0, 1, 3}
-	if len(order) != len(want) {
-		t.Fatalf("fired %d timers, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fire order = %v, want %v", order, want)
-		}
-	}
-}

@@ -1,0 +1,22 @@
+package kernel
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestKernelThreadSize guards the kernel thread's footprint, which every
+// carved slab slot pays. A slab chunk holds 256 threads and their
+// sleep-heap entries in one allocation; at 208 bytes a thread that fills
+// seven 8 KiB pages exactly, so one more word per thread costs a page per
+// slab. The sleep heap therefore keeps only a 32-bit position and a
+// registration number on the thread, and the deadline in its entry.
+func TestKernelThreadSize(t *testing.T) {
+	const limit, slabLimit = 208, 7 << 13
+	if size := unsafe.Sizeof(Thread{}); size > limit {
+		t.Fatalf("kernel.Thread is %d bytes, limit %d: keep sleep-heap state off the thread", size, limit)
+	}
+	if size := unsafe.Sizeof(threadSlab{}); size > slabLimit {
+		t.Fatalf("a thread slab chunk is %d bytes, limit %d (seven pages)", size, slabLimit)
+	}
+}

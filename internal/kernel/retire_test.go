@@ -17,8 +17,8 @@ func sleeper(d sim.Duration) kernel.Program {
 }
 
 // TestRetireSleeperReleasesTimer guards the Retire path of a sleeping
-// thread: its wake timer is canceled and the timer list drains — a stale
-// timer would wake (and re-enqueue) a retired thread.
+// thread: its sleep-heap entry is removed at once — a stale entry would
+// wake (and re-enqueue) a retired thread.
 func TestRetireSleeperReleasesTimer(t *testing.T) {
 	eng, k := newRRMachine(10 * sim.Millisecond)
 	s := k.Spawn("sleeper", sleeper(100*sim.Millisecond))
@@ -34,12 +34,11 @@ func TestRetireSleeperReleasesTimer(t *testing.T) {
 	if s.State() != kernel.StateExited {
 		t.Fatalf("state after Retire = %v", s.State())
 	}
-	// Run past the original wake time: the canceled timer must be
-	// discarded at its expiry tick and the thread must stay retired.
-	eng.RunFor(200 * sim.Millisecond)
 	if got := k.PendingTimers(); got != 0 {
-		t.Fatalf("pending timers = %d after expiry, want 0 (leak)", got)
+		t.Fatalf("pending timers = %d right after Retire, want 0", got)
 	}
+	// Run past the original wake time: the thread must stay retired.
+	eng.RunFor(200 * sim.Millisecond)
 	if s.State() != kernel.StateExited {
 		t.Fatalf("retired sleeper woke up: %v", s.State())
 	}
@@ -141,8 +140,8 @@ func TestSpawnRetireChurnLeaksNothing(t *testing.T) {
 	}
 	eng.After(sim.Millisecond, schedule)
 	eng.RunFor(sim.Second)
-	// All sleep timers of retired threads must have drained at their
-	// expiry ticks (churn ends ~150 ms in; the longest sleep is 20 ms).
+	// Retire removes a sleeper's heap entry at once, so once churn ends
+	// (~150 ms in) nothing is left asleep.
 	if got := k.PendingTimers(); got != 0 {
 		t.Fatalf("pending timers = %d after churn, want 0", got)
 	}

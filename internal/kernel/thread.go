@@ -14,7 +14,7 @@ const (
 	StateReady    State = iota // runnable, waiting for the CPU
 	StateRunning               // currently on the CPU
 	StateBlocked               // waiting on a queue, mutex, or wait queue
-	StateSleeping              // waiting for a timer
+	StateSleeping              // waiting for a wake deadline
 	StateExited                // retired
 )
 
@@ -48,10 +48,10 @@ type Thread struct {
 	// cpu is the CPU the thread is assigned to: its run-queue shard, and
 	// the CPU it runs on when dispatched. The kernel changes it only while
 	// the thread is outside every policy structure (see Kernel.migrate).
-	cpu int
+	cpu int32
 	// affinity pins the thread to one CPU (AffinityAny = unpinned). Pinned
 	// threads are never migrated by work-pull.
-	affinity int
+	affinity int32
 	// migrations counts how many times the thread changed CPUs.
 	migrations uint64
 	// op is the operation in progress; nil when the program must be asked
@@ -61,12 +61,14 @@ type Thread struct {
 	remaining sim.Cycles
 	// zeroOps counts consecutive operations that consumed no CPU, to catch
 	// runaway programs.
-	zeroOps int
+	zeroOps int32
+	// ownedMutexes counts mutexes this thread currently holds. A thread
+	// that exits while holding a lock is never recycled: the Mutex.owner
+	// pointer would otherwise dangle into the pool.
+	ownedMutexes int32
 
 	// waitingOn is the wait queue the thread is parked on while Blocked.
 	waitingOn *WaitQueue
-	// wakeTimer is the pending sleep timer while Sleeping.
-	wakeTimer *Timer
 
 	// cpuTime is the total simulated CPU the thread has consumed.
 	cpuTime sim.Duration
@@ -90,14 +92,16 @@ type Thread struct {
 	slot int32
 	// listIdx is the thread's index in Kernel.threads, maintained so a
 	// recycling kernel can swap-remove an exited thread in O(1).
-	listIdx int
+	listIdx int32
+	// sleepPos is 1 + the thread's index in the kernel's sleep heap while
+	// Sleeping, and 0 otherwise; sleepSeq is the heap's registration
+	// number of the thread's current sleep, its tie-break among equal
+	// deadlines.
+	sleepPos int32
+	sleepSeq uint64
 	// freeNext links the object into the kernel's thread free list while
 	// pooled.
 	freeNext *Thread
-	// ownedMutexes counts mutexes this thread currently holds. A thread
-	// that exits while holding a lock is never recycled: the Mutex.owner
-	// pointer would otherwise dangle into the pool.
-	ownedMutexes int
 
 	// Sched is the policy's per-thread state; the kernel never touches it.
 	Sched any
@@ -125,10 +129,10 @@ func (t *Thread) Gen() uint32 { return t.gen }
 func (t *Thread) Slot() int { return int(t.slot) }
 
 // CPU returns the CPU the thread is currently assigned to.
-func (t *Thread) CPU() int { return t.cpu }
+func (t *Thread) CPU() int { return int(t.cpu) }
 
 // Affinity returns the CPU the thread is pinned to, or AffinityAny.
-func (t *Thread) Affinity() int { return t.affinity }
+func (t *Thread) Affinity() int { return int(t.affinity) }
 
 // Migrations returns how many times the thread has changed CPUs.
 func (t *Thread) Migrations() uint64 { return t.migrations }
