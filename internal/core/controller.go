@@ -267,6 +267,8 @@ type Controller struct {
 	// (asserted by TestControllerStepZeroAlloc).
 	allocBuf  []int
 	frozenBuf []bool
+	// prefetched sinks the values Prefetch reads; nothing consumes it.
+	prefetched uint64
 
 	// recycle pools Job objects, their PID filters, and their pressure
 	// series across remove/add cycles; see SetRecycle.

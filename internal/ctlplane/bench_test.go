@@ -172,3 +172,80 @@ func TestSoak1MAdmission(t *testing.T) {
 	t.Logf("soak: %d jobs admitted in %v, %d epochs in %v total (sampled %d, skipped %d)",
 		n, admit.Round(time.Millisecond), epochs, total.Round(time.Millisecond), sampled, skipped)
 }
+
+// TestSweepAllocatesNothing runs whole staleness cycles of the rrbench
+// plane machine at n=10k, several sample blocks per shard, and requires
+// a cycle, its sweep included, to allocate nothing once the plane has
+// warmed up.
+func TestSweepAllocatesNothing(t *testing.T) {
+	const n = 10_000
+	r, _ := benchRigSMP(n, EventDriven)
+	cycle := sim.Duration(r.plane.StalenessEpochs()) * r.plane.interval
+	sampled := func() uint64 {
+		var total uint64
+		for _, st := range r.plane.Stats() {
+			total += st.Sampled
+		}
+		return total
+	}
+	before := sampled()
+	if got := testing.AllocsPerRun(3, func() { r.eng.RunFor(cycle) }); got != 0 {
+		t.Fatalf("a staleness cycle of %d jobs allocated %.1f objects, want 0", n, got)
+	}
+	// Four cycles ran (AllocsPerRun adds a warm-up run); each sweeps every
+	// job once.
+	if got := sampled() - before; got < 4*n {
+		t.Fatalf("four staleness cycles sampled %d jobs, want at least %d", got, 4*n)
+	}
+}
+
+// alignSweep runs whole epochs until the one just run was a staleness
+// sweep that sampled all n jobs, so the next sweep comes stalenessEpochs
+// epochs later.
+func alignSweep(tb testing.TB, r *rig, now sim.Time, n int) {
+	tb.Helper()
+	for i := int64(0); i <= r.plane.StalenessEpochs(); i++ {
+		runEpoch(r, now)
+		if sampledLastEpoch(r) == n {
+			return
+		}
+	}
+	tb.Fatalf("no epoch within a staleness cycle sampled all %d jobs", n)
+}
+
+// sampledLastEpoch sums the shards' sampled counts of their latest tick.
+func sampledLastEpoch(r *rig) int {
+	total := 0
+	for _, s := range r.plane.shards {
+		total += s.lastSampled
+	}
+	return total
+}
+
+// BenchmarkStalenessSweep prices the event plane's staleness sweep, the
+// epoch in which every idle job on the rrbench plane machine passes its
+// staleness bound at once (rrbench plane's epoch_ms_p95). Each iteration
+// runs the cycle's skip epochs with the timer stopped and times only the
+// sweep; ns/sampled-job is the sweep's cost per job it re-sampled.
+func BenchmarkStalenessSweep(b *testing.B) {
+	const n = 100_000
+	r, now := benchRigSMP(n, EventDriven)
+	alignSweep(b, r, now, n)
+	skips := int(r.plane.StalenessEpochs()) - 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < skips; k++ {
+			runEpoch(r, now)
+		}
+		b.StartTimer()
+		runEpoch(r, now)
+		b.StopTimer()
+		if got := sampledLastEpoch(r); got != n {
+			b.Fatalf("timed epoch sampled %d jobs, want the sweep's %d", got, n)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sampled-job")
+}

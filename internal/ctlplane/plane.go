@@ -130,18 +130,7 @@ type shard struct {
 	// Published aggregates, refreshed at every tick of this shard; other
 	// shards read the latest published value (an epoch-versioned
 	// aggregate — at most one epoch stale).
-	//
-	// desireRaw is the un-clamped adaptive demand, the numerator of this
-	// shard's capacity slice. govDesire and govGranted are the
-	// MaxProportion-clamped demand and granted proportion over all jobs,
-	// summed across shards for the governor at each epoch's epilogue.
-	// allocAdaptive is the granted proportion over adaptive jobs only,
-	// so an event-mode tick can subtract the un-sampled jobs' holdings
-	// from its capacity slice.
-	desireRaw     int
-	govDesire     int
-	govGranted    int
-	allocAdaptive int
+	aggregates
 
 	// live counts the entries homed here whose job is still controlled.
 	// A periodic tick samples every one of them, so the compute phase
@@ -196,7 +185,9 @@ type Plane struct {
 	// scratch buffers shared across shards — safe because shard ticks are
 	// serialized by the simulation. squishEnt holds the entries of the
 	// squishable jobs, index for index, so the post-squish refresh needs
-	// no lookup.
+	// no lookup. The decide walk fills the pair with every due entry and
+	// job; the sample pass compacts them to the squishable ones, so the
+	// due set needs no buffer of its own.
 	squishable []*core.Job
 	squishEnt  []*entry
 	desires    []int
@@ -524,10 +515,12 @@ func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
 // Shard 0's tick opens the epoch (prologue: step count, miss reaction,
 // reap, delayed actuations); the last shard's tick closes it (epilogue:
 // governor observation over the summed aggregates). In between, each
-// shard visits its list exactly once: drop dead entries, re-home migrated
-// ones (collected during the walk, applied after — the lastEpoch guard
-// keeps a re-homed job from being visited twice in one epoch), decide
-// whether to re-sample, and rebuild its published aggregates from the
+// shard visits its list exactly once, in two passes. The decide walk
+// drops dead entries, re-homes migrated ones (collected during the walk,
+// applied after — the lastEpoch guard keeps a re-homed job from being
+// visited twice in one epoch) and decides whether to re-sample; the
+// sample pass then samples the due entries, a block at a time (DESIGN.md
+// §10.6). Together they rebuild the shard's published aggregates from the
 // entries' caches. Re-homing and cache reloads run only while their
 // counter gates are open (DESIGN.md §10.5), so a skipped visit reads
 // nothing but its entry. Pass 2 squishes only this epoch's sampled jobs
@@ -558,11 +551,17 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	moves := p.moves[:0]
 	allAdaptive := p.adaptiveScratch[:0]
 
-	var desireRaw, govDesire, govGranted, allocAdaptive, held int
-	var sampledTick, skippedTick int
+	var agg aggregates
+	var held, skippedTick int
 	maxPPT := p.maxPPT
 	event := p.cfg.Mode == EventDriven
 
+	// The decide walk reads entries only. It drops removed entries, re-homes
+	// and refreshes while the gates are open, applies the lastEpoch guard
+	// and decides which entries are due. A skipped entry adds its cached
+	// desire and allocation to the aggregates here; due entries are
+	// collected, in list order, into squishEnt (and their jobs into
+	// squishable) for the sample pass.
 	kept := 0
 	for i, e := range s.list {
 		if e.removed {
@@ -600,48 +599,54 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			continue
 		}
 		e.lastEpoch = p.epoch
-
+		if event && e.adaptive {
+			allAdaptive = append(allAdaptive, e)
+		}
 		if !event || p.shouldSample(e, now) {
-			epochs := p.epoch - e.sampleEpoch
-			if !e.sampled || epochs < 1 {
-				epochs = 1
-			}
-			j := e.job
-			if e.realRate && event {
-				e.watched = p.watchedOf(j)
-			}
-			inSquish := p.ctl.SampleJob(j, now, epochs)
-			e.load()
-			e.sampled = true
-			e.sampleEpoch = p.epoch
-			e.dirty = false
-			sampledTick++
-			if inSquish {
-				squishable = append(squishable, j)
-				squishEnt = append(squishEnt, e)
-				desires = append(desires, e.desired)
-				weights = append(weights, j.Importance())
-				held += e.allocated
-			}
-		} else {
-			skippedTick++
+			squishable = append(squishable, e.job)
+			squishEnt = append(squishEnt, e)
+			continue
 		}
-
-		d, a := e.desired, e.allocated
-		dc := d
-		if dc > maxPPT {
-			dc = maxPPT
-		}
-		govDesire += dc
-		govGranted += a
-		if e.adaptive {
-			desireRaw += d
-			allocAdaptive += a
-			if event {
-				allAdaptive = append(allAdaptive, e)
-			}
-		}
+		skippedTick++
+		agg.add(e, maxPPT)
 	}
+
+	// The sample pass runs over the due entries in list order, a block at
+	// a time: Prefetch first loads the block's jobs and member threads in
+	// one tight loop, then each entry is sampled. The in-squish entries are
+	// compacted to the front of squishEnt and squishable as the pass goes;
+	// the write index never passes the read index, and a block is read
+	// ahead before any of it is overwritten.
+	sampledTick := len(squishEnt)
+	inSquish := 0
+	for i := 0; i < sampledTick; i++ {
+		if i%core.PrefetchBlock == 0 {
+			p.ctl.Prefetch(squishable[i:min(i+core.PrefetchBlock, sampledTick)])
+		}
+		e := squishEnt[i]
+		epochs := p.epoch - e.sampleEpoch
+		if !e.sampled || epochs < 1 {
+			epochs = 1
+		}
+		j := e.job
+		if e.realRate && event {
+			e.watched = p.watchedOf(j)
+		}
+		squished := p.ctl.SampleJob(j, now, epochs)
+		e.load()
+		e.sampled = true
+		e.sampleEpoch = p.epoch
+		e.dirty = false
+		if squished {
+			squishable[inSquish], squishEnt[inSquish] = j, e
+			inSquish++
+			desires = append(desires, e.desired)
+			weights = append(weights, j.Importance())
+			held += e.allocated
+		}
+		agg.add(e, maxPPT)
+	}
+	squishable, squishEnt = squishable[:inSquish], squishEnt[:inSquish]
 	clear(s.list[kept:])
 	s.list = s.list[:kept]
 	for _, e := range moves {
@@ -650,7 +655,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 
 	// Publish this shard's aggregates before computing the capacity slice
 	// so the split sees this epoch's demand.
-	s.desireRaw, s.govDesire, s.govGranted, s.allocAdaptive = desireRaw, govDesire, govGranted, allocAdaptive
+	s.aggregates = agg
 
 	// Pass 2 over the sampled set. The shard's capacity slice is its share
 	// of adaptive demand: with no floors binding, the global squish scales
@@ -668,9 +673,9 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	if dTotal <= 0 {
 		slice = capacity / len(p.shards)
 	} else {
-		slice = int(int64(capacity) * int64(desireRaw) / int64(dTotal))
+		slice = int(int64(capacity) * int64(agg.desireRaw) / int64(dTotal))
 	}
-	if event && allocAdaptive > slice && len(squishable) < len(allAdaptive) {
+	if event && agg.allocAdaptive > slice && len(squishable) < len(allAdaptive) {
 		// Over-commit recovery: the shard's jobs hold more than its slice
 		// (early epochs, before every shard has published demand; or a
 		// demand collapse elsewhere). Waiting for staleness to re-sample
@@ -694,7 +699,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	// The squish set's jobs give up what they hold; the rest of the shard's
 	// adaptive jobs keep theirs out of the slice. Each squished entry still
 	// caches its pre-squish allocation until the refresh below.
-	squishCap := slice - (allocAdaptive - held)
+	squishCap := slice - (agg.allocAdaptive - held)
 	granted := p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
 	delta := 0
 	for i, e := range squishEnt {
@@ -717,6 +722,33 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			gsum += o.govGranted
 		}
 		p.ctl.EpochEpilogue(now, dsum, gsum)
+	}
+}
+
+// aggregates are the sums a shard publishes, accumulated over one tick.
+//
+// desireRaw is the un-clamped adaptive demand, the numerator of the
+// shard's capacity slice. govDesire and govGranted are the
+// MaxProportion-clamped demand and granted proportion over all jobs,
+// summed across shards for the governor at each epoch's epilogue.
+// allocAdaptive is the granted proportion over adaptive jobs only, so an
+// event-mode tick can subtract the un-sampled jobs' holdings from its
+// capacity slice.
+type aggregates struct {
+	desireRaw, govDesire, govGranted, allocAdaptive int
+}
+
+// add folds one visited entry's cached desire and allocation into the
+// sums. Integer addition is exact in any order, so a tick adds its
+// skipped entries in the decide walk and its sampled ones in the sample
+// pass.
+func (a *aggregates) add(e *entry, maxPPT int) {
+	d, al := e.desired, e.allocated
+	a.govDesire += min(d, maxPPT)
+	a.govGranted += al
+	if e.adaptive {
+		a.desireRaw += d
+		a.allocAdaptive += al
 	}
 }
 
