@@ -16,22 +16,30 @@ import (
 // while the workload changes — so this bound is the mode's safety
 // property. At every epoch end it also checks the skip path's contract
 // (skipContract): a shard whose gates are shut holds only entries homed on
-// it whose caches equal their jobs. The population runs to 512
-// miscellaneous jobs plus a pipeline, so a shard's due set can span
-// several sample blocks (core.PrefetchBlock) and end in a partial one.
-// At that size the Figure 5 cost model (2640 cycles a job) outruns the
+// it whose caches equal their jobs.
+//
+// njobs 1–64 run that many miscellaneous jobs plus a pipeline under the
+// default (Figure 5) cost model; 0 runs 16. njobs 65–255 run
+// 8·(1 + (njobs−65) mod 64) jobs, 8–512, so one shard's due set can span
+// several sample blocks (core.PrefetchBlock) and end in a partial one. At
+// that size the Figure 5 cost model (2640 cycles a job) outruns the
 // plane's 5% reservation, and shards that cannot finish their ticks
-// cannot keep any staleness bound, so the modeled cost is collapsed as
-// in the scale tests.
+// cannot keep any staleness bound, so those inputs collapse the modeled
+// cost as the scale tests do.
 func FuzzEventDrivenThresholds(f *testing.F) {
 	f.Add(0.05, int64(100), uint8(4), uint8(24))
 	f.Add(0.0, int64(0), uint8(0), uint8(1))
 	f.Add(1.5, int64(1), uint8(64), uint8(40))
 	f.Add(-3.0, int64(100000), uint8(7), uint8(13))
-	f.Add(0.05, int64(100), uint8(1), uint8(64))
+	f.Add(0.05, int64(100), uint8(1), uint8(128))
 	f.Fuzz(func(t *testing.T, threshold float64, stalenessMs int64, shards, njobs uint8) {
-		if njobs == 0 || njobs > 64 {
-			njobs = 16
+		ccfg, n := core.Config{}, int(njobs)
+		switch {
+		case njobs == 0:
+			n = 16
+		case njobs > 64:
+			ccfg = core.Config{BaseCost: 100, PerJobCost: 1}
+			n = 8 * (1 + (n-65)%64)
 		}
 		if stalenessMs < 0 {
 			stalenessMs = -stalenessMs
@@ -39,13 +47,13 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 		if stalenessMs > 1000 {
 			stalenessMs = 1000
 		}
-		r := newRigCfg(1, core.Config{BaseCost: 100, PerJobCost: 1}, Config{
+		r := newRigCfg(1, ccfg, Config{
 			Mode:         EventDriven,
 			Shards:       int(shards),
 			Threshold:    threshold,
 			MaxStaleness: sim.Duration(stalenessMs) * sim.Millisecond,
 		})
-		r.addMisc(int(njobs) * 8)
+		r.addMisc(n)
 		r.addPipeline("p0", 128)
 		r.start()
 

@@ -23,15 +23,12 @@ type Engine struct {
 	// to. Events in slots ≤ cur live in due; slots in (cur, cur+wheelSlots)
 	// live in the wheel; anything later lives in the overflow heap.
 	cur        int64
-	wheel      [wheelSlots]*Event
+	wheel      [wheelSlots][]*Event
 	occupied   [wheelSlots / 64]uint64
 	wheelCount int
 	overflow   []*Event
 	due        []*Event
 	dueHead    int
-	// dueBuf is the due buffer's first backing array, inside the engine so
-	// the first slots drained allocate nothing.
-	dueBuf [8]*Event
 
 	// free is the intrusive pool of dead events; pooled counts them.
 	free   *Event
@@ -41,9 +38,7 @@ type Engine struct {
 // NewEngine returns an engine with the clock at time zero and no pending
 // events.
 func NewEngine() *Engine {
-	eg := &Engine{}
-	eg.due = eg.dueBuf[:0]
-	return eg
+	return &Engine{}
 }
 
 // Now returns the current simulated time.

@@ -16,16 +16,13 @@ type Event struct {
 	fn   func(Time)
 	eng  *Engine
 
-	// next links the event into the engine's free list while pooled, and
-	// into its wheel slot's list while loc == locWheel. prev is the
-	// previous event of the slot list; the slot's first event holds the
-	// list's last one.
-	next, prev *Event
+	// next links the event into the engine's free list while pooled.
+	next *Event
 	// loc records which container currently holds the event.
 	loc eventLoc
 	// slot is the wheel slot index while loc == locWheel.
 	slot int32
-	// pos is the index within the overflow heap.
+	// pos is the index within the wheel slot or the overflow heap.
 	pos int32
 
 	canceled bool

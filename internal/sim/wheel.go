@@ -9,9 +9,7 @@ import (
 // overflow heap, replacing the earlier container/heap priority queue:
 //
 //   - Near-horizon events (within wheelSlots slot widths of the cursor) go
-//     into a per-slot list linked through the events themselves, in
-//     insertion order: O(1) insert, O(1) eager cancel, and no storage of
-//     its own, so a slot's first event allocates nothing.
+//     into an unsorted per-slot bucket: O(1) insert, O(1) eager cancel.
 //   - Far-horizon events go into a conventional min-heap and migrate into
 //     the wheel as the cursor approaches them.
 //   - The slot under the cursor is kept as a (when, seq)-sorted "due"
@@ -44,18 +42,10 @@ func (eg *Engine) insert(ev *Event) {
 		idx := int32(s & wheelMask)
 		ev.loc = locWheel
 		ev.slot = idx
-		ev.next = nil
-		if head := eg.wheel[idx]; head == nil {
-			ev.prev = ev
-			eg.wheel[idx] = ev
-			eg.occupied[idx>>6] |= 1 << (uint(idx) & 63)
-		} else {
-			tail := head.prev
-			tail.next = ev
-			ev.prev = tail
-			head.prev = ev
-		}
+		ev.pos = int32(len(eg.wheel[idx]))
+		eg.wheel[idx] = append(eg.wheel[idx], ev)
 		eg.wheelCount++
+		eg.occupied[idx>>6] |= 1 << (uint(idx) & 63)
 	default:
 		eg.overflowPush(ev)
 	}
@@ -67,23 +57,19 @@ func (eg *Engine) unlink(ev *Event) {
 	case locDue:
 		eg.removeDue(ev)
 	case locWheel:
-		head := eg.wheel[ev.slot]
-		switch {
-		case ev == head && ev.next == nil:
-			eg.wheel[ev.slot] = nil
-			eg.occupied[ev.slot>>6] &^= 1 << (uint(ev.slot) & 63)
-		case ev == head:
-			ev.next.prev = ev.prev
-			eg.wheel[ev.slot] = ev.next
-		case ev.next == nil:
-			ev.prev.next = nil
-			head.prev = ev.prev
-		default:
-			ev.prev.next = ev.next
-			ev.next.prev = ev.prev
+		b := eg.wheel[ev.slot]
+		last := len(b) - 1
+		if int(ev.pos) != last {
+			moved := b[last]
+			b[ev.pos] = moved
+			moved.pos = ev.pos
 		}
-		ev.next, ev.prev = nil, nil
+		b[last] = nil
+		eg.wheel[ev.slot] = b[:last]
 		eg.wheelCount--
+		if last == 0 {
+			eg.occupied[ev.slot>>6] &^= 1 << (uint(ev.slot) & 63)
+		}
 	case locOverflow:
 		eg.overflowRemove(int(ev.pos))
 	}
@@ -173,7 +159,7 @@ func (eg *Engine) advance() bool {
 		}
 		eg.cur = next
 		idx := int32(next & wheelMask)
-		if eg.wheel[idx] != nil {
+		if b := eg.wheel[idx]; len(b) > 0 {
 			eg.drainSlot(idx)
 		}
 		// Pull far-horizon events that are now inside the wheel window.
@@ -208,20 +194,18 @@ func (eg *Engine) nextOccupiedSlot() int64 {
 // drainSlot moves the cursor's slot into the due buffer in firing order.
 // The due buffer is empty when this is called.
 func (eg *Engine) drainSlot(idx int32) {
-	due := eg.due[:0]
-	for ev := eg.wheel[idx]; ev != nil; {
-		next := ev.next
-		ev.next, ev.prev = nil, nil
-		ev.loc = locDue
-		due = append(due, ev)
-		ev = next
+	b := eg.wheel[idx]
+	eg.due = append(eg.due[:0], b...)
+	eg.dueHead = 0
+	for i := range b {
+		b[i] = nil
 	}
-	eg.due, eg.dueHead = due, 0
-	eg.wheel[idx] = nil
-	eg.wheelCount -= len(due)
+	eg.wheel[idx] = b[:0]
+	eg.wheelCount -= len(eg.due)
 	eg.occupied[idx>>6] &^= 1 << (uint(idx) & 63)
-	// Insertion sort: a slot holds the few events of ~131 µs of simulated
-	// time in insertion order, typically already firing order.
+	// Insertion sort: slots hold the few events of ~131 µs of simulated
+	// time, typically already in schedule (= firing) order.
+	due := eg.due
 	for i := 1; i < len(due); i++ {
 		ev := due[i]
 		j := i - 1
@@ -230,6 +214,9 @@ func (eg *Engine) drainSlot(idx int32) {
 			j--
 		}
 		due[j+1] = ev
+	}
+	for _, ev := range due {
+		ev.loc = locDue
 	}
 }
 
