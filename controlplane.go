@@ -77,6 +77,10 @@ type ShardStat struct {
 	Skipped uint64
 	// Handoffs counts jobs re-homed to another shard after migrating.
 	Handoffs uint64
+	// LateTicks counts ticks, other than the shard's first, that did not
+	// run in the control epoch after the shard's previous tick: the plane
+	// fell behind its interval, and its staleness bound may not hold.
+	LateTicks uint64
 	// LastSampled and LastSkipped are the most recent tick's work counts.
 	LastSampled int
 	LastSkipped int
@@ -93,7 +97,7 @@ func (s *System) ShardStats() []ShardStat {
 	for i, st := range stats {
 		out[i] = ShardStat{
 			Shard: st.Shard, Ticks: st.Ticks, Sampled: st.Sampled, Skipped: st.Skipped,
-			Handoffs: st.Handoffs, LastSampled: st.LastSampled, LastSkipped: st.LastSkipped,
+			Handoffs: st.Handoffs, LateTicks: st.LateTicks, LastSampled: st.LastSampled, LastSkipped: st.LastSkipped,
 		}
 	}
 	return out

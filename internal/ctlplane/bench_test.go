@@ -44,7 +44,7 @@ func runEpoch(r *rig, now sim.Time) {
 }
 
 // BenchmarkControllerStep measures one full control epoch across the
-// plane's shards.
+// plane's shards, every shard walking its list.
 //
 // The shards=1 cases are the zero-value plane, the paper's single global
 // sweep (sample, estimate, squish, actuate) at growing job counts. Its
@@ -54,8 +54,10 @@ func runEpoch(r *rig, now sim.Time) {
 // The 8-shard cases carry the acceptance target: event mode at n=100k
 // stays under 2× the per-job cost of n=10k, because steady-state misc jobs
 // ride the skip path and only 1/staleness of them are re-sampled per
-// epoch. The cpus=8 variants run the rrbench plane machine, where homes
-// are CPU-derived.
+// epoch. Back to back, most event-mode epochs would have nothing due and
+// skip their walks (DESIGN.md §10.5), so the rigs force every tick to
+// walk; BenchmarkIdleEpoch prices the epochs that skip. The cpus=8
+// variants run the rrbench plane machine, where homes are CPU-derived.
 func BenchmarkControllerStep(b *testing.B) {
 	for _, n := range []int{10, 100, 1000, 10_000} {
 		b.Run(fmt.Sprintf("shards=1/mode=periodic/n=%d", n), func(b *testing.B) {
@@ -82,6 +84,7 @@ func BenchmarkControllerStep(b *testing.B) {
 					} else {
 						r, now = benchRig(n, Config{Mode: mode, Shards: 8})
 					}
+					r.plane.forceWalk = true
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -96,7 +99,8 @@ func BenchmarkControllerStep(b *testing.B) {
 // TestEventDrivenPerJobCostScales enforces the acceptance criterion in
 // the test suite (the benchmark records the numbers; this keeps the
 // property from regressing silently): one event-mode epoch at n=100k
-// must cost less than 2× the per-job cost at n=10k.
+// must cost less than 2× the per-job cost at n=10k. As in the benchmark,
+// every tick walks.
 func TestEventDrivenPerJobCostScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -111,6 +115,7 @@ func TestEventDrivenPerJobCostScales(t *testing.T) {
 	nows := make([]sim.Time, len(sizes))
 	for i, n := range sizes {
 		rigs[i], nows[i] = benchRig(n, Config{Mode: EventDriven, Shards: 8})
+		rigs[i].plane.forceWalk = true
 	}
 	best := []time.Duration{1<<63 - 1, 1<<63 - 1}
 	for b := 0; b < batches; b++ {
@@ -248,4 +253,96 @@ func BenchmarkStalenessSweep(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sampled-job")
+}
+
+// walks sums the shards' walk counts.
+func walks(p *Plane) uint64 {
+	var total uint64
+	for _, s := range p.shards {
+		total += s.walks
+	}
+	return total
+}
+
+// BenchmarkIdleEpoch prices an epoch with nothing due on the rrbench plane
+// machine (rrbench plane's epoch_ms_p50): every shard skips its walk. The
+// staleness sweep and the epoch after it, in which over-commit recovery
+// may walk a shard (TestIdleShardsWalkOnlyWhenDue), run with the timer
+// stopped; a timed epoch in which any shard walked fails the benchmark.
+func BenchmarkIdleEpoch(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("cpus=8/n=%d", n), func(b *testing.B) {
+			r, now := benchRigSMP(n, EventDriven)
+			alignSweep(b, r, now, n)
+			cycle := int(r.plane.StalenessEpochs())
+			pos := 1 // the epoch after the sweep alignSweep ran
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for pos < 2 {
+					b.StopTimer()
+					runEpoch(r, now)
+					pos = (pos + 1) % cycle
+					b.StartTimer()
+				}
+				before := walks(r.plane)
+				runEpoch(r, now)
+				pos = (pos + 1) % cycle
+				if walks(r.plane) != before {
+					b.Fatalf("timed epoch %d walked", i)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/epoch")
+		})
+	}
+}
+
+// TestIdleShardsWalkOnlyWhenDue pins what idle ticks buy on the rrbench
+// plane machine at n=10k: each shard walks its list exactly once per
+// staleness cycle for its sweep, which samples every job it owns. The
+// only other walks are over-commit recoveries in the epoch after a sweep,
+// which sample nothing: the shards publish the sweep's new demand one
+// after another, so a shard that squished against the others' old demand
+// can hold more than its slice once they have published.
+func TestIdleShardsWalkOnlyWhenDue(t *testing.T) {
+	const n, cycles = 10_000, 5
+	r, now := benchRigSMP(n, EventDriven)
+	alignSweep(t, r, now, n)
+	p := r.plane
+	sweeps := make([]int, len(p.shards))
+	recoveries := 0
+	for e := int64(0); e < cycles*p.StalenessEpochs(); e++ {
+		for _, s := range p.shards {
+			epoch := p.epoch
+			if s.id == 0 {
+				epoch++
+			}
+			due := epoch >= s.nextDue
+			over := s.allocAdaptive > p.slice(s.desireRaw)
+			before := s.walks
+			p.tick(s, now)
+			switch walked := s.walks != before; {
+			case walked && due:
+				sweeps[s.id]++
+				if s.lastSampled != len(s.list) {
+					t.Errorf("epoch %d: shard %d's sweep sampled %d of %d jobs", p.epoch, s.id, s.lastSampled, len(s.list))
+				}
+			case walked && over && s.lastSampled == 0:
+				recoveries++
+			case walked:
+				t.Errorf("epoch %d: shard %d walked with nothing due and its slice not over-committed", p.epoch, s.id)
+			}
+		}
+	}
+	for i, got := range sweeps {
+		if got != cycles {
+			t.Errorf("shard %d swept %d times in %d staleness cycles, want %d", i, got, cycles, cycles)
+		}
+	}
+	for _, s := range p.shards {
+		if s.lateTicks != 0 {
+			t.Errorf("shard %d ran %d late ticks", s.id, s.lateTicks)
+		}
+	}
+	t.Logf("%d over-commit recoveries in %d staleness cycles of %d shards", recoveries, cycles, len(p.shards))
 }

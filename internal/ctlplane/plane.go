@@ -17,10 +17,11 @@
 //   - Event-driven sampling: in EventDriven mode the progress registry
 //     pushes dirty marks on queue-fill changes, and a shard re-samples a
 //     job only when its signal moved by at least Threshold since the last
-//     sample, or when the MaxStaleness bound elapsed. Idle jobs cost a
-//     few compares per interval; their estimators integrate over the
-//     skipped epochs on the next sample, so allocations converge to what
-//     the periodic sweep would have computed.
+//     sample, or when the MaxStaleness bound elapsed. A shard with nothing
+//     due skips its walk, so an epoch with nothing due costs O(shards);
+//     idle jobs' estimators integrate over the skipped epochs on the next
+//     sample, so allocations converge to what the periodic sweep would
+//     have computed.
 //
 // The whole simulation is single-threaded (shard "threads" are simulated
 // kernel threads serialized by the engine), so the plane shares one set
@@ -143,16 +144,35 @@ type shard struct {
 	lastSkipped int
 
 	// The gate counters as this shard last read them, at the start of its
-	// previous walk: the kernel's migration count and the controller's
+	// previous tick: the kernel's migration count and the controller's
 	// primary-change count (re-homing) and out-of-pass write count (cache
 	// refresh). While they stand still the walk skips both.
 	migrations, primaries, writes uint64
 
+	// Idle-tick state (DESIGN.md §10.5). lastTick is the epoch of the
+	// shard's previous tick. nextDue is the first epoch in which an entry
+	// its last walk visited passes the staleness bound. wake is set by
+	// every change its last walk did not see: an entry added, removed,
+	// marked dirty or moved in, or a walk that moved an entry out or hit
+	// the lastEpoch guard.
+	lastTick, nextDue int64
+	wake              bool
+	// idleEpoch and idleLen record the shard's latest idle tick: its epoch
+	// and how many entries were on the list. A walk in its place would
+	// have stamped those entries' lastEpoch, so the next walk in the same
+	// epoch (a late tick) stamps them first; a list grows only at its end
+	// between walks.
+	idleEpoch int64
+	idleLen   int
+
 	// stats
-	ticks    uint64
-	sampled  uint64
-	skipped  uint64
-	handoffs uint64
+	ticks     uint64
+	sampled   uint64
+	skipped   uint64
+	handoffs  uint64
+	lateTicks uint64
+	// walks counts the ticks that walked the list.
+	walks uint64
 }
 
 // Plane drives one core.Controller through sharded, staggered, optionally
@@ -209,6 +229,9 @@ type Plane struct {
 	carved int
 
 	started bool
+	// forceWalk makes every tick walk its list, for tests that check idle
+	// ticks against walks or time the walk itself.
+	forceWalk bool
 }
 
 // New wires a plane to a controller and claims its job-change hooks. In
@@ -408,6 +431,7 @@ func (p *Plane) jobAdded(j *core.Job) {
 	sh := p.shards[e.shard]
 	sh.list = append(sh.list, e)
 	sh.live++
+	sh.wake = true
 }
 
 // jobRemoved marks the entry dead; the owning shard drops it at its next
@@ -415,7 +439,9 @@ func (p *Plane) jobAdded(j *core.Job) {
 func (p *Plane) jobRemoved(j *core.Job) {
 	if e := p.entryOf(j); e != nil {
 		e.removed = true
-		p.shards[e.shard].live--
+		sh := p.shards[e.shard]
+		sh.live--
+		sh.wake = true
 		p.entryAt[j.Slot()] = nil
 	}
 }
@@ -460,6 +486,7 @@ func (p *Plane) markDirty(t *kernel.Thread) {
 	}
 	if e := p.entryOf(j); e != nil {
 		e.dirty = true
+		p.shards[e.shard].wake = true
 	}
 }
 
@@ -514,25 +541,24 @@ func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
 //
 // Shard 0's tick opens the epoch (prologue: step count, miss reaction,
 // reap, delayed actuations); the last shard's tick closes it (epilogue:
-// governor observation over the summed aggregates). In between, each
-// shard visits its list exactly once, in two passes. The decide walk
-// drops dead entries, re-homes migrated ones (collected during the walk,
-// applied after — the lastEpoch guard keeps a re-homed job from being
-// visited twice in one epoch) and decides whether to re-sample; the
-// sample pass then samples the due entries, a block at a time (DESIGN.md
-// §10.6). Together they rebuild the shard's published aggregates from the
-// entries' caches. Re-homing and cache reloads run only while their
-// counter gates are open (DESIGN.md §10.5), so a skipped visit reads
-// nothing but its entry. Pass 2 squishes only this epoch's sampled jobs
-// into the shard's demand-proportional slice of machine capacity, minus
-// what the shard's un-sampled jobs already hold — so an idle shard's tick
-// does no squish work at all.
+// governor observation over the summed aggregates). In between, the shard
+// walks its list, or, in event mode with nothing due, skips the walk: an
+// idle tick (DESIGN.md §10.5) publishes what a walk that sampled nothing
+// would.
 func (p *Plane) tick(s *shard, now sim.Time) {
 	if s.id == 0 {
 		p.epoch++
 		p.ctl.EpochPrologue(now)
 	}
+	// A tick whose epoch does not directly follow its previous tick's is
+	// late: shard 0 opened two epochs or more since, or none. That is the
+	// plane's overrun signal, and such a tick always walks.
+	onTime := p.epoch == s.lastTick+1
+	if !onTime && s.ticks > 0 {
+		s.lateTicks++
+	}
 	s.ticks++
+	s.lastTick = p.epoch
 
 	// The gates, read before the walk: a migration, primary change or
 	// out-of-pass write made during this tick (its own squish can set one
@@ -543,6 +569,69 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	rehome := migrations != s.migrations || primaries != s.primaries
 	refresh := writes != s.writes
 	s.migrations, s.primaries, s.writes = migrations, primaries, writes
+
+	if onTime && !rehome && !refresh && p.idle(s) {
+		s.idleEpoch, s.idleLen = p.epoch, len(s.list)
+		s.lastSampled, s.lastSkipped = 0, len(s.list)
+		s.skipped += uint64(len(s.list))
+	} else {
+		p.walk(s, now, rehome, refresh)
+	}
+
+	if s.id == len(p.shards)-1 {
+		var dsum, gsum int
+		for _, o := range p.shards {
+			dsum += o.govDesire
+			gsum += o.govGranted
+		}
+		p.ctl.EpochEpilogue(now, dsum, gsum)
+	}
+}
+
+// idle reports whether an event-mode tick of s, on time and with its gates
+// shut, may skip its walk: nothing woke the shard, no entry its last walk
+// visited is due, and its adaptive jobs hold no more than its capacity
+// slice, so over-commit recovery has nothing to squish.
+func (p *Plane) idle(s *shard) bool {
+	return p.cfg.Mode == EventDriven && !p.forceWalk && !s.wake &&
+		p.epoch < s.nextDue && s.allocAdaptive <= p.slice(s.desireRaw)
+}
+
+// slice returns the share of the capacity left to adaptive jobs that
+// adaptive demand desireRaw earns against every shard's published demand.
+// With no floors binding, the global squish scales every desire by
+// capacity/demand, so demand-proportional slices reproduce the global
+// allocation in steady state.
+func (p *Plane) slice(desireRaw int) int {
+	capacity := p.ctl.EffectiveThreshold() - p.ctl.Admitted()
+	if capacity < 0 {
+		capacity = 0
+	}
+	var dTotal int
+	for _, o := range p.shards {
+		dTotal += o.desireRaw
+	}
+	if dTotal <= 0 {
+		return capacity / len(p.shards)
+	}
+	return int(int64(capacity) * int64(desireRaw) / int64(dTotal))
+}
+
+// walk visits the shard's list exactly once, in two passes. The decide
+// walk drops dead entries, re-homes migrated ones (collected during the
+// walk, applied after — the lastEpoch guard keeps a re-homed job from
+// being visited twice in one epoch) and decides whether to re-sample; the
+// sample pass then samples the due entries, a block at a time (DESIGN.md
+// §10.6). Together they rebuild the shard's published aggregates from the
+// entries' caches. Re-homing and cache reloads run only while their
+// counter gates are open (DESIGN.md §10.5), so a skipped visit reads
+// nothing but its entry. Pass 2 squishes only this epoch's sampled jobs
+// into the shard's demand-proportional slice of machine capacity, minus
+// what the shard's un-sampled jobs already hold — so a walk that samples
+// nothing does no squish work at all.
+func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
+	s.walks++
+	s.wake = false
 
 	squishable := p.squishable[:0]
 	squishEnt := p.squishEnt[:0]
@@ -555,6 +644,15 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	var held, skippedTick int
 	maxPPT := p.maxPPT
 	event := p.cfg.Mode == EventDriven
+	// Every entry sampled now is next due stalenessEpochs from now; a
+	// skipped one is due sooner.
+	nextDue := p.epoch + p.stalenessEpochs
+	guarded := false
+	stamp := 0
+	if s.idleEpoch == p.epoch {
+		stamp = s.idleLen
+	}
+	s.idleLen = 0 // this walk stamps them, and may compact the list
 
 	// The decide walk reads entries only. It drops removed entries, re-homes
 	// and refreshes while the gates are open, applies the lastEpoch guard
@@ -572,6 +670,9 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			e.freeNext = p.freeEnt
 			p.freeEnt = e
 			continue
+		}
+		if i < stamp {
+			e.lastEpoch = p.epoch
 		}
 		if refresh {
 			e.load()
@@ -595,7 +696,9 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			// Already visited this epoch: the entry was re-homed here by a
 			// shard that ticked earlier. Its sample and its aggregate
 			// contribution happened there; counting it again would
-			// double-sample the job and double-count its demand.
+			// double-sample the job and double-count its demand. The next
+			// tick must walk to count it.
+			guarded = true
 			continue
 		}
 		e.lastEpoch = p.epoch
@@ -608,6 +711,7 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 			continue
 		}
 		skippedTick++
+		nextDue = min(nextDue, e.sampleEpoch+p.stalenessEpochs)
 		agg.add(e, maxPPT)
 	}
 
@@ -650,31 +754,24 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	clear(s.list[kept:])
 	s.list = s.list[:kept]
 	for _, e := range moves {
-		p.shards[e.shard].list = append(p.shards[e.shard].list, e)
+		to := p.shards[e.shard]
+		to.list = append(to.list, e)
+		to.wake = true
 	}
+	// The aggregates published below still count the entries moved out and
+	// leave out the guarded ones, so the next tick must walk to correct
+	// them.
+	if guarded || len(moves) > 0 {
+		s.wake = true
+	}
+	s.nextDue = nextDue
 
 	// Publish this shard's aggregates before computing the capacity slice
 	// so the split sees this epoch's demand.
 	s.aggregates = agg
 
-	// Pass 2 over the sampled set. The shard's capacity slice is its share
-	// of adaptive demand: with no floors binding, the global squish scales
-	// every desire by capacity/demand, so demand-proportional slices
-	// reproduce the global allocation in steady state.
-	capacity := p.ctl.EffectiveThreshold() - p.ctl.Admitted()
-	if capacity < 0 {
-		capacity = 0
-	}
-	var dTotal int
-	for _, o := range p.shards {
-		dTotal += o.desireRaw
-	}
-	var slice int
-	if dTotal <= 0 {
-		slice = capacity / len(p.shards)
-	} else {
-		slice = int(int64(capacity) * int64(agg.desireRaw) / int64(dTotal))
-	}
+	// Pass 2 over the sampled set, into the shard's capacity slice.
+	slice := p.slice(agg.desireRaw)
 	if event && agg.allocAdaptive > slice && len(squishable) < len(allAdaptive) {
 		// Over-commit recovery: the shard's jobs hold more than its slice
 		// (early epochs, before every shard has published demand; or a
@@ -714,15 +811,6 @@ func (p *Plane) tick(s *shard, now sim.Time) {
 	s.lastSampled, s.lastSkipped = sampledTick, skippedTick
 	s.sampled += uint64(sampledTick)
 	s.skipped += uint64(skippedTick)
-
-	if s.id == len(p.shards)-1 {
-		var dsum, gsum int
-		for _, o := range p.shards {
-			dsum += o.govDesire
-			gsum += o.govGranted
-		}
-		p.ctl.EpochEpilogue(now, dsum, gsum)
-	}
 }
 
 // aggregates are the sums a shard publishes, accumulated over one tick.
@@ -759,6 +847,10 @@ type Stat struct {
 	Sampled  uint64
 	Skipped  uint64
 	Handoffs uint64
+	// LateTicks counts ticks, other than the shard's first, whose epoch
+	// did not directly follow the previous tick's: the shard or shard 0
+	// fell behind the control interval.
+	LateTicks uint64
 	// LastSampled/LastSkipped are the most recent tick's work counts.
 	LastSampled int
 	LastSkipped int
@@ -770,7 +862,7 @@ func (p *Plane) Stats() []Stat {
 	for i, s := range p.shards {
 		out[i] = Stat{
 			Shard: s.id, Ticks: s.ticks, Sampled: s.sampled, Skipped: s.skipped,
-			Handoffs: s.handoffs, LastSampled: s.lastSampled, LastSkipped: s.lastSkipped,
+			Handoffs: s.handoffs, LateTicks: s.lateTicks, LastSampled: s.lastSampled, LastSkipped: s.lastSkipped,
 		}
 	}
 	return out
