@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build examples vet test race bench benchsmoke benchtest fuzz goldens stress clean
+.PHONY: all build examples vet test race bench benchsmoke benchtest fuzz goldens stress loc clean
 
 all: build vet test goldens
 
@@ -94,6 +94,12 @@ stress:
 # (re-bless with scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
+
+# loc prints the repo's size in Go lines outside bench/ (its own module):
+# non-test code, the figure CHANGES.md and ROADMAP.md track, then tests.
+loc:
+	@printf 'non-test Go: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'test Go:     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

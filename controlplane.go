@@ -1,11 +1,6 @@
 package realrate
 
-import (
-	"time"
-
-	"repro/internal/ctlplane"
-	"repro/internal/sim"
-)
+import "repro/internal/ctlplane"
 
 // ControllerMode selects how the feedback controller samples jobs.
 type ControllerMode int
@@ -38,13 +33,6 @@ type CtlPlaneConfig struct {
 	// threads, each owning the jobs resident on its CPU (thread-hashed on
 	// a uniprocessor). 0 means 1.
 	Shards int
-	// Threshold is the raw-pressure delta (fraction of a queue) that makes
-	// a changed signal worth re-sampling in event-driven mode. 0 means
-	// 0.05.
-	Threshold float64
-	// MaxStaleness bounds how long event-driven mode may skip re-sampling
-	// any job. 0 means 10 control intervals.
-	MaxStaleness time.Duration
 }
 
 // ControllerModeName returns the active sampling mode: "periodic",
@@ -109,13 +97,5 @@ func buildPlane(s *System, cfg CtlPlaneConfig) *ctlplane.Plane {
 	if cfg.Mode == ControllerEventDriven {
 		mode = ctlplane.EventDriven
 	}
-	pcfg := ctlplane.Config{
-		Mode:      mode,
-		Shards:    cfg.Shards,
-		Threshold: cfg.Threshold,
-	}
-	if cfg.MaxStaleness > 0 {
-		pcfg.MaxStaleness = sim.FromStd(cfg.MaxStaleness)
-	}
-	return ctlplane.New(s.ctl, s.kern, s.rbs, s.reg, pcfg)
+	return ctlplane.New(s.ctl, s.kern, s.rbs, s.reg, ctlplane.Config{Mode: mode, Shards: cfg.Shards})
 }

@@ -17,6 +17,15 @@ import (
 
 const requestBytes = 512 // each queued request is 512 bytes of state
 
+// qualityPrinter reports the controller's quality exceptions: the server
+// squished below what its queue needs during a burst.
+type qualityPrinter struct{ realrate.NopObserver }
+
+func (qualityPrinter) OnQuality(ev realrate.QualityEvent) {
+	fmt.Printf("%5.1fs  QUALITY EXCEPTION: %s squished %d→%d ppt (overloaded burst)\n",
+		ev.Time.Seconds(), ev.Thread.Name(), ev.Desired, ev.Allocated)
+}
+
 func main() {
 	sys := realrate.NewSystem(realrate.Config{})
 	requests := sys.NewQueue("requests", 256*1024)
@@ -68,10 +77,7 @@ func main() {
 		panic(err)
 	}
 
-	sys.OnQuality(func(ev realrate.QualityEvent) {
-		fmt.Printf("%5.1fs  QUALITY EXCEPTION: %s squished %d→%d ppt (overloaded burst)\n",
-			ev.Time.Seconds(), ev.Thread.Name(), ev.Desired, ev.Allocated)
-	})
+	sys.Observe(qualityPrinter{})
 
 	fmt.Println("time    queue-fill  served  httpd(ppt)  batch(ppt)")
 	lastServed := 0

@@ -125,7 +125,7 @@ func TestControllerStepNegativeCapacity(t *testing.T) {
 	r.kern.Start()
 	r.run(100 * sim.Millisecond)
 	// Misses have driven the threshold below the admitted 800+50 ppt.
-	r.ctl.SetEffectiveThreshold(r.ctl.Config().OverloadThreshold / 2)
+	r.ctl.SetEffectiveThreshold(core.OverloadThreshold / 2)
 	r.epoch(t) // must not panic
 	j, ok := r.ctl.JobOf(misc)
 	if !ok {

@@ -30,68 +30,78 @@ import (
 
 const pptDenom = rbs.PPT
 
-// Config holds the controller's tuning. Zero fields take the defaults the
-// experiments use (see DefaultConfig).
-type Config struct {
-	// Interval is the controller period. The prototype samples at 100 Hz
-	// (10 ms) — "keeping the sampling rate reasonably high (100 Hz in our
-	// prototype)".
-	Interval sim.Duration
+// The controller's fixed calibration: the prototype's values, which no
+// experiment varies.
+const (
 	// OverloadThreshold is the admission/squish ceiling in ppt. The paper
 	// reserves spare capacity "to cover the overhead of scheduling and
 	// interrupt handling" by setting it below 1.
-	OverloadThreshold int
+	OverloadThreshold int = 900
 	// K is the pressure-to-proportion scaling factor (the k of Figure 4),
 	// in ppt per unit of cumulative pressure.
-	K float64
-	// PID configures the per-job pressure filter G.
-	PID pid.Config
-	// ReclaimFraction triggers the P−C reduction: a job that used less
-	// than this fraction of its allocation is "too generous".
-	ReclaimFraction float64
+	K float64 = 2000
 	// ReclaimC is the constant reduction (ppt) applied to over-generous
 	// allocations.
-	ReclaimC int
+	ReclaimC int = 20
 	// MinProportion is the non-zero allocation floor: "It avoids
 	// starvation by ensuring that every job in the system is assigned a
 	// non-zero percentage of the CPU."
-	MinProportion int
+	MinProportion int = 5
 	// MaxProportion caps any single adaptive job's actuated allocation.
-	MaxProportion int
+	MaxProportion int = 950
 	// DesireCap bounds the pre-squish desire. It is deliberately far above
 	// MaxProportion: under overload a real-rate job's desire keeps growing
 	// past the constant desire of miscellaneous hogs ("the consumer's
 	// [pressure] grows as it falls further behind", §4.2), and the squish
 	// arbitrates on desires — so desires must be able to wind up beyond
 	// what any one job could actually be granted.
-	DesireCap int
+	DesireCap int = 4000
 	// DefaultPeriod is assigned when a job does not specify one (30 ms in
 	// the prototype).
-	DefaultPeriod sim.Duration
+	DefaultPeriod sim.Duration = 30 * sim.Millisecond
 	// MiscPressure is the constant pressure applied to miscellaneous jobs.
-	MiscPressure float64
+	MiscPressure float64 = 0.4
 	// InteractivePeriod is the small period given to interactive jobs.
-	InteractivePeriod sim.Duration
+	InteractivePeriod sim.Duration = 30 * sim.Millisecond
 	// InteractiveHeadroom scales the burst estimate into a proportion.
-	InteractiveHeadroom float64
+	InteractiveHeadroom float64 = 1.5
 	// InteractiveImportance is the default fair-share weight of
 	// interactive jobs. Their desire is need-based (burst/period) rather
 	// than wound-up, so without extra weight a greedy miscellaneous hog
 	// squishes them below their bursts; the paper singles interactive
 	// jobs out for "reasonable performance" (§1, §3.2).
-	InteractiveImportance float64
+	InteractiveImportance float64 = 8
+	// MinBudgetTicks is the period heuristic's quantization target:
+	// budgets below this many dispatch ticks double the period.
+	MinBudgetTicks int = 2
+	// MinPeriod is the floor of period adaptation.
+	MinPeriod sim.Duration = 5 * sim.Millisecond
+	// JitterThreshold is the per-period fill oscillation (fraction of the
+	// buffer) above which the period heuristic halves the period.
+	JitterThreshold float64 = 0.3
+	// OverloadStreak is how many consecutive saturated, squished intervals
+	// raise a quality exception.
+	OverloadStreak int = 25
+)
+
+// Config holds the controller's variable tuning. Zero fields take the
+// defaults the experiments use (see DefaultConfig).
+type Config struct {
+	// Interval is the controller period. The prototype samples at 100 Hz
+	// (10 ms) — "keeping the sampling rate reasonably high (100 Hz in our
+	// prototype)".
+	Interval sim.Duration
+	// PID configures the per-job pressure filter G.
+	PID pid.Config
+	// ReclaimFraction triggers the P−C reduction: a job that used less
+	// than this fraction of its allocation is "too generous".
+	ReclaimFraction float64
 
 	// PeriodAdaptation enables the §3.3 period heuristic (disabled in all
 	// the paper's experiments, and by default here).
 	PeriodAdaptation bool
-	// MinBudgetTicks is the quantization target: budgets below this many
-	// dispatch ticks double the period.
-	MinBudgetTicks int
-	// MinPeriod/MaxPeriod bound period adaptation.
-	MinPeriod, MaxPeriod sim.Duration
-	// JitterThreshold is the per-period fill oscillation (fraction of the
-	// buffer) above which the period halves.
-	JitterThreshold float64
+	// MaxPeriod is the ceiling of period adaptation.
+	MaxPeriod sim.Duration
 
 	// BaseCost and PerJobCost model the controller's own execution cost:
 	// each interval it computes BaseCost + PerJobCost per controlled job.
@@ -100,10 +110,6 @@ type Config struct {
 	BaseCost, PerJobCost sim.Cycles
 	// Reservation is the controller thread's own reservation.
 	Reservation rbs.Reservation
-
-	// OverloadStreak is how many consecutive saturated, squished intervals
-	// raise a quality exception.
-	OverloadStreak int
 
 	// WatchdogIntervals is how many consecutive flat (or rejected)
 	// progress samples demote a real-rate job one rung down the
@@ -117,9 +123,7 @@ type Config struct {
 // DefaultConfig returns the calibration used throughout the experiments.
 func DefaultConfig() Config {
 	return Config{
-		Interval:          10 * sim.Millisecond,
-		OverloadThreshold: 900,
-		K:                 2000,
+		Interval: 10 * sim.Millisecond,
 		// Gains sized so the proportional leg alone can double a mid-range
 		// allocation within a few control intervals, while the integral
 		// leg carries the steady-state allocation. The asymmetric integral
@@ -133,27 +137,14 @@ func DefaultConfig() Config {
 			InputTau:      0.04,
 			OutLo:         0, OutHi: 2.0,
 		},
-		ReclaimFraction:       0.5,
-		ReclaimC:              20,
-		MinProportion:         5,
-		MaxProportion:         950,
-		DesireCap:             4000,
-		DefaultPeriod:         30 * sim.Millisecond,
-		MiscPressure:          0.4,
-		InteractivePeriod:     30 * sim.Millisecond,
-		InteractiveHeadroom:   1.5,
-		InteractiveImportance: 8,
-		PeriodAdaptation:      false,
-		MinBudgetTicks:        2,
-		MinPeriod:             5 * sim.Millisecond,
-		MaxPeriod:             200 * sim.Millisecond,
-		JitterThreshold:       0.3,
-		BaseCost:              2280,
-		PerJobCost:            2640,
-		Reservation:           rbs.Reservation{Proportion: 50, Period: 10 * sim.Millisecond},
-		OverloadStreak:        25,
-		WatchdogIntervals:     50,
-		WatchdogRecovery:      5,
+		ReclaimFraction:   0.5,
+		PeriodAdaptation:  false,
+		MaxPeriod:         200 * sim.Millisecond,
+		BaseCost:          2280,
+		PerJobCost:        2640,
+		Reservation:       rbs.Reservation{Proportion: 50, Period: 10 * sim.Millisecond},
+		WatchdogIntervals: 50,
+		WatchdogRecovery:  5,
 	}
 }
 
@@ -305,56 +296,14 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 	if cfg.Interval <= 0 {
 		cfg.Interval = def.Interval
 	}
-	if cfg.OverloadThreshold == 0 {
-		cfg.OverloadThreshold = def.OverloadThreshold
-	}
-	if cfg.K == 0 {
-		cfg.K = def.K
-	}
 	if cfg.PID == (pid.Config{}) {
 		cfg.PID = def.PID
 	}
 	if cfg.ReclaimFraction == 0 {
 		cfg.ReclaimFraction = def.ReclaimFraction
 	}
-	if cfg.ReclaimC == 0 {
-		cfg.ReclaimC = def.ReclaimC
-	}
-	if cfg.MinProportion == 0 {
-		cfg.MinProportion = def.MinProportion
-	}
-	if cfg.MaxProportion == 0 {
-		cfg.MaxProportion = def.MaxProportion
-	}
-	if cfg.DesireCap == 0 {
-		cfg.DesireCap = def.DesireCap
-	}
-	if cfg.DefaultPeriod == 0 {
-		cfg.DefaultPeriod = def.DefaultPeriod
-	}
-	if cfg.MiscPressure == 0 {
-		cfg.MiscPressure = def.MiscPressure
-	}
-	if cfg.InteractivePeriod == 0 {
-		cfg.InteractivePeriod = def.InteractivePeriod
-	}
-	if cfg.InteractiveHeadroom == 0 {
-		cfg.InteractiveHeadroom = def.InteractiveHeadroom
-	}
-	if cfg.InteractiveImportance == 0 {
-		cfg.InteractiveImportance = def.InteractiveImportance
-	}
-	if cfg.MinBudgetTicks == 0 {
-		cfg.MinBudgetTicks = def.MinBudgetTicks
-	}
-	if cfg.MinPeriod == 0 {
-		cfg.MinPeriod = def.MinPeriod
-	}
 	if cfg.MaxPeriod == 0 {
 		cfg.MaxPeriod = def.MaxPeriod
-	}
-	if cfg.JitterThreshold == 0 {
-		cfg.JitterThreshold = def.JitterThreshold
 	}
 	if cfg.BaseCost == 0 {
 		cfg.BaseCost = def.BaseCost
@@ -364,9 +313,6 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 	}
 	if cfg.Reservation == (rbs.Reservation{}) {
 		cfg.Reservation = def.Reservation
-	}
-	if cfg.OverloadStreak == 0 {
-		cfg.OverloadStreak = def.OverloadStreak
 	}
 	if cfg.WatchdogIntervals == 0 {
 		cfg.WatchdogIntervals = def.WatchdogIntervals
@@ -382,8 +328,8 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		policy:             policy,
 		reg:                reg,
 		ncpu:               ncpu,
-		ceiling:            cfg.OverloadThreshold * ncpu,
-		effectiveThreshold: cfg.OverloadThreshold * ncpu,
+		ceiling:            OverloadThreshold * ncpu,
+		effectiveThreshold: OverloadThreshold * ncpu,
 	}
 }
 
@@ -599,7 +545,7 @@ func (c *Controller) AddRealTime(t *kernel.Thread, proportion int, period sim.Du
 // controller assigns the default period (30 ms) as a jitter bound.
 func (c *Controller) AddAperiodicRealTime(t *kernel.Thread, proportion int) (*Job, error) {
 	if proportion <= 0 {
-		return nil, &ReservationError{Proportion: proportion, Period: c.cfg.DefaultPeriod}
+		return nil, &ReservationError{Proportion: proportion, Period: DefaultPeriod}
 	}
 	avail := c.available()
 	if proportion > avail {
@@ -610,7 +556,7 @@ func (c *Controller) AddAperiodicRealTime(t *kernel.Thread, proportion int) (*Jo
 	}
 	j := c.addJob(t, AperiodicRealTime)
 	j.specified = proportion
-	j.period = c.cfg.DefaultPeriod
+	j.period = DefaultPeriod
 	j.desired = proportion
 	j.allocated = proportion
 	c.outOfPassWrites++
@@ -631,7 +577,7 @@ func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 		j.period = period
 		j.periodFixed = true
 	} else {
-		j.period = c.cfg.DefaultPeriod
+		j.period = DefaultPeriod
 	}
 	// The pressure series is only read over recent windows (period
 	// adaptation, tooling), so it is bounded: at 10k+ jobs an unbounded
@@ -656,7 +602,7 @@ func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 // AddMiscellaneous registers a job with no information at all.
 func (c *Controller) AddMiscellaneous(t *kernel.Thread) *Job {
 	j := c.addJob(t, Miscellaneous)
-	j.period = c.cfg.DefaultPeriod
+	j.period = DefaultPeriod
 	c.bootstrap(j)
 	return j
 }
@@ -666,8 +612,8 @@ func (c *Controller) AddMiscellaneous(t *kernel.Thread) *Job {
 // squish them below their burst requirement.
 func (c *Controller) AddInteractive(t *kernel.Thread) *Job {
 	j := c.addJob(t, Interactive)
-	j.period = c.cfg.InteractivePeriod
-	j.importance = c.cfg.InteractiveImportance
+	j.period = InteractivePeriod
+	j.importance = InteractiveImportance
 	c.bootstrap(j)
 	return j
 }
@@ -926,8 +872,8 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 // bootstrap gives adaptive jobs their floor allocation so they can start
 // making progress before the first control interval.
 func (c *Controller) bootstrap(j *Job) {
-	j.desired = c.cfg.MinProportion
-	j.allocated = c.cfg.MinProportion
+	j.desired = MinProportion
+	j.allocated = MinProportion
 	c.outOfPassWrites++
 	c.actuate(j, j.allocated, j.period)
 }
@@ -938,7 +884,7 @@ func (c *Controller) bootstrap(j *Job) {
 // adaptive-job count is maintained incrementally, so this is O(1) per
 // admission check.
 func (c *Controller) available() int {
-	return c.effectiveThreshold - c.admitted - c.cfg.MinProportion*c.adaptive
+	return c.effectiveThreshold - c.admitted - MinProportion*c.adaptive
 }
 
 // perThreadCap bounds one member thread's reservation share: a thread
@@ -946,7 +892,7 @@ func (c *Controller) available() int {
 // one CPU's overload threshold no matter how much machine-wide capacity
 // is free. On a single-CPU machine the available() check is always the
 // tighter one, so this never fires there.
-func (c *Controller) perThreadCap() int { return c.cfg.OverloadThreshold }
+func (c *Controller) perThreadCap() int { return OverloadThreshold }
 
 // maxMemberShare is the largest per-thread share actuate would hand out
 // for a job-total proportion: the even split plus the remainder the
@@ -1045,7 +991,7 @@ func (c *Controller) observeUsage(j *Job, dt float64, epochs int64) float64 {
 // constant C and the banked integral bleeds off.
 func (c *Controller) estimate(j *Job, pressure float64, dt float64, epochs int64) int {
 	usage := c.observeUsage(j, dt, epochs)
-	if j.allocated > c.cfg.MinProportion && usage < c.cfg.ReclaimFraction {
+	if j.allocated > MinProportion && usage < c.cfg.ReclaimFraction {
 		// Too generous: the job demonstrably cannot use what it has, even
 		// if its queue pressure is positive — "increasing the allocation
 		// may not improve the thread's progress, as might happen ... if
@@ -1053,10 +999,10 @@ func (c *Controller) estimate(j *Job, pressure float64, dt float64, epochs int64
 		// (Figure 4's P−C path).
 		j.g.ScaleIntegral(0.8)
 		j.g.Step(pressure, dt) // keep the filter advancing
-		return clampPPT(j.allocated-c.cfg.ReclaimC, c.cfg.MinProportion, c.cfg.DesireCap)
+		return clampPPT(j.allocated-ReclaimC, MinProportion, DesireCap)
 	}
 	q := j.g.Step(pressure, dt)
-	return clampPPT(int(c.cfg.K*q), c.cfg.MinProportion, c.cfg.DesireCap)
+	return clampPPT(int(K*q), MinProportion, DesireCap)
 }
 
 // estimateMisc implements the miscellaneous heuristic: "the controller
@@ -1073,7 +1019,7 @@ func (c *Controller) estimate(j *Job, pressure float64, dt float64, epochs int64
 // desire follows its usage back down, which is the reclamation.
 func (c *Controller) estimateMisc(j *Job, dt float64, epochs int64) int {
 	usage := c.observeUsage(j, dt, epochs)
-	target := clampPPT(int(c.cfg.K*c.cfg.MiscPressure), c.cfg.MinProportion, c.cfg.MaxProportion)
+	target := clampPPT(int(K*MiscPressure), MinProportion, MaxProportion)
 	// Hysteresis on the usage test keeps the decision away from the
 	// boundary: a squished busy hog uses ≥100% of its (quantized) grant,
 	// an idle job ≈0%.
@@ -1085,11 +1031,11 @@ func (c *Controller) estimateMisc(j *Job, dt float64, epochs int64) int {
 	if j.reclaiming {
 		// Reclaim: follow measured consumption down (with headroom so the
 		// job can ramp back).
-		d := int(1.3*j.usedPPT) + c.cfg.ReclaimC
+		d := int(1.3*j.usedPPT) + ReclaimC
 		if d > target {
 			d = target
 		}
-		return clampPPT(d, c.cfg.MinProportion, c.cfg.MaxProportion)
+		return clampPPT(d, MinProportion, MaxProportion)
 	}
 	// The job uses what it gets: the paper's constant pressure, verbatim.
 	// Every busy miscellaneous job desires the same target, which is what
@@ -1115,10 +1061,10 @@ func (c *Controller) estimateInteractive(j *Job) int {
 		}
 	}
 	if j.burstEstimate == 0 {
-		return c.cfg.MinProportion
+		return MinProportion
 	}
-	prop := int(c.cfg.InteractiveHeadroom * float64(j.burstEstimate) / float64(j.period) * pptDenom)
-	return clampPPT(prop, c.cfg.MinProportion, c.cfg.MaxProportion)
+	prop := int(InteractiveHeadroom * float64(j.burstEstimate) / float64(j.period) * pptDenom)
+	return clampPPT(prop, MinProportion, MaxProportion)
 }
 
 // maybeRaiseQuality raises a quality exception after a sustained stretch of
@@ -1131,7 +1077,7 @@ func (c *Controller) maybeRaiseQuality(j *Job, alloc int, now sim.Time) {
 		j.overloadStreak = 0
 		return
 	}
-	if j.overloadStreak == c.cfg.OverloadStreak {
+	if j.overloadStreak == OverloadStreak {
 		if c.wants(EventQuality) {
 			c.emit(Event{Kind: EventQuality, Time: now, Job: j, Value: j.g.Output(),
 				Desired: j.desired, Granted: alloc})
@@ -1219,11 +1165,7 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 // NaN/Inf is rejected here — the previous raw sample is returned with
 // ok=false so the estimator never integrates garbage.
 func (c *Controller) samplePressure(j *Job, now sim.Time) (float64, bool) {
-	var sum float64
-	for _, t := range j.members {
-		// SummedPressure clamps per thread; re-clamp the job total below.
-		sum += c.reg.SummedPressure(t, now)
-	}
+	sum := c.memberPressure(j, now)
 	if c.faults != nil {
 		sum = c.faults.PerturbPressure(j.thread.Name(), now, sum)
 	}
@@ -1234,14 +1176,22 @@ func (c *Controller) samplePressure(j *Job, now sim.Time) (float64, bool) {
 		}
 		return j.lastRaw, false
 	}
-	if sum > 0.5 {
-		sum = 0.5
-	}
-	if sum < -0.5 {
-		sum = -0.5
-	}
-	return sum, true
+	return clampPressure(sum), true
 }
+
+// memberPressure sums the registered progress metrics of every member
+// thread. SummedPressure clamps per thread only; callers re-clamp the job
+// total with clampPressure.
+func (c *Controller) memberPressure(j *Job, now sim.Time) float64 {
+	var sum float64
+	for _, t := range j.members {
+		sum += c.reg.SummedPressure(t, now)
+	}
+	return sum
+}
+
+// clampPressure limits a summed pressure to the paper's [-1/2, 1/2] range.
+func clampPressure(p float64) float64 { return min(max(p, -0.5), 0.5) }
 
 // watchdog runs the flat-signal detector for one real-rate job. A sample
 // is flat when it was rejected by the sanitizer, or when it exactly equals
@@ -1293,8 +1243,8 @@ func (c *Controller) demote(j *Job, now sim.Time) {
 	j.degraded++
 	if j.degraded == LevelFallback {
 		j.fallback = j.allocated
-		if j.fallback < c.cfg.MinProportion {
-			j.fallback = c.cfg.MinProportion
+		if j.fallback < MinProportion {
+			j.fallback = MinProportion
 		}
 	}
 	c.health.Degradations++

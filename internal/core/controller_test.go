@@ -305,7 +305,7 @@ func TestNoStarvationInvariant(t *testing.T) {
 	r.start()
 	r.run(5 * sim.Second)
 	r.kern.Stop()
-	min := r.ctl.Config().MinProportion
+	min := core.MinProportion
 	for i, j := range jobs {
 		if j.Allocated() < min {
 			t.Fatalf("job %d allocated %d < floor %d", i, j.Allocated(), min)
@@ -390,9 +390,9 @@ func TestEffectiveThresholdRecoversToConfigured(t *testing.T) {
 	r.start()
 	r.run(sim.Second)
 	r.kern.Stop()
-	if r.ctl.EffectiveThreshold() != r.ctl.Config().OverloadThreshold {
+	if r.ctl.EffectiveThreshold() != core.OverloadThreshold {
 		t.Fatalf("effective threshold = %d, want %d on a healthy machine",
-			r.ctl.EffectiveThreshold(), r.ctl.Config().OverloadThreshold)
+			r.ctl.EffectiveThreshold(), core.OverloadThreshold)
 	}
 }
 

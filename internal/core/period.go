@@ -34,8 +34,8 @@ func (c *Controller) adaptPeriod(j *Job, now sim.Time) {
 		}
 		amp = metrics.OscillationAmplitude(j.fill, from, now, window)
 	}
-	if amp > c.cfg.JitterThreshold {
-		if halved := j.period / 2; halved >= c.cfg.MinPeriod {
+	if amp > JitterThreshold {
+		if halved := j.period / 2; halved >= MinPeriod {
 			j.period = halved
 		}
 		return
@@ -45,7 +45,7 @@ func (c *Controller) adaptPeriod(j *Job, now sim.Time) {
 	// dispatch intervals, or the thread's allocation rounds badly. Grow
 	// only while the fill is quiet (hysteresis against the jitter rule).
 	budget := sim.Duration(int64(j.period) * int64(j.allocated) / pptDenom)
-	if budget < sim.Duration(c.cfg.MinBudgetTicks)*tick && amp < c.cfg.JitterThreshold/2 {
+	if budget < sim.Duration(MinBudgetTicks)*tick && amp < JitterThreshold/2 {
 		if doubled := j.period * 2; doubled <= c.cfg.MaxPeriod {
 			j.period = doubled
 		}

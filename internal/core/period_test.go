@@ -31,9 +31,9 @@ func TestPeriodGrowsForTinyProportions(t *testing.T) {
 	r.run(10 * sim.Second)
 	r.kern.Stop()
 
-	if j.Period() <= r.ctl.Config().DefaultPeriod {
+	if j.Period() <= core.DefaultPeriod {
 		t.Fatalf("period = %v, want growth beyond the %v default for a tiny allocation",
-			j.Period(), r.ctl.Config().DefaultPeriod)
+			j.Period(), core.DefaultPeriod)
 	}
 	if j.Period() > r.ctl.Config().MaxPeriod {
 		t.Fatalf("period %v exceeded MaxPeriod %v", j.Period(), r.ctl.Config().MaxPeriod)
@@ -61,11 +61,11 @@ func TestPeriodShrinksUnderJitter(t *testing.T) {
 	r.run(10 * sim.Second)
 	r.kern.Stop()
 
-	if j.Period() >= r.ctl.Config().DefaultPeriod {
+	if j.Period() >= core.DefaultPeriod {
 		t.Fatalf("period = %v under heavy jitter, want shrink below the %v default",
-			j.Period(), r.ctl.Config().DefaultPeriod)
+			j.Period(), core.DefaultPeriod)
 	}
-	if j.Period() < r.ctl.Config().MinPeriod {
+	if j.Period() < core.MinPeriod {
 		t.Fatalf("period %v below MinPeriod", j.Period())
 	}
 }
@@ -111,7 +111,7 @@ func TestPeriodStaticWithoutAdaptation(t *testing.T) {
 	r.start()
 	r.run(5 * sim.Second)
 	r.kern.Stop()
-	if j.Period() != r.ctl.Config().DefaultPeriod {
+	if j.Period() != core.DefaultPeriod {
 		t.Fatalf("period changed to %v with adaptation disabled", j.Period())
 	}
 }

@@ -108,17 +108,7 @@ func (c *Controller) SampleJob(j *Job, now sim.Time, epochs int64) bool {
 // pressure to decide whether a dirty signal actually moved far enough to
 // warrant a re-sample.
 func (c *Controller) PeekPressure(j *Job, now sim.Time) float64 {
-	var sum float64
-	for _, t := range j.members {
-		sum += c.reg.SummedPressure(t, now)
-	}
-	if sum > 0.5 {
-		sum = 0.5
-	}
-	if sum < -0.5 {
-		sum = -0.5
-	}
-	return sum
+	return clampPressure(c.memberPressure(j, now))
 }
 
 // SquishApply runs pass 2 over one shard's squishable jobs with the
@@ -142,7 +132,7 @@ func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []flo
 	// point (thousands of adaptive jobs on one CPU) the machine simply
 	// lacks the ppt resolution, so the floor degrades gracefully
 	// instead of panicking the squish.
-	floor := c.cfg.MinProportion
+	floor := MinProportion
 	if floor*len(squishable) > capacity {
 		floor = capacity / len(squishable)
 	}
@@ -154,8 +144,8 @@ func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []flo
 		if i%PrefetchBlock == 0 {
 			c.Prefetch(squishable[i:min(i+PrefetchBlock, len(squishable))])
 		}
-		if allocs[i] > c.cfg.MaxProportion {
-			allocs[i] = c.cfg.MaxProportion
+		if allocs[i] > MaxProportion {
+			allocs[i] = MaxProportion
 		}
 		j.squished = allocs[i] < j.desired
 		c.maybeRaiseQuality(j, allocs[i], now)

@@ -188,10 +188,6 @@ type Plane struct {
 	stalenessEpochs int64
 	threshold       float64
 
-	// maxPPT is the controller's MaxProportion, read on every tick
-	// without copying the whole core.Config.
-	maxPPT int
-
 	shards []*shard
 	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
 	// where homes hash the thread ID instead.
@@ -259,7 +255,6 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 		cfg:       cfg,
 		interval:  ccfg.Interval,
 		threshold: cfg.Threshold,
-		maxPPT:    ccfg.MaxProportion,
 	}
 	p.stalenessEpochs = (int64(cfg.MaxStaleness) + int64(ccfg.Interval) - 1) / int64(ccfg.Interval)
 	if p.stalenessEpochs < 1 {
@@ -642,7 +637,6 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 
 	var agg aggregates
 	var held, skippedTick int
-	maxPPT := p.maxPPT
 	event := p.cfg.Mode == EventDriven
 	// Every entry sampled now is next due stalenessEpochs from now; a
 	// skipped one is due sooner.
@@ -712,7 +706,7 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 		}
 		skippedTick++
 		nextDue = min(nextDue, e.sampleEpoch+p.stalenessEpochs)
-		agg.add(e, maxPPT)
+		agg.add(e)
 	}
 
 	// The sample pass runs over the due entries in list order, a block at
@@ -748,7 +742,7 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 			weights = append(weights, j.Importance())
 			held += e.allocated
 		}
-		agg.add(e, maxPPT)
+		agg.add(e)
 	}
 	squishable, squishEnt = squishable[:inSquish], squishEnt[:inSquish]
 	clear(s.list[kept:])
@@ -830,9 +824,9 @@ type aggregates struct {
 // sums. Integer addition is exact in any order, so a tick adds its
 // skipped entries in the decide walk and its sampled ones in the sample
 // pass.
-func (a *aggregates) add(e *entry, maxPPT int) {
+func (a *aggregates) add(e *entry) {
 	d, al := e.desired, e.allocated
-	a.govDesire += min(d, maxPPT)
+	a.govDesire += min(d, core.MaxProportion)
 	a.govGranted += al
 	if e.adaptive {
 		a.desireRaw += d

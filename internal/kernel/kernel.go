@@ -10,8 +10,8 @@
 // symbiotic interfaces), and mutexes (for the priority-inversion
 // scenarios).
 //
-// The kernel charges configurable cycle costs for dispatches, timer
-// interrupts, and context switches. Those costs are what Figure 8 of the
+// The kernel charges fixed cycle costs for dispatches, timer interrupts,
+// and context switches. Those costs are what Figure 8 of the
 // paper measures, so they are first-class simulated work, not bookkeeping.
 package kernel
 
@@ -21,22 +21,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Config sizes the simulated machine.
-type Config struct {
+// The paper's testbed calibration (see DESIGN.md): a 400 MHz CPU with
+// ~2700 cycles of total per-dispatch overhead, which puts Figure 8's knee
+// at 4 kHz with ≈2.7% overhead.
+const (
 	// ClockRate is the CPU clock. The paper's testbed is a 400 MHz
 	// Pentium II.
-	ClockRate sim.Hz
+	ClockRate sim.Hz = 400_000_000
+	// DispatchCost is charged per schedule() invocation.
+	DispatchCost sim.Cycles = 1900
+	// TickCost is charged per timer interrupt (do_timers etc.).
+	TickCost sim.Cycles = 900
+	// SwitchCost is charged when a dispatch picks a different thread than
+	// the one that ran last (context-switch overhead).
+	SwitchCost sim.Cycles = 200
+)
+
+// Config sizes the simulated machine.
+type Config struct {
 	// TickInterval is the timer-interrupt period; the prototype sets the
 	// timer interval (and hence the upper bound on the dispatch interval)
 	// to 1 millisecond.
 	TickInterval sim.Duration
-	// DispatchCost is charged per schedule() invocation.
-	DispatchCost sim.Cycles
-	// TickCost is charged per timer interrupt (do_timers etc.).
-	TickCost sim.Cycles
-	// SwitchCost is charged when a dispatch picks a different thread than
-	// the one that ran last (context-switch overhead).
-	SwitchCost sim.Cycles
 	// CPUs is the number of CPUs (0 means 1). Each CPU runs at most one
 	// thread at a time; the timer interrupt is processed once per tick
 	// with TickCost charged per CPU, and every CPU gets a dispatch point
@@ -53,17 +59,9 @@ func (c Config) NumCPUs() int {
 	return c.CPUs
 }
 
-// DefaultConfig matches the paper's testbed calibration (see DESIGN.md):
-// a 400 MHz CPU with ~2700 cycles of total per-dispatch overhead, which
-// puts Figure 8's knee at 4 kHz with ≈2.7% overhead.
+// DefaultConfig matches the paper's testbed: one CPU and a 1 ms tick.
 func DefaultConfig() Config {
-	return Config{
-		ClockRate:    400_000_000,
-		TickInterval: sim.Millisecond,
-		DispatchCost: 1900,
-		TickCost:     900,
-		SwitchCost:   200,
-	}
+	return Config{TickInterval: sim.Millisecond}
 }
 
 // FaultInjector is the kernel's slice of the fault-injection seam (see
@@ -244,9 +242,6 @@ type segment struct {
 // New creates a kernel on the given engine with the given policy. The
 // policy must not be shared between kernels.
 func New(eng *sim.Engine, cfg Config, policy Policy) *Kernel {
-	if cfg.ClockRate <= 0 {
-		panic("kernel: ClockRate must be positive")
-	}
 	if cfg.TickInterval <= 0 {
 		panic("kernel: TickInterval must be positive")
 	}
@@ -385,7 +380,7 @@ func (k *Kernel) SetExitHook(fn func(t *Thread, now sim.Time)) { k.onExit = fn }
 
 // cyclesDur converts a cycle count to a duration at this machine's clock.
 func (k *Kernel) cyclesDur(c sim.Cycles) sim.Duration {
-	return sim.CyclesToDuration(c, k.cfg.ClockRate)
+	return sim.CyclesToDuration(c, ClockRate)
 }
 
 // Spawn creates a thread running program and makes it runnable on any CPU.
@@ -492,7 +487,7 @@ func (k *Kernel) tick(now sim.Time) {
 	for i := range k.cpus {
 		c := &k.cpus[i]
 		k.chargeSegment(c, now)
-		k.overheadOn(c, k.cfg.TickCost)
+		k.overheadOn(c, TickCost)
 	}
 	// do_timers: wake the sleepers whose deadlines have passed.
 	k.stats.TimerFires += uint64(k.expireSleepers(now))
@@ -569,7 +564,7 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 	c.stats.Dispatches++
 	k.busy++
 	defer func() { k.busy-- }()
-	k.overheadOn(c, k.cfg.DispatchCost)
+	k.overheadOn(c, DispatchCost)
 	pulled := false
 	for {
 		t := k.policy.Pick(c.id, now)
@@ -598,7 +593,7 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 		if c.lastRan != nil && c.lastRan != t {
 			k.stats.Switches++
 			c.stats.Switches++
-			k.overheadOn(c, k.cfg.SwitchCost)
+			k.overheadOn(c, SwitchCost)
 		}
 		c.lastRan = t
 		t.dispatched++
@@ -893,7 +888,7 @@ func (k *Kernel) chargeSegment(c *cpu, now sim.Time) {
 	if ran > 0 {
 		t.cpuTime += ran
 		t.runSinceBlock += ran
-		burned := sim.DurationToCycles(ran, k.cfg.ClockRate)
+		burned := sim.DurationToCycles(ran, ClockRate)
 		if burned >= t.remaining {
 			t.remaining = 0
 		} else {

@@ -148,7 +148,7 @@ func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
 // CPUCycles returns the total simulated cycles the thread has consumed.
 func (t *Thread) CPUCycles() sim.Cycles {
-	return sim.DurationToCycles(t.cpuTime, t.kern.cfg.ClockRate)
+	return sim.DurationToCycles(t.cpuTime, ClockRate)
 }
 
 // Dispatched returns the number of run segments the thread has received.

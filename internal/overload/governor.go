@@ -57,6 +57,11 @@ func (r Rung) String() string {
 	}
 }
 
+// SquishTrip is the compression-ratio floor: the demand test only counts
+// as saturation while Granted/Desired has actually fallen below this ratio
+// (jobs are visibly squished, not merely asking).
+const SquishTrip float64 = 0.75
+
 // Config tunes the governor's trip points and hysteresis. The zero value
 // of any field selects the default.
 type Config struct {
@@ -64,11 +69,6 @@ type Config struct {
 	// Capacity × GapFactor. Above 1.0 means "over-committed beyond what
 	// squish can absorb gracefully". Default 1.5.
 	GapFactor float64
-	// SquishTrip is the compression-ratio floor: the demand test only
-	// counts as saturation while Granted/Desired has actually fallen below
-	// this ratio (jobs are visibly squished, not merely asking). Default
-	// 0.75.
-	SquishTrip float64
 	// MissTrip counts missed period boundaries per interval at or above
 	// which the sample is saturated regardless of the demand test.
 	// 0 disables the miss test.
@@ -95,9 +95,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.GapFactor <= 0 {
 		c.GapFactor = 1.5
-	}
-	if c.SquishTrip <= 0 {
-		c.SquishTrip = 0.75
 	}
 	if c.TripIntervals <= 0 {
 		c.TripIntervals = 25
@@ -194,7 +191,7 @@ func (g *Governor) saturated(s Signals, factor float64) bool {
 	if s.Desired <= 0 {
 		return false
 	}
-	return float64(s.Granted)/float64(s.Desired) < g.cfg.SquishTrip
+	return float64(s.Granted)/float64(s.Desired) < SquishTrip
 }
 
 // recoveryBand shrinks the demand trip for the healthy test, providing the

@@ -32,7 +32,9 @@ type Observer interface {
 	// OnActuation fires when the feedback controller pushes a new
 	// reservation into the dispatcher for th's job.
 	OnActuation(now time.Duration, th *Thread, proportion int, period time.Duration)
-	// OnQuality fires for every quality exception (see System.OnQuality).
+	// OnQuality fires for every quality exception: sustained overload has
+	// squished th's job below what its progress requires. It never fires
+	// under a baseline policy, which runs no controller.
 	OnQuality(ev QualityEvent)
 	// OnAdmission fires for every admission-control decision: reservation
 	// requests from Spawn (Reserve and Aperiodic options) and from
@@ -126,9 +128,10 @@ func (s *System) Observe(o Observer) {
 	s.hub.obs = append(s.hub.obs, o)
 	s.hub.install()
 	if len(s.hub.obs) == 1 && s.ctl != nil {
-		// Actuations are the one frequent controller event; an unobserved
+		// Only observers consume controller events, so an unobserved
 		// system takes none of them.
-		s.ctl.Subscribe(&s.hub, core.EventActuate)
+		s.ctl.Subscribe(&s.hub, core.EventActuate|core.EventQuality|core.EventFaults|
+			core.EventDegrade|core.EventRecover|core.EventShed|core.EventRung)
 	}
 }
 
@@ -214,28 +217,21 @@ func (h *observerHub) OnBlock(now sim.Time, t *kernel.Thread, wq *kernel.WaitQue
 }
 
 // Handle implements core.Sink: it translates controller events to the
-// OnQuality callback and the public observer events.
+// public observer events. The hub subscribes once the first observer
+// registers, so there is always one to deliver to.
 func (h *observerHub) Handle(ev core.Event) {
 	var th *Thread
 	if ev.Job != nil {
 		th = handleOf(ev.Job.Thread())
 	}
 	now := time.Duration(ev.Time)
-	if ev.Kind == core.EventQuality {
+	switch ev.Kind {
+	case core.EventQuality:
 		qe := QualityEvent{Thread: th, Time: now, Pressure: ev.Value,
 			Desired: ev.Desired, Allocated: ev.Granted, Reason: qualityReason}
-		if h.sys.onQuality != nil {
-			h.sys.onQuality(qe)
-		}
 		for _, o := range h.obs {
 			o.OnQuality(qe)
 		}
-		return
-	}
-	if len(h.obs) == 0 {
-		return
-	}
-	switch ev.Kind {
 	case core.EventActuate:
 		for _, o := range h.obs {
 			o.OnActuation(now, th, ev.Prop, time.Duration(ev.Period))

@@ -140,7 +140,7 @@ func TestObserverOrderingUnderChurn(t *testing.T) {
 
 // TestKillRetiresImmediately pins the public Kill semantics: the thread
 // stops consuming CPU at once, observers see its OnExit, and its
-// reservation is admittable again after the next control interval.
+// reservation is admittable again as soon as Kill returns.
 func TestKillRetiresImmediately(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	obs := &orderingObserver{}
@@ -159,6 +159,11 @@ func TestKillRetiresImmediately(t *testing.T) {
 	if rt.State() != "exited" {
 		t.Fatalf("state after Kill = %q", rt.State())
 	}
+	// The exit hook reaps eagerly: the freed 600 ppt is admittable before
+	// any control interval runs.
+	if _, err := sys.Spawn("next", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err != nil {
+		t.Fatalf("reservation not freed by Kill: %v", err)
+	}
 	sys.Run(time.Second)
 	if got := rt.CPUTime(); got != used {
 		t.Fatalf("killed thread kept running: %v -> %v", used, got)
@@ -171,9 +176,5 @@ func TestKillRetiresImmediately(t *testing.T) {
 	}
 	if exits != 1 {
 		t.Fatalf("observers saw %d exits for the killed thread, want 1", exits)
-	}
-	// The freed 600 ppt is admittable again once the controller reaps.
-	if _, err := sys.Spawn("next", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err != nil {
-		t.Fatalf("reservation not freed after Kill: %v", err)
 	}
 }

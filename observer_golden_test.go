@@ -87,6 +87,14 @@ func (l *eventLog) OnShed(ev realrate.ShedEvent) {
 	l.line(ev.Time, "shed", ev.Thread, "class=%s importance=%v rung=%s", ev.Class, ev.Importance, ev.Rung)
 }
 
+// qualityTap is an Observer of quality exceptions only.
+type qualityTap struct {
+	realrate.NopObserver
+	fn func(realrate.QualityEvent)
+}
+
+func (q qualityTap) OnQuality(ev realrate.QualityEvent) { q.fn(ev) }
+
 // TestObserverEventGolden pins the whole controller-to-observer event
 // stream of one eventful run byte for byte: every fault kind the
 // controller detects, both directions of the degradation ladder, quality
@@ -109,10 +117,12 @@ func TestObserverEventGolden(t *testing.T) {
 		Overload:   &realrate.OverloadConfig{TripIntervals: 3, RecoverIntervals: 5},
 	})
 	log := &eventLog{kinds: map[string]int{}}
-	sys.Observe(log)
-	sys.OnQuality(func(ev realrate.QualityEvent) {
+	// A second observer, registered first, checks that every observer sees
+	// each quality exception and that they fire in registration order.
+	sys.Observe(qualityTap{fn: func(ev realrate.QualityEvent) {
 		log.line(ev.Time, "app-quality", ev.Thread, "allocated=%d", ev.Allocated)
-	})
+	}})
+	sys.Observe(log)
 
 	spawn := func(name string, prog realrate.Program, opts ...realrate.SpawnOption) *realrate.Thread {
 		th, err := sys.Spawn(name, prog, opts...)

@@ -127,15 +127,10 @@ func TestObserverQualityAndTracingCompose(t *testing.T) {
 	if _, err := sys.Spawn("consumer", impossible, realrate.RealRate(0, realrate.ConsumerOf(pipe))); err != nil {
 		t.Fatal(err)
 	}
-	userEvents := 0
-	sys.OnQuality(func(ev realrate.QualityEvent) { userEvents++ })
 	sys.Run(20 * time.Second)
 
 	if obs.quality == 0 {
 		t.Error("observer missed quality exceptions")
-	}
-	if userEvents != obs.quality {
-		t.Errorf("OnQuality callback saw %d events, observer %d; both taps must fire", userEvents, obs.quality)
 	}
 	var sb strings.Builder
 	if err := tr.WriteCSV(&sb); err != nil {

@@ -29,17 +29,10 @@ import (
 // under every policy. Zero fields take defaults.
 type OverloadConfig struct {
 	// GapFactor trips the demand test when summed desire exceeds
-	// capacity × GapFactor (default 1.5).
+	// capacity × GapFactor (default 1.5). The test only counts while
+	// granted/desired has also fallen below 0.75: jobs are visibly
+	// squished, not merely asking.
 	GapFactor float64
-	// SquishTrip gates the demand test on actual compression: the sample
-	// only counts as saturated while granted/desired has fallen below this
-	// ratio (default 0.75).
-	SquishTrip float64
-	// MissTrip and DemoteTrip mark an interval saturated at or above this
-	// many missed period boundaries / watchdog demotions per interval;
-	// 0 disables each test.
-	MissTrip   uint64
-	DemoteTrip uint64
 	// TripIntervals is how many consecutive saturated control intervals
 	// escalate the ladder one rung (default 25 ≈ 250 ms); RecoverIntervals
 	// is how many consecutive healthy intervals de-escalate one rung
@@ -65,9 +58,6 @@ type OverloadConfig struct {
 func (oc *OverloadConfig) governorConfig() overload.Config {
 	return overload.Config{
 		GapFactor:        oc.GapFactor,
-		SquishTrip:       oc.SquishTrip,
-		MissTrip:         oc.MissTrip,
-		DemoteTrip:       oc.DemoteTrip,
 		LatencyTrip:      sim.FromStd(oc.LatencyTrip),
 		TripIntervals:    oc.TripIntervals,
 		RecoverIntervals: oc.RecoverIntervals,

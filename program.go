@@ -32,10 +32,11 @@ func Compute(n int64) Action {
 	return Action{kernel.OpCompute{Cycles: sim.Cycles(n)}}
 }
 
-// ComputeFor burns the CPU for approximately d of simulated time at the
-// system's clock rate; the conversion happens when the action executes.
+// ComputeFor burns the CPU for approximately d of simulated time: d is
+// converted to cycles of the simulated 400 MHz clock, which every System
+// shares.
 func ComputeFor(s *System, d time.Duration) Action {
-	c := sim.DurationToCycles(sim.FromStd(d), s.kern.Config().ClockRate)
+	c := sim.DurationToCycles(sim.FromStd(d), kernel.ClockRate)
 	return Action{kernel.OpCompute{Cycles: c}}
 }
 

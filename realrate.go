@@ -72,24 +72,6 @@ type Config struct {
 	// Observer.OnMigration). CPUs=1 reproduces the paper's dispatch
 	// schedules byte-for-byte.
 	CPUs int
-	// ClockHz is the simulated CPU clock rate (default 400 MHz).
-	ClockHz int64
-	// TickInterval is the timer-interrupt (dispatch) interval, default 1ms.
-	TickInterval time.Duration
-	// ControllerInterval is the feedback controller's period, default 10ms.
-	ControllerInterval time.Duration
-	// OverloadThreshold is the admission/squish ceiling in ppt, default
-	// 900 (the spare 100 covers scheduling and interrupt overhead).
-	OverloadThreshold int
-	// PeriodAdaptation enables the period heuristic of §3.3 (off by
-	// default, as in all the paper's experiments).
-	PeriodAdaptation bool
-	// PreciseAccounting ends run segments exactly at budget exhaustion
-	// instead of at tick granularity (§4.3's proposed improvement).
-	PreciseAccounting bool
-	// DispatchCost, TickCost, SwitchCost override the kernel overhead
-	// model in cycles (defaults reproduce Figure 8's knee).
-	DispatchCost, TickCost, SwitchCost int64
 	// Controller overrides the controller tuning; zero fields keep
 	// defaults. Most users never touch this.
 	Controller ControllerTuning
@@ -120,17 +102,9 @@ type Config struct {
 	disablePools bool
 }
 
-// ControllerTuning exposes the controller knobs that experiments vary.
+// ControllerTuning exposes the controller's cost model and progress
+// watchdog; zero fields keep the defaults.
 type ControllerTuning struct {
-	// K is the pressure-to-proportion gain (ppt per unit pressure).
-	K float64
-	// Kp, Ki, Kd are the PID gains of the pressure filter G.
-	Kp, Ki, Kd float64
-	// MiscPressure is the constant pressure for miscellaneous threads.
-	MiscPressure float64
-	// ReclaimFraction and ReclaimC tune Figure 4's P−C reclamation.
-	ReclaimFraction float64
-	ReclaimC        int
 	// BaseCost and PerJobCost model the controller's own per-interval
 	// execution cost in cycles (Figure 5's intercept and slope).
 	BaseCost, PerJobCost int64
@@ -167,8 +141,7 @@ type System struct {
 	// qSlab backs public Queue wrappers the same way.
 	qSlab []Queue
 
-	hub       observerHub
-	onQuality func(QualityEvent)
+	hub observerHub
 
 	// slo is the wake→dispatch latency tracker, nil without
 	// Config.Overload.
@@ -198,21 +171,6 @@ func NewSystem(cfg Config) *System {
 	if cfg.CPUs > 0 {
 		kcfg.CPUs = cfg.CPUs
 	}
-	if cfg.ClockHz > 0 {
-		kcfg.ClockRate = sim.Hz(cfg.ClockHz)
-	}
-	if cfg.TickInterval > 0 {
-		kcfg.TickInterval = sim.FromStd(cfg.TickInterval)
-	}
-	if cfg.DispatchCost > 0 {
-		kcfg.DispatchCost = sim.Cycles(cfg.DispatchCost)
-	}
-	if cfg.TickCost > 0 {
-		kcfg.TickCost = sim.Cycles(cfg.TickCost)
-	}
-	if cfg.SwitchCost > 0 {
-		kcfg.SwitchCost = sim.Cycles(cfg.SwitchCost)
-	}
 
 	// Resolve the policy seam: unwrap public wrappers so the kernel's
 	// dispatch hot path calls the scheduler directly, and identify RBS so
@@ -227,56 +185,18 @@ func NewSystem(cfg Config) *System {
 		kpol = p
 	}
 	rbsPol, _ := kpol.(*rbs.Policy)
-	if rbsPol != nil {
-		rbsPol.PreciseAccounting = cfg.PreciseAccounting
-	}
 
 	eng := sim.NewEngine()
 	kern := kernel.New(eng, kcfg, kpol)
 	reg := progress.NewRegistry()
 
-	ccfg := core.Config{}
-	if cfg.ControllerInterval > 0 {
-		ccfg.Interval = sim.FromStd(cfg.ControllerInterval)
-	}
-	if cfg.OverloadThreshold > 0 {
-		ccfg.OverloadThreshold = cfg.OverloadThreshold
-	}
-	ccfg.PeriodAdaptation = cfg.PeriodAdaptation
 	t := cfg.Controller
-	if t.K != 0 {
-		ccfg.K = t.K
+	ccfg := core.Config{
+		BaseCost:          sim.Cycles(t.BaseCost),
+		PerJobCost:        sim.Cycles(t.PerJobCost),
+		WatchdogIntervals: t.WatchdogIntervals,
+		WatchdogRecovery:  t.WatchdogRecovery,
 	}
-	def := core.DefaultConfig()
-	if t.Kp != 0 || t.Ki != 0 || t.Kd != 0 {
-		ccfg.PID = def.PID
-		if t.Kp != 0 {
-			ccfg.PID.Kp = t.Kp
-		}
-		if t.Ki != 0 {
-			ccfg.PID.Ki = t.Ki
-		}
-		if t.Kd != 0 {
-			ccfg.PID.Kd = t.Kd
-		}
-	}
-	if t.MiscPressure != 0 {
-		ccfg.MiscPressure = t.MiscPressure
-	}
-	if t.ReclaimFraction != 0 {
-		ccfg.ReclaimFraction = t.ReclaimFraction
-	}
-	if t.ReclaimC != 0 {
-		ccfg.ReclaimC = t.ReclaimC
-	}
-	if t.BaseCost != 0 {
-		ccfg.BaseCost = sim.Cycles(t.BaseCost)
-	}
-	if t.PerJobCost != 0 {
-		ccfg.PerJobCost = sim.Cycles(t.PerJobCost)
-	}
-	ccfg.WatchdogIntervals = t.WatchdogIntervals
-	ccfg.WatchdogRecovery = t.WatchdogRecovery
 
 	s := &System{
 		eng:    eng,
@@ -289,16 +209,11 @@ func NewSystem(cfg Config) *System {
 	kern.SetExitHook(s.threadExited)
 	if cfg.Faults != nil && len(cfg.Faults.Specs) > 0 {
 		s.faults = s.buildInjector(cfg.Faults)
-		s.stuckOp.Cycles = sim.DurationToCycles(sim.Millisecond, kcfg.ClockRate)
+		s.stuckOp.Cycles = sim.DurationToCycles(sim.Millisecond, kernel.ClockRate)
 		kern.SetFaultInjector(s.faults)
 	}
 	if rbsPol != nil {
 		s.ctl = core.New(kern, rbsPol, reg, ccfg)
-		// Every controller event but actuation is rare, so the hub takes
-		// them unconditionally; actuations it takes once an observer
-		// exists (see Observe).
-		s.ctl.Subscribe(&s.hub, core.EventQuality|core.EventFaults|core.EventDegrade|
-			core.EventRecover|core.EventShed|core.EventRung)
 		if s.faults != nil {
 			s.ctl.SetFaults(s.faults)
 		}
@@ -438,16 +353,12 @@ func (s *System) Every(interval time.Duration, fn func(now time.Duration)) {
 	s.eng.After(iv, tick)
 }
 
-// OnQuality installs a callback for quality exceptions: raised when
-// sustained overload squishes a job below what its progress requires.
-// Under a baseline policy no controller runs, so the callback never fires.
-func (s *System) OnQuality(fn func(QualityEvent)) { s.onQuality = fn }
-
 // qualityReason is the Reason of every QualityEvent: the controller raises
 // quality exceptions for sustained overload only.
 const qualityReason = "sustained overload: renegotiate resource requirements"
 
-// QualityEvent is a quality exception surfaced to the application.
+// QualityEvent is a quality exception surfaced to the application through
+// Observer.OnQuality.
 type QualityEvent struct {
 	Thread    *Thread
 	Time      time.Duration

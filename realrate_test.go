@@ -248,12 +248,12 @@ func TestQualityEventDelivered(t *testing.T) {
 	spawn(t, sys, "consumer", consumer, realrate.RealRate(0, realrate.ConsumerOf(pipe)))
 
 	events := 0
-	sys.OnQuality(func(ev realrate.QualityEvent) {
+	sys.Observe(qualityTap{fn: func(ev realrate.QualityEvent) {
 		events++
 		if ev.Thread == nil || ev.Thread.Name() != "consumer" {
 			t.Errorf("quality event thread = %v", ev.Thread)
 		}
-	})
+	}})
 	sys.Run(20 * time.Second)
 	if events == 0 {
 		t.Fatal("no quality events under permanent overload")
@@ -398,18 +398,7 @@ func TestTracingViaPublicAPI(t *testing.T) {
 }
 
 func TestPublicAccessorsAndActions(t *testing.T) {
-	sys := realrate.NewSystem(realrate.Config{
-		ClockHz:            400_000_000,
-		TickInterval:       time.Millisecond,
-		ControllerInterval: 10 * time.Millisecond,
-		OverloadThreshold:  900,
-		DispatchCost:       1900, TickCost: 900, SwitchCost: 200,
-		Controller: realrate.ControllerTuning{
-			K: 2000, Kp: 1, Ki: 4, Kd: 0.05,
-			MiscPressure: 0.4, ReclaimFraction: 0.5, ReclaimC: 20,
-			BaseCost: 2280, PerJobCost: 2640,
-		},
-	})
+	sys := realrate.NewSystem(realrate.Config{})
 	q := sys.NewQueue("pipe", 4096)
 	if q.Name() != "pipe" || q.Size() != 4096 || q.Fill() != 0 {
 		t.Fatal("queue accessors wrong")

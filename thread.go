@@ -168,9 +168,9 @@ func (s *System) removeThread(th *Thread) {
 // Kill retires the thread immediately, as if its program had returned
 // Exit(): it is removed from the scheduler, any pending sleep wakeup is
 // canceled, and the partial run segment (if it was on the CPU) is charged.
-// The controller reaps its job — freeing any admitted reservation — at the
-// next control interval, exactly as for a natural exit. Killing an exited
-// thread is a no-op.
+// The exit hook reaps its job at once, exactly as for a natural exit, so
+// any admitted reservation is free for the next admission before Kill
+// returns. Killing an exited thread is a no-op.
 //
 // Kill is the remove half of admission churn (Spawn/Kill/Renegotiate
 // cycles). Call it from outside the simulation or from a timer callback
