@@ -14,8 +14,11 @@ examples:
 	$(GO) build ./examples/...
 
 # vet also gates formatting: any file gofmt would rewrite fails the step.
+# bench/ is a module of its own that compiles against the public API, and
+# the root `go vet ./...` stops at the module boundary, so it is vetted too.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that are not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	realrate "repro"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/workload/gen"
@@ -86,5 +87,56 @@ func TestAllocBudgetStormDispatch(t *testing.T) {
 	}
 	if bytes > byteBudget {
 		t.Fatalf("dispatch storm allocated %d bytes, budget is %d: per-thread state or the dispatch arrays grew", bytes, byteBudget)
+	}
+}
+
+// TestSpawnAllocatesNothing holds Spawn to zero allocations per call on
+// its hot shapes: the plane's idle Miscellaneous jobs, a session
+// primary's Miscellaneous+Importance and a session member's InJob. The
+// options are values folded into a spec on the stack, so what a spawn
+// allocates is only its share of the slab chunks behind a thread (handle,
+// kernel thread, rbs state, controller job), which the per-call average
+// rounds away; a warm-up carves the first chunks. Members join jobs in
+// turn, so each job stays session-sized (a few members, as a pipeline's
+// stages): actuating a job of more than eight members copies its member
+// list.
+func TestSpawnAllocatesNothing(t *testing.T) {
+	sys := realrate.NewSystem(realrate.Config{})
+	prog := realrate.HogProgram(100_000)
+	primaries := make([]*realrate.Thread, 256)
+	for i := range primaries {
+		th, err := sys.Spawn("primary", prog, realrate.Miscellaneous())
+		if err != nil {
+			t.Fatal(err)
+		}
+		primaries[i] = th
+	}
+	next := 0
+	for _, c := range []struct {
+		name  string
+		spawn func() (*realrate.Thread, error)
+	}{
+		{"Miscellaneous", func() (*realrate.Thread, error) {
+			return sys.Spawn("misc", prog, realrate.Miscellaneous())
+		}},
+		{"Miscellaneous+Importance", func() (*realrate.Thread, error) {
+			return sys.Spawn("imp", prog, realrate.Miscellaneous(), realrate.Importance(2))
+		}},
+		{"InJob", func() (*realrate.Thread, error) {
+			next++
+			return sys.Spawn("member", prog, realrate.InJob(primaries[next%len(primaries)]))
+		}},
+	} {
+		spawn := func() {
+			if _, err := c.spawn(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			spawn()
+		}
+		if got := testing.AllocsPerRun(100, spawn); got != 0 {
+			t.Errorf("Spawn(%s) allocated %v objects per call, want 0", c.name, got)
+		}
 	}
 }

@@ -238,7 +238,8 @@ func TestExplicitTicketsAndNice(t *testing.T) {
 }
 
 // TestSpawnOptionConflicts checks that the mutually-exclusive class
-// options are rejected with a clear error.
+// options, and invalid options, are rejected with a clear error and leave
+// the spawn spec unchanged.
 func TestSpawnOptionConflicts(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	_, err := sys.Spawn("x", realrate.HogProgram(1000),
@@ -258,6 +259,31 @@ func TestSpawnOptionConflicts(t *testing.T) {
 	}
 	if _, err := sys.Spawn("w", realrate.HogProgram(1000), realrate.Unmanaged(), realrate.Importance(2)); err == nil {
 		t.Fatal("Importance on unmanaged thread accepted")
+	}
+
+	// The zero SpawnOption is no option at all: Spawn rejects it.
+	if _, err := sys.Spawn("v", realrate.HogProgram(1000), realrate.SpawnOption{}); err == nil ||
+		!strings.Contains(err.Error(), "zero SpawnOption") {
+		t.Fatalf("zero SpawnOption not rejected: %v", err)
+	}
+	// A rejected option, the zero one included, leaves the spec as the
+	// options before it built it.
+	base := []realrate.SpawnOption{realrate.Reserve(100, 10*time.Millisecond), realrate.Importance(2), realrate.Affinity(0)}
+	want, err := realrate.FoldSpawnOptions(base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range []realrate.SpawnOption{
+		{}, realrate.Interactive(), realrate.RealRate(0), realrate.InJob(nil),
+		realrate.Importance(-1), realrate.Tickets(0), realrate.Affinity(1), realrate.AnyCPU(),
+	} {
+		got, err := realrate.FoldSpawnOptions(append(base[:len(base):len(base)], bad)...)
+		if err == nil {
+			t.Fatalf("bad option %d accepted", i)
+		}
+		if got != want {
+			t.Fatalf("bad option %d (%v) changed the spec:\n got %s\nwant %s", i, err, got, want)
+		}
 	}
 }
 

@@ -191,11 +191,10 @@ type Controller struct {
 	// adaptive counts jobs of adaptive classes, so the admission headroom
 	// (available) is O(1) instead of a scan over every job.
 	adaptive int
-	// ncpu is the machine's CPU count; ceiling is the machine-wide
-	// admission/squish ceiling, OverloadThreshold × ncpu. The controller
-	// is phrased against capacity in ppt, so the same control law drives
-	// one CPU or many — only the ceiling scales.
-	ncpu    int
+	// ceiling is the machine-wide admission/squish ceiling,
+	// OverloadThreshold × the CPU count. The controller is phrased against
+	// capacity in ppt, so the same control law drives one CPU or many —
+	// only the ceiling scales.
 	ceiling int
 	// effectiveThreshold shrinks when the dispatcher reports missed
 	// deadlines ("the RBS ... notifies the controller which can increase
@@ -327,7 +326,6 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		kern:               kern,
 		policy:             policy,
 		reg:                reg,
-		ncpu:               ncpu,
 		ceiling:            OverloadThreshold * ncpu,
 		effectiveThreshold: OverloadThreshold * ncpu,
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestShardThreads pins the shard threads' names and CPU affinities on a
 // 4-CPU machine. A lone shard is the paper's controller thread: named
-// "controller", unpinned when periodic (the migrator places it, as it
+// "controller", unpinned when periodic (the kernel places it, as it
 // would any thread), pinned to CPU 0 when event-driven. With several
 // shards each is "ctl<id>", pinned to CPU id mod CPUs.
 func TestShardThreads(t *testing.T) {

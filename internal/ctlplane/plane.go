@@ -317,7 +317,7 @@ func (p *Plane) Start() {
 // A lone shard is the paper's controller thread and is named "controller";
 // with several, each is "ctl<id>", pinned to CPU id mod CPUs so its
 // control work lands where its jobs run. A lone periodic shard is spawned
-// unpinned, as the prototype's controller was: on SMP the migrator places
+// unpinned, as the prototype's controller was: on SMP the kernel places
 // it and work-pull may move it, and pinning it to CPU 0 would change the
 // machine's schedule. A lone event shard stays pinned to CPU 0, the home
 // the event plane has always given it — the configuration the sessions

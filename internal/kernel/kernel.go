@@ -1,14 +1,14 @@
 // Package kernel simulates the machine the paper's prototype ran on — a
 // Linux 2.0.35 box with a 1 ms timer interrupt — generalized from the
 // paper's single CPU to Config.CPUs homogeneous CPUs with per-CPU run
-// state, a pluggable migration/placement seam (Migrator, default
-// work-pull), and CPU affinity. With CPUs=1 the machine reproduces the
-// paper's dispatch schedules byte-for-byte. It provides threads driven by
-// Programs, a pluggable scheduling Policy (with per-CPU run-queue
-// shards), sleep deadlines processed at timer interrupts (do_timers),
-// in-kernel bounded byte queues (the pipe/socket analog used by the
-// symbiotic interfaces), and mutexes (for the priority-inversion
-// scenarios).
+// state, round-robin placement, work-pull migration (an idle CPU steals
+// from its peers in ring order), and CPU affinity. With CPUs=1 the
+// machine reproduces the paper's dispatch schedules byte-for-byte. It
+// provides threads driven by Programs, a pluggable scheduling Policy
+// (with per-CPU run-queue shards), sleep deadlines processed at timer
+// interrupts (do_timers), in-kernel bounded byte queues (the pipe/socket
+// analog used by the symbiotic interfaces), and mutexes (for the
+// priority-inversion scenarios).
 //
 // The kernel charges fixed cycle costs for dispatches, timer interrupts,
 // and context switches. Those costs are what Figure 8 of the
@@ -173,9 +173,10 @@ type Kernel struct {
 	// cpus holds the per-CPU run state; cpus[0] is the boot CPU. The
 	// slice is sized once at construction and never moves.
 	cpus []cpu
-	// migrator is the placement/work-pull seam, consulted only when the
-	// machine has more than one CPU.
-	migrator Migrator
+	// nextPlace is the CPU the next unpinned thread lands on: placement
+	// is round-robin over the CPUs, which spreads an initial taskset
+	// evenly; work-pull (see pull) corrects transient imbalance.
+	nextPlace int
 
 	sleepers sleepHeap
 	tickEv   *sim.Event
@@ -250,7 +251,6 @@ func New(eng *sim.Engine, cfg Config, policy Policy) *Kernel {
 		cfg:      cfg,
 		policy:   policy,
 		baseTime: eng.Now(),
-		migrator: &WorkPull{},
 	}
 	k.stats.CPUs = cfg.NumCPUs()
 	k.cpus = make([]cpu, cfg.NumCPUs())
@@ -285,18 +285,6 @@ func (k *Kernel) Current() *Thread { return k.cpus[0].current }
 
 // CurrentOn returns the thread running on the given CPU, or nil when idle.
 func (k *Kernel) CurrentOn(cpu int) *Thread { return k.cpus[cpu].current }
-
-// SetMigrator installs a placement/work-pull policy (nil restores the
-// default WorkPull). Call before Start.
-func (k *Kernel) SetMigrator(m Migrator) {
-	if m == nil {
-		m = &WorkPull{}
-	}
-	k.migrator = m
-}
-
-// Migrator returns the installed migration policy.
-func (k *Kernel) Migrator() Migrator { return k.migrator }
 
 // Threads returns the machine's threads. Without recycling (the default)
 // that is every thread ever created, including exited ones; with recycling
@@ -391,8 +379,8 @@ func (k *Kernel) Spawn(name string, program Program) *Thread {
 }
 
 // SpawnAffinity is Spawn with a CPU pin: affinity >= 0 fixes the thread to
-// that CPU forever (it is never migrated); AffinityAny lets the migrator
-// place it and work-pull move it.
+// that CPU forever (it is never migrated); AffinityAny places it
+// round-robin and lets work-pull move it.
 func (k *Kernel) SpawnAffinity(name string, program Program, affinity int) *Thread {
 	if affinity != AffinityAny && (affinity < 0 || affinity >= len(k.cpus)) {
 		panic(fmt.Sprintf("kernel: affinity %d outside [0,%d)", affinity, len(k.cpus)))
@@ -408,12 +396,8 @@ func (k *Kernel) SpawnAffinity(name string, program Program, affinity int) *Thre
 	case affinity != AffinityAny:
 		t.cpu = int32(affinity)
 	case len(k.cpus) > 1:
-		cpu := k.migrator.Place(t, k)
-		if cpu < 0 || cpu >= len(k.cpus) {
-			panic(fmt.Sprintf("kernel: migrator %s placed %v on CPU %d outside [0,%d)",
-				k.migrator.Name(), t, cpu, len(k.cpus)))
-		}
-		t.cpu = int32(cpu)
+		t.cpu = int32(k.nextPlace)
+		k.nextPlace = (k.nextPlace + 1) % len(k.cpus)
 	}
 	k.nextID++
 	t.listIdx = int32(len(k.threads))
@@ -547,8 +531,8 @@ func (k *Kernel) overheadOn(c *cpu, cy sim.Cycles) {
 
 // dispatch runs the scheduler on one CPU: pick a thread and start a run
 // segment, or go idle. The caller must have cleared c.current and c.seg.
-// An idle CPU with an empty shard asks the migrator to pull work from a
-// peer before giving up.
+// An idle CPU with an empty shard pulls work from a peer (see pull)
+// before giving up.
 func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 	if k.stopped {
 		return
@@ -572,7 +556,7 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 			if !pulled && len(k.cpus) > 1 {
 				// Work-pull: one migration attempt per dispatch.
 				pulled = true
-				if m := k.migrator.Pull(c.id, now, k); m != nil {
+				if m := k.pull(c.id, now); m != nil {
 					k.migrate(m, c.id, now)
 					continue
 				}
@@ -600,6 +584,22 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 		k.startRun(c, t, now)
 		return
 	}
+}
+
+// pull is work-pull on behalf of the idle CPU: it scans the other CPUs
+// in ring order, starting after the idle one (which keeps the victim
+// choice fair and deterministic), and takes the first thread the policy
+// yields through Steal, or nil when no work can move. This is the classic
+// work-conserving baseline: no CPU idles while another has a queue of
+// unpinned ready threads.
+func (k *Kernel) pull(idle int, now sim.Time) *Thread {
+	n := len(k.cpus)
+	for i := 1; i < n; i++ {
+		if t := k.policy.Steal((idle+i)%n, now); t != nil {
+			return t
+		}
+	}
+	return nil
 }
 
 // migrate reassigns a stolen thread (already out of every policy

@@ -140,11 +140,11 @@ func TestSMPParallelThroughput(t *testing.T) {
 	}
 }
 
-// TestSMPWorkPull exercises the migration seam directly. Round-robin
+// TestSMPWorkPull exercises placement and work-pull directly. Round-robin
 // placement lands hogs A and B on CPU 0 and a part-time sleeper on CPU 1;
 // whenever the sleeper naps, CPU 1 goes idle and must pull the hog queued
-// behind CPU 0's current instead of idling — the work-conserving point of
-// the seam.
+// behind CPU 0's current instead of idling, which is what makes work-pull
+// work-conserving.
 func TestSMPWorkPull(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := kernel.DefaultConfig()

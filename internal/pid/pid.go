@@ -4,9 +4,8 @@
 // error reduction together with acceptable stability and damping"
 // (Franklin, Powell, Emami-Naeini).
 //
-// The controller is assembled from SWiFT components (package swift), the
-// same structure as the paper's prototype, which was built with the SWiFT
-// feedback toolkit.
+// The controller is built from SWiFT components (package swift), as the
+// paper's prototype was built with the SWiFT feedback toolkit.
 package pid
 
 import "repro/internal/swift"
@@ -15,11 +14,9 @@ import "repro/internal/swift"
 type Config struct {
 	// Kp, Ki, Kd are the proportional, integral, and derivative gains.
 	Kp, Ki, Kd float64
-	// IntegralLimit clamps the magnitude of the integral accumulator
-	// (anti-windup). Zero means unlimited.
-	IntegralLimit float64
-	// IntegralLo/IntegralHi, when IntegralHi > IntegralLo, impose an
-	// asymmetric accumulator range instead of the symmetric limit.
+	// IntegralLo/IntegralHi, when IntegralHi > IntegralLo, clamp the
+	// integral accumulator to that range (anti-windup). Otherwise it is
+	// unlimited.
 	IntegralLo, IntegralHi float64
 	// DerivativeTau, when positive, low-pass filters the derivative leg with
 	// the given time constant in seconds, taming sample noise.
@@ -58,12 +55,8 @@ type Controller struct {
 // New returns a controller with the given configuration.
 func New(cfg Config) *Controller {
 	c := &Controller{
-		cfg: cfg,
-		integ: swift.Integrator{
-			Limit:   cfg.IntegralLimit,
-			LimitLo: cfg.IntegralLo,
-			LimitHi: cfg.IntegralHi,
-		},
+		cfg:   cfg,
+		integ: swift.Integrator{LimitLo: cfg.IntegralLo, LimitHi: cfg.IntegralHi},
 	}
 	if cfg.DerivativeTau > 0 {
 		c.dfilter = swift.LowPass{Tau: cfg.DerivativeTau}

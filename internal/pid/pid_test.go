@@ -77,7 +77,7 @@ func TestOutputClamp(t *testing.T) {
 }
 
 func TestAntiWindup(t *testing.T) {
-	bounded := New(Config{Ki: 1, IntegralLimit: 1, OutLo: -1, OutHi: 1})
+	bounded := New(Config{Ki: 1, IntegralLo: -1, IntegralHi: 1, OutLo: -1, OutHi: 1})
 	for i := 0; i < 10000; i++ {
 		bounded.Step(10, 0.01)
 	}

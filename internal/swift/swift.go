@@ -1,48 +1,19 @@
-// Package swift is a software feedback toolkit in the spirit of SWiFT
-// (Goel, Steere, Pu, Walpole — OGI CSE-98-009), the toolkit the paper's
-// controller is implemented with. A controller is a *circuit*: a directed
-// composition of small stateful components, each transforming one sample per
-// control interval. The paper's PID pressure filter G is assembled from
-// these parts (see package pid).
+// Package swift holds the feedback components of SWiFT (Goel, Steere, Pu,
+// Walpole — OGI CSE-98-009), the toolkit the paper's controller is
+// implemented with: an integrator, a differentiator, a low-pass filter and
+// a clamp. Each transforms one sample per control interval. Package pid
+// embeds them by value to build the paper's PID pressure filter G; nothing
+// else composes them, so the toolkit's circuit plumbing is not reproduced.
 package swift
 
-// Component is one stage of a feedback circuit. Step consumes the input
-// sample for the current control interval (dt seconds since the previous
-// step) and produces the output sample.
-type Component interface {
-	// Step advances the component one control interval.
-	Step(in, dt float64) float64
-	// Reset returns the component to its initial state.
-	Reset()
-}
-
-// Func adapts a stateless function to a Component.
-type Func func(in, dt float64) float64
-
-// Step invokes the function.
-func (f Func) Step(in, dt float64) float64 { return f(in, dt) }
-
-// Reset is a no-op for stateless components.
-func (Func) Reset() {}
-
-// Gain multiplies the input by a constant K.
-type Gain struct{ K float64 }
-
-// Step returns K·in.
-func (g *Gain) Step(in, _ float64) float64 { return g.K * in }
-
-// Reset is a no-op: Gain is stateless.
-func (g *Gain) Reset() {}
-
-// Integrator accumulates the input over time (rectangular rule). Limit, if
-// positive, clamps the accumulated magnitude: this is the classic
-// anti-windup guard that keeps the controller from banking unbounded error
-// while actuation is saturated. LimitLo/LimitHi, when set (LimitHi >
-// LimitLo), impose an asymmetric range instead — a proportion allocator
-// wants plenty of positive authority but almost no negative bank, or a
-// long queue-empty stretch would delay the response to the next burst.
+// Integrator accumulates the input over time (rectangular rule).
+// LimitLo/LimitHi, when set (LimitHi > LimitLo), clamp the accumulator to
+// that range: the anti-windup guard that keeps the controller from banking
+// unbounded error while actuation is saturated. The range may be
+// asymmetric — a proportion allocator wants plenty of positive authority
+// but almost no negative bank, or a long queue-empty stretch would delay
+// the response to the next burst.
 type Integrator struct {
-	Limit            float64
 	LimitLo, LimitHi float64
 	sum              float64
 }
@@ -50,16 +21,12 @@ type Integrator struct {
 // Step adds in·dt to the accumulator and returns it.
 func (i *Integrator) Step(in, dt float64) float64 {
 	i.sum += in * dt
-	lo, hi := -i.Limit, i.Limit
 	if i.LimitHi > i.LimitLo {
-		lo, hi = i.LimitLo, i.LimitHi
-	} else if i.Limit <= 0 {
-		return i.sum
-	}
-	if i.sum > hi {
-		i.sum = hi
-	} else if i.sum < lo {
-		i.sum = lo
+		if i.sum > i.LimitHi {
+			i.sum = i.LimitHi
+		} else if i.sum < i.LimitLo {
+			i.sum = i.LimitLo
+		}
 	}
 	return i.sum
 }
@@ -132,69 +99,4 @@ func (c *Clamp) Step(in, _ float64) float64 {
 		return c.Hi
 	}
 	return in
-}
-
-// Reset is a no-op: Clamp is stateless.
-func (c *Clamp) Reset() {}
-
-// Deadband passes the input through unless its magnitude is below Width, in
-// which case it emits zero. Useful to stop actuation chatter around the set
-// point.
-type Deadband struct{ Width float64 }
-
-// Step applies the dead band.
-func (d *Deadband) Step(in, _ float64) float64 {
-	if in > -d.Width && in < d.Width {
-		return 0
-	}
-	return in
-}
-
-// Reset is a no-op: Deadband is stateless.
-func (d *Deadband) Reset() {}
-
-// Pipeline runs components in sequence, feeding each one's output to the
-// next.
-type Pipeline struct{ Stages []Component }
-
-// NewPipeline builds a pipeline from the given stages.
-func NewPipeline(stages ...Component) *Pipeline { return &Pipeline{Stages: stages} }
-
-// Step threads the sample through every stage.
-func (p *Pipeline) Step(in, dt float64) float64 {
-	out := in
-	for _, s := range p.Stages {
-		out = s.Step(out, dt)
-	}
-	return out
-}
-
-// Reset resets every stage.
-func (p *Pipeline) Reset() {
-	for _, s := range p.Stages {
-		s.Reset()
-	}
-}
-
-// SumOf feeds the same input to several components and sums their outputs —
-// the parallel composition used to build a PID from P, I, and D legs.
-type SumOf struct{ Terms []Component }
-
-// NewSum builds a parallel sum of the given terms.
-func NewSum(terms ...Component) *SumOf { return &SumOf{Terms: terms} }
-
-// Step feeds in to every term and returns the sum of outputs.
-func (s *SumOf) Step(in, dt float64) float64 {
-	var out float64
-	for _, c := range s.Terms {
-		out += c.Step(in, dt)
-	}
-	return out
-}
-
-// Reset resets every term.
-func (s *SumOf) Reset() {
-	for _, c := range s.Terms {
-		c.Reset()
-	}
 }

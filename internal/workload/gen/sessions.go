@@ -122,15 +122,15 @@ type sessionRun struct {
 	violations []Violation
 
 	// Pooled session states, one rolling arrival timer for the whole
-	// plan list, per-kind interned thread names, and a reused SpawnReq,
-	// so an arrival allocates no timer, program or option closure.
+	// plan list, per-kind interned thread names, and one reused progress
+	// source array for RealRate (a fresh variadic slice would escape), so
+	// an arrival allocates no timer, program or source slice.
 	names    [2]sessionNames // indexed rr=0, be=1
 	plans    []sessionPlan
 	next     int
 	arr      *realrate.Timer
 	freeSess *sessionState
 	slots    int
-	req      realrate.SpawnReq
 	srcSrc   [1]realrate.ProgressSource
 
 	// Fresh-slot build slabs: a saturated storm's pool can only serve
@@ -242,16 +242,13 @@ func (sr *sessionRun) spawn(id int, p sessionPlan, now time.Duration) {
 		names = &sr.names[1]
 	}
 
-	sr.req = realrate.SpawnReq{Importance: p.importance}
-	if p.bestEffort {
-		sr.req.Class = realrate.SpawnMisc
-	} else {
-		sr.req.Class = realrate.SpawnRealRate
+	class := realrate.Miscellaneous()
+	if !p.bestEffort {
 		sr.srcSrc[0] = st.srcLink
-		sr.req.Sources = sr.srcSrc[:]
+		class = realrate.RealRate(0, sr.srcSrc[:]...)
 	}
 	st.src = srcState{sr: sr, st: st, out: st.queues[0], compute: true}
-	primary, err := sr.r.sys.SpawnFrom(names.src, &st.src, &sr.req)
+	primary, err := sr.r.sys.Spawn(names.src, &st.src, class, realrate.Importance(p.importance))
 	sr.r.chk.spawned(primary, err, false, -1)
 	if err != nil {
 		sr.refused++
@@ -282,12 +279,11 @@ func (sr *sessionRun) spawn(id int, p sessionPlan, now time.Duration) {
 			st.sink = sinkState{sr: sr, st: st, kind: names.kind, in: st.queues[s-1], consume: true}
 			prog, name = &st.sink, names.sink
 		}
-		sr.req = realrate.SpawnReq{}
+		class := realrate.Miscellaneous()
 		if member {
-			sr.req.Class = realrate.SpawnMember
-			sr.req.Job = primary
+			class = realrate.InJob(primary)
 		}
-		mth, merr := sr.r.sys.SpawnFrom(name, prog, &sr.req)
+		mth, merr := sr.r.sys.Spawn(name, prog, class)
 		sr.r.chk.spawned(mth, merr, false, -1)
 		if merr != nil {
 			// Members are veto-exempt; a refusal here is a harness bug.

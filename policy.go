@@ -25,7 +25,9 @@ import (
 // Only RBS carries the feedback controller: under a baseline policy the
 // System has no proportion allocator, the Figure 2 taxonomy options
 // (Reserve, RealRate, …) degrade to share hints where the policy can
-// express them (see Spawn), and quality events are never raised.
+// express them (see Spawn), and quality events are never raised. A
+// thread's baseline share is set only through the Tickets and Nice spawn
+// options.
 type Policy interface {
 	kernel.Policy
 }
@@ -52,16 +54,6 @@ func RBS() *RBSPolicy { return &RBSPolicy{Policy: rbs.New()} }
 
 func (p *RBSPolicy) kernelPolicy() kernel.Policy { return p.Policy }
 
-// TicketPolicy is implemented by the policies whose shares are expressed
-// as tickets — Stride and Lottery. The Tickets spawn option and the
-// Reserve-to-tickets degradation use it.
-type TicketPolicy interface {
-	Policy
-	// SetThreadTickets assigns n tickets to a thread spawned on this
-	// policy's System.
-	SetThreadTickets(th *Thread, n int64)
-}
-
 // StridePolicy is the stride-scheduling baseline: deterministic
 // proportional share via per-thread pass values.
 type StridePolicy struct {
@@ -75,9 +67,6 @@ func Stride(quantum time.Duration) *StridePolicy {
 }
 
 func (p *StridePolicy) kernelPolicy() kernel.Policy { return p.Stride }
-
-// SetThreadTickets implements TicketPolicy.
-func (p *StridePolicy) SetThreadTickets(th *Thread, n int64) { p.Stride.SetTickets(th.t, n) }
 
 // LotteryPolicy is the lottery-scheduling baseline: randomized proportional
 // share, the probabilistic twin of stride.
@@ -93,9 +82,6 @@ func Lottery(quantum time.Duration, seed uint64) *LotteryPolicy {
 
 func (p *LotteryPolicy) kernelPolicy() kernel.Policy { return p.Lottery }
 
-// SetThreadTickets implements TicketPolicy.
-func (p *LotteryPolicy) SetThreadTickets(th *Thread, n int64) { p.Lottery.SetTickets(th.t, n) }
-
 // LinuxPolicy is the Linux 2.0.35 goodness scheduler the paper's prototype
 // replaced: multilevel-feedback counter decay, nice values, and a fixed
 // real-time (SCHED_FIFO) class above the time-sharing class.
@@ -109,14 +95,6 @@ func Linux() *LinuxPolicy {
 }
 
 func (p *LinuxPolicy) kernelPolicy() kernel.Policy { return p.Linux }
-
-// SetThreadNice adjusts a thread's nice value (−20..19).
-func (p *LinuxPolicy) SetThreadNice(th *Thread, nice int) { p.Linux.SetNice(th.t, nice) }
-
-// SetThreadRealtime moves a thread into the fixed-priority SCHED_FIFO
-// class — the configuration whose priority-inversion failure the Mars
-// Pathfinder scenario reproduces.
-func (p *LinuxPolicy) SetThreadRealtime(th *Thread, rtprio int) { p.Linux.SetRealtime(th.t, rtprio) }
 
 // RoundRobinPolicy is the neutral comparator: equal fixed quanta in FIFO
 // order, no information used at all.

@@ -35,7 +35,7 @@ func Compute(n int64) Action {
 // ComputeFor burns the CPU for approximately d of simulated time: d is
 // converted to cycles of the simulated 400 MHz clock, which every System
 // shares.
-func ComputeFor(s *System, d time.Duration) Action {
+func ComputeFor(d time.Duration) Action {
 	c := sim.DurationToCycles(sim.FromStd(d), kernel.ClockRate)
 	return Action{kernel.OpCompute{Cycles: c}}
 }

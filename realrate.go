@@ -157,11 +157,6 @@ type System struct {
 	// clamping adapter (see customMetric), feeding Health.
 	srcRejects uint64
 
-	// pooled mirrors !Config.disablePools: exited threads' slots and
-	// controller jobs are recycled, so exits must be reaped eagerly (see
-	// threadExited) and handles carry their slot generation.
-	pooled bool
-
 	started bool
 }
 
@@ -243,7 +238,6 @@ func NewSystem(cfg Config) *System {
 		s.plane = buildPlane(s, cfg.CtlPlane)
 	}
 	if !cfg.disablePools {
-		s.pooled = true
 		kern.SetRecycle(true)
 		if rbsPol != nil {
 			rbsPol.SetRecycle(true)

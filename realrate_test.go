@@ -415,7 +415,7 @@ func TestPublicAccessorsAndActions(t *testing.T) {
 		phase++
 		switch phase {
 		case 1:
-			return realrate.ComputeFor(sys, time.Millisecond)
+			return realrate.ComputeFor(time.Millisecond)
 		case 2:
 			return realrate.Produce(q, 512)
 		case 3:

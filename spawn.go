@@ -63,125 +63,147 @@ type spawnSpec struct {
 	affinitySet bool
 }
 
-// setClass records a class-selecting option, rejecting conflicts.
-func (sp *spawnSpec) setClass(c spawnClass) error {
-	if sp.class != classDefault {
-		return fmt.Errorf("realrate: conflicting spawn options %s and %s", sp.class, c)
-	}
-	sp.class = c
-	return nil
-}
+// optKind says what a SpawnOption sets. A class option's kind is its
+// class; the zero kind (classDefault) is the zero SpawnOption, which add
+// rejects.
+type optKind uint8
+
+const (
+	optReserve     = optKind(classReserve)
+	optAperiodic   = optKind(classAperiodic)
+	optRealRate    = optKind(classRealRate)
+	optInteractive = optKind(classInteractive)
+	optMisc        = optKind(classMisc)
+	optUnmanaged   = optKind(classUnmanaged)
+	optInJob       = optKind(classMember)
+)
+
+const (
+	optImportance = optInJob + 1 + iota
+	optTickets
+	optNice
+	optAffinity
+	optAnyCPU
+)
 
 // SpawnOption configures one Spawn call. The class options — Reserve,
 // Aperiodic, RealRate, Interactive, Miscellaneous, Unmanaged, InJob — are
-// mutually exclusive; omitting them spawns a miscellaneous thread.
-type SpawnOption func(*spawnSpec) error
+// mutually exclusive; omitting them spawns a miscellaneous thread. An
+// option is a plain value built by one of those constructors (or
+// Importance, Tickets, Nice, Affinity, AnyCPU); the zero SpawnOption is
+// rejected.
+type SpawnOption struct {
+	kind    optKind
+	n       int64 // ppt, tickets, nice value or CPU
+	period  time.Duration
+	w       float64
+	sources []ProgressSource
+	th      *Thread
+}
+
+// add folds one option into the spec, rejecting invalid arguments and
+// conflicts with what the spec already holds. On error the spec is
+// unchanged.
+func (sp *spawnSpec) add(o SpawnOption) error {
+	switch o.kind {
+	case optReserve, optAperiodic, optRealRate, optInteractive, optMisc, optUnmanaged, optInJob:
+		c := spawnClass(o.kind)
+		if c == classRealRate && len(o.sources) == 0 {
+			return fmt.Errorf("realrate: RealRate needs at least one progress source")
+		}
+		if c == classMember && o.th == nil {
+			return fmt.Errorf("realrate: InJob(nil)")
+		}
+		if sp.class != classDefault {
+			return fmt.Errorf("realrate: conflicting spawn options %s and %s", sp.class, c)
+		}
+		sp.class = c
+		sp.ppt, sp.period, sp.sources, sp.member = int(o.n), o.period, o.sources, o.th
+	case optImportance:
+		if o.w <= 0 {
+			return fmt.Errorf("realrate: importance must be positive, got %v", o.w)
+		}
+		sp.importance, sp.importanceSet = o.w, true
+	case optTickets:
+		if o.n <= 0 {
+			return fmt.Errorf("realrate: tickets must be positive, got %d", o.n)
+		}
+		sp.tickets, sp.ticketsSet = o.n, true
+	case optNice:
+		sp.nice, sp.niceSet = int(o.n), true
+	case optAffinity, optAnyCPU:
+		if sp.affinitySet {
+			return fmt.Errorf("realrate: conflicting Affinity/AnyCPU options")
+		}
+		cpu := kernel.AffinityAny
+		if o.kind == optAffinity {
+			if o.n < 0 {
+				return fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", o.n)
+			}
+			cpu = int(o.n)
+		}
+		sp.affinity, sp.affinitySet = cpu, true
+	default:
+		return fmt.Errorf("realrate: zero SpawnOption; build options with Reserve, RealRate, Importance and the other constructors")
+	}
+	return nil
+}
 
 // Reserve requests a hard reservation: proportion in parts-per-thousand
 // over the given period (the paper's real-time class). Admission control
 // may reject the request, in which case Spawn returns the error and the
 // thread is not created.
 func Reserve(proportion int, period time.Duration) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.ppt = proportion
-		sp.period = period
-		return sp.setClass(classReserve)
-	}
+	return SpawnOption{kind: optReserve, n: int64(proportion), period: period}
 }
 
 // Aperiodic requests an aperiodic real-time reservation: known proportion,
 // no period; the controller assigns the 30 ms default.
 func Aperiodic(proportion int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.ppt = proportion
-		return sp.setClass(classAperiodic)
-	}
+	return SpawnOption{kind: optAperiodic, n: int64(proportion)}
 }
 
 // RealRate declares a real-rate thread: the controller estimates its
 // proportion (and, with period 0, its period) from the given progress
-// sources. At least one source is required.
+// sources. At least one source is required. The option keeps the sources
+// slice, so a caller spawning at a high rate can pass one reused array
+// (RealRate(0, srcs[:]...)) instead of a fresh variadic slice per call.
 func RealRate(period time.Duration, sources ...ProgressSource) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if len(sources) == 0 {
-			return fmt.Errorf("realrate: RealRate needs at least one progress source")
-		}
-		sp.period = period
-		sp.sources = sources
-		return sp.setClass(classRealRate)
-	}
+	return SpawnOption{kind: optRealRate, period: period, sources: sources}
 }
 
 // Interactive declares a tty-server thread: small period, proportion
 // estimated from its bursts.
-func Interactive() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classInteractive) }
-}
+func Interactive() SpawnOption { return SpawnOption{kind: optInteractive} }
 
 // Miscellaneous declares a thread with no information at all (the default):
 // the constant-pressure heuristic grows its allocation until satisfied or
 // squished.
-func Miscellaneous() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classMisc) }
-}
+func Miscellaneous() SpawnOption { return SpawnOption{kind: optMisc} }
 
 // Unmanaged spawns the thread outside the controller entirely; it runs in
 // the leftover CPU below every registered thread, like unregistered jobs
 // under the prototype's default Linux scheduler.
-func Unmanaged() SpawnOption {
-	return func(sp *spawnSpec) error { return sp.setClass(classUnmanaged) }
-}
+func Unmanaged() SpawnOption { return SpawnOption{kind: optUnmanaged} }
 
 // InJob spawns the thread as a member of th's job: the paper's "job is a
 // collection of cooperating threads". The job's allocation is split across
 // its members; its progress and usage are their combined metrics and CPU.
-func InJob(th *Thread) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if th == nil {
-			return fmt.Errorf("realrate: InJob(nil)")
-		}
-		sp.member = th
-		return sp.setClass(classMember)
-	}
-}
+func InJob(th *Thread) SpawnOption { return SpawnOption{kind: optInJob, th: th} }
 
 // Importance sets the weighted-fair-share weight (default 1). Higher
 // importance loses less under overload but can never starve others.
 // Ignored under baseline policies, which have no squish.
-func Importance(w float64) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if w <= 0 {
-			return fmt.Errorf("realrate: importance must be positive, got %v", w)
-		}
-		sp.importance = w
-		sp.importanceSet = true
-		return nil
-	}
-}
+func Importance(w float64) SpawnOption { return SpawnOption{kind: optImportance, w: w} }
 
 // Tickets assigns a share count to the thread under a ticket-based policy
 // (Stride or Lottery). Spawning with Tickets under any other policy is an
 // error.
-func Tickets(n int64) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if n <= 0 {
-			return fmt.Errorf("realrate: tickets must be positive, got %d", n)
-		}
-		sp.tickets = n
-		sp.ticketsSet = true
-		return nil
-	}
-}
+func Tickets(n int64) SpawnOption { return SpawnOption{kind: optTickets, n: n} }
 
 // Nice sets the thread's nice value under the Linux baseline policy.
 // Spawning with Nice under any other policy is an error.
-func Nice(n int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		sp.nice = n
-		sp.niceSet = true
-		return nil
-	}
-}
+func Nice(n int) SpawnOption { return SpawnOption{kind: optNice, n: int64(n)} }
 
 // Affinity pins the thread to one CPU of a multi-CPU machine (see
 // Config.CPUs): it is placed there, only ever dispatched there, and never
@@ -191,37 +213,18 @@ func Nice(n int) SpawnOption {
 // Pinning trades load balance for placement control: a pinned thread
 // cannot be pulled to an idle CPU, so a pile-up behind another pinned
 // thread is the caller's to resolve.
-func Affinity(cpu int) SpawnOption {
-	return func(sp *spawnSpec) error {
-		if sp.affinitySet {
-			return fmt.Errorf("realrate: conflicting Affinity/AnyCPU options")
-		}
-		if cpu < 0 {
-			return fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", cpu)
-		}
-		sp.affinity = cpu
-		sp.affinitySet = true
-		return nil
-	}
-}
+func Affinity(cpu int) SpawnOption { return SpawnOption{kind: optAffinity, n: int64(cpu)} }
 
 // AnyCPU declares the thread runnable on every CPU — the default. It
 // exists to make the placement choice explicit at call sites that mix
 // pinned and unpinned spawns.
-func AnyCPU() SpawnOption {
-	return func(sp *spawnSpec) error {
-		if sp.affinitySet {
-			return fmt.Errorf("realrate: conflicting Affinity/AnyCPU options")
-		}
-		sp.affinity = kernel.AffinityAny
-		sp.affinitySet = true
-		return nil
-	}
-}
+func AnyCPU() SpawnOption { return SpawnOption{kind: optAnyCPU} }
 
 // Spawn creates a thread running prog, classified by the given options
 // (see the paper's Figure 2 taxonomy). With no class option the thread is
-// miscellaneous.
+// miscellaneous. It is the one way to create a thread, and it allocates
+// nothing beyond the thread itself: the options are values folded into a
+// spec on the stack.
 //
 // Under a baseline policy (see Config.Policy) there is no feedback
 // controller: every class spawns a plain thread, and a Reserve or
@@ -230,118 +233,16 @@ func AnyCPU() SpawnOption {
 // nothing under Linux and RoundRobin).
 func (s *System) Spawn(name string, prog Program, opts ...SpawnOption) (*Thread, error) {
 	sp := spawnSpec{affinity: kernel.AffinityAny}
-	for _, opt := range opts {
-		if err := opt(&sp); err != nil {
+	for _, o := range opts {
+		if err := sp.add(o); err != nil {
 			return nil, err
 		}
 	}
-	return s.spawnSpecd(name, prog, &sp)
-}
-
-// SpawnClass selects the Figure 2 taxonomy slot of a SpawnReq. The zero
-// value is miscellaneous, mirroring Spawn with no class option.
-type SpawnClass int
-
-// SpawnReq classes, mirroring the Spawn class options.
-const (
-	// SpawnMisc declares nothing; the constant-pressure heuristic grows
-	// the thread's allocation until satisfied or squished (the default).
-	SpawnMisc SpawnClass = iota
-	// SpawnReserve requests a hard reservation of Proportion over Period.
-	SpawnReserve
-	// SpawnAperiodic requests Proportion with the default period.
-	SpawnAperiodic
-	// SpawnRealRate has proportion (and, with Period 0, period) estimated
-	// from Sources.
-	SpawnRealRate
-	// SpawnInteractive declares a tty-server thread.
-	SpawnInteractive
-	// SpawnUnmanaged runs outside the controller entirely.
-	SpawnUnmanaged
-	// SpawnMember joins the thread to Job's existing job.
-	SpawnMember
-)
-
-// SpawnReq is the struct form of a Spawn call for allocation-sensitive
-// callers: an open-loop storm driver can hold one SpawnReq (and its
-// Sources backing array) and reuse it for every admission, where the
-// variadic Spawn builds an options slice and a closure per option on each
-// call. Semantics are identical to the equivalent Spawn options.
-type SpawnReq struct {
-	// Class selects the taxonomy slot; the zero value is miscellaneous.
-	Class SpawnClass
-	// Proportion (ppt) applies to SpawnReserve and SpawnAperiodic.
-	Proportion int
-	// Period applies to SpawnReserve (required) and SpawnRealRate
-	// (0 lets the controller assign it).
-	Period time.Duration
-	// Sources are the progress sources of a SpawnRealRate thread.
-	Sources []ProgressSource
-	// Job is the primary thread whose job a SpawnMember thread joins.
-	Job *Thread
-	// Importance, when nonzero, sets the weighted-fair-share weight.
-	Importance float64
-	// Pinned pins the thread to CPU (Pinned false ignores CPU and lets
-	// the machine place and migrate the thread).
-	Pinned bool
-	CPU    int
-}
-
-// SpawnFrom creates a thread running prog, classified by req. It is
-// Spawn for hot paths: no option closures, no variadic slice, and a spec
-// that never escapes to the heap.
-func (s *System) SpawnFrom(name string, prog Program, req *SpawnReq) (*Thread, error) {
-	sp := spawnSpec{affinity: kernel.AffinityAny}
-	switch req.Class {
-	case SpawnMisc:
-		sp.class = classMisc
-	case SpawnReserve:
-		sp.class = classReserve
-		sp.ppt, sp.period = req.Proportion, req.Period
-	case SpawnAperiodic:
-		sp.class = classAperiodic
-		sp.ppt = req.Proportion
-	case SpawnRealRate:
-		if len(req.Sources) == 0 {
-			return nil, fmt.Errorf("realrate: SpawnRealRate needs at least one progress source")
-		}
-		sp.class = classRealRate
-		sp.period, sp.sources = req.Period, req.Sources
-	case SpawnInteractive:
-		sp.class = classInteractive
-	case SpawnUnmanaged:
-		sp.class = classUnmanaged
-	case SpawnMember:
-		if req.Job == nil {
-			return nil, fmt.Errorf("realrate: SpawnMember needs a Job thread")
-		}
-		sp.class = classMember
-		sp.member = req.Job
-	default:
-		return nil, fmt.Errorf("realrate: unknown SpawnClass %d", req.Class)
-	}
-	if req.Importance != 0 {
-		if req.Importance < 0 {
-			return nil, fmt.Errorf("realrate: importance must be positive, got %v", req.Importance)
-		}
-		sp.importance, sp.importanceSet = req.Importance, true
-	}
-	if req.Pinned {
-		if req.CPU < 0 {
-			return nil, fmt.Errorf("realrate: Affinity(%d): CPU must be non-negative", req.CPU)
-		}
-		sp.affinity, sp.affinitySet = req.CPU, true
-	}
-	return s.spawnSpecd(name, prog, &sp)
-}
-
-// spawnSpecd is the class dispatch shared by Spawn and SpawnFrom.
-func (s *System) spawnSpecd(name string, prog Program, sp *spawnSpec) (*Thread, error) {
 	if sp.affinity != kernel.AffinityAny && sp.affinity >= s.kern.NumCPUs() {
 		return nil, fmt.Errorf("realrate: Affinity(%d) outside the machine's %d CPUs", sp.affinity, s.kern.NumCPUs())
 	}
 	if s.ctl == nil {
-		return s.spawnBaseline(name, prog, sp)
+		return s.spawnBaseline(name, prog, &sp)
 	}
 	if sp.ticketsSet || sp.niceSet {
 		return nil, fmt.Errorf("realrate: Tickets/Nice apply to baseline policies, not %s", s.policy.Name())
