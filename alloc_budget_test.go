@@ -96,10 +96,12 @@ func TestAllocBudgetStormDispatch(t *testing.T) {
 // options are values folded into a spec on the stack, so what a spawn
 // allocates is only its share of the slab chunks behind a thread (handle,
 // kernel thread, rbs state, controller job), which the per-call average
-// rounds away; a warm-up carves the first chunks. Members join jobs in
-// turn, so each job stays session-sized (a few members, as a pipeline's
-// stages): actuating a job of more than eight members copies its member
-// list.
+// rounds away; a warm-up carves the first chunks. Session members join
+// jobs in turn, so each job stays session-sized (a few members, as a
+// pipeline's stages). The last case joins every member to one job, over
+// 400 of them by the end of the warm-up: each join actuates the whole job,
+// and the actuation's snapshot of the member list must reuse the
+// controller's scratch rather than copy the list.
 func TestSpawnAllocatesNothing(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{})
 	prog := realrate.HogProgram(100_000)
@@ -126,13 +128,16 @@ func TestSpawnAllocatesNothing(t *testing.T) {
 			next++
 			return sys.Spawn("member", prog, realrate.InJob(primaries[next%len(primaries)]))
 		}},
+		{"InJob/one large job", func() (*realrate.Thread, error) {
+			return sys.Spawn("crew", prog, realrate.InJob(primaries[0]))
+		}},
 	} {
 		spawn := func() {
 			if _, err := c.spawn(); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 400; i++ {
 			spawn()
 		}
 		if got := testing.AllocsPerRun(100, spawn); got != 0 {

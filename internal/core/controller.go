@@ -246,10 +246,10 @@ type Controller struct {
 	// (members[0]); with the kernel's migration count it is everything
 	// that can move a job's control-plane home.
 	primaryChanges uint64
-	// outOfPassWrites counts writes to a job's desire or allocation made
-	// outside the sample and squish passes (admission, bootstrap,
-	// Renegotiate), so a control plane that caches them knows when to
-	// refresh.
+	// outOfPassWrites counts writes to a job's desire, allocation or
+	// importance made outside the sample and squish passes (admission,
+	// bootstrap, Renegotiate, SetImportance), so a control plane that
+	// caches them, or the squish they feed, knows when to refresh.
 	outOfPassWrites uint64
 
 	// Persistent squish scratch: SquishApply reslices these instead of
@@ -257,6 +257,10 @@ type Controller struct {
 	// (asserted by TestControllerStepZeroAlloc).
 	allocBuf  []int
 	frozenBuf []bool
+	// applyBuf is apply's stack of member-list snapshots: each call pushes
+	// its job's members and pops them on return, so a call re-entered
+	// through a machine run stacks above its caller's snapshot.
+	applyBuf []*kernel.Thread
 	// prefetched sinks the values Prefetch reads; nothing consumes it.
 	prefetched uint64
 
@@ -672,12 +676,14 @@ func (c *Controller) AddMember(j *Job, t *kernel.Thread) {
 	c.actuate(j, j.allocated, j.period)
 }
 
-// SetImportance sets the weighted-fair-share weight of a job.
+// SetImportance sets the weighted-fair-share weight of a job. An
+// importance is a squish weight, so it counts as an out-of-pass write.
 func (c *Controller) SetImportance(j *Job, w float64) {
 	if w <= 0 {
 		panic("core: importance must be positive")
 	}
 	j.importance = w
+	c.outOfPassWrites++
 }
 
 // Remove stops controlling a job, freeing its admission if it held one.
@@ -978,10 +984,23 @@ func (c *Controller) observeUsage(j *Job, dt float64, epochs int64) float64 {
 	}
 	const tau = 0.1 // seconds: ≈10 control intervals
 	alpha := dt / (tau + dt)
-	j.usageEWMA += alpha * (ratio - j.usageEWMA)
+	j.usageEWMA = flushSubnormal(j.usageEWMA + alpha*(ratio-j.usageEWMA))
 	pptUsed := float64(used) / float64(c.cfg.Interval) * pptDenom
-	j.usedPPT += alpha * (pptUsed - j.usedPPT)
+	j.usedPPT = flushSubnormal(j.usedPPT + alpha*(pptUsed-j.usedPPT))
 	return j.usageEWMA
+}
+
+// flushSubnormal returns 0 for x below the smallest normal float64. At a
+// 10-epoch sample gap alpha is exactly 1/2, so an idle job's estimate
+// halves down to the smallest subnormal and sticks there, and every later
+// sample pays for subnormal arithmetic. No decision reads a value that
+// small: usage is compared against ReclaimFraction, and usedPPT only
+// enters int(1.3·usedPPT).
+func flushSubnormal(x float64) float64 {
+	if -0x1p-1022 < x && x < 0x1p-1022 {
+		return 0
+	}
+	return x
 }
 
 // estimate implements Figure 4 for one adaptive job: normally P′ = k·Q_t,
@@ -1118,10 +1137,15 @@ func (c *Controller) actuate(j *Job, prop int, period sim.Duration) {
 // Installing a reservation can run the machine (see below), and a member
 // that exits meanwhile leaves j.members at once — the slice shifts under
 // the loop. So the loop walks a snapshot and skips a member j no longer
-// owns; the first member needs no check, since nothing has run yet.
+// owns; the first member needs no check, since nothing has run yet. The
+// snapshot sits on applyBuf: a program run meanwhile may actuate again
+// (a spawn into a job, say), and that nested call pushes its snapshot
+// above this one. A push that grows the buffer leaves this snapshot in
+// the old array, which stays intact.
 func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
-	var buf [8]*kernel.Thread
-	members := append(buf[:0], j.members...)
+	base := len(c.applyBuf)
+	c.applyBuf = append(c.applyBuf, j.members...)
+	members := c.applyBuf[base:]
 	n := len(members)
 	share := prop / n
 	rem := prop - share*n
@@ -1145,6 +1169,8 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 			continue
 		}
 	}
+	clear(c.applyBuf[base:])
+	c.applyBuf = c.applyBuf[:base]
 	j.actuations++
 	c.actuations++
 	// Installing the reservation can run the machine: SetReservation wakes

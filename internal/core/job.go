@@ -199,6 +199,15 @@ func (j *Job) cpuTime() sim.Duration {
 	return total
 }
 
+// usageMarks sums the members' CPU time and voluntary blocks in one walk.
+func (j *Job) usageMarks() (cpu sim.Duration, blocked uint64) {
+	for _, t := range j.members {
+		cpu += t.CPUTime()
+		blocked += t.BlockedCount()
+	}
+	return cpu, blocked
+}
+
 // blockedCount sums voluntary blocks across members.
 func (j *Job) blockedCount() uint64 {
 	var total uint64
@@ -226,6 +235,11 @@ func (j *Job) Period() sim.Duration { return j.period }
 // Squished reports whether overload reduced the job below its desire in
 // the last interval.
 func (j *Job) Squished() bool { return j.squished }
+
+// UsageMarks returns the members' summed CPU time and voluntary block
+// count as of the job's last sample or squish: the marks the next sample
+// measures usage from.
+func (j *Job) UsageMarks() (cpu sim.Duration, blocked uint64) { return j.lastCPU, j.lastBlocked }
 
 // Actuations returns how many times the controller changed this job's
 // reservation.

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/progress"
+	"repro/internal/rbs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -127,4 +129,68 @@ func TestDuplicateMemberPanics(t *testing.T) {
 		}
 	}()
 	r.ctl.AddMember(j, th)
+}
+
+// TestActuationReentersThroughMachineRun pins the actuation's member
+// snapshot under re-entry. Installing a 12-member job's new reservation
+// wakes its napping primary, whose program joins a thread to a 40-member
+// job: that job's actuation runs inside the first one's loop, and its
+// snapshot is pushed onto the controller's scratch above the first
+// one's, growing it. Both jobs must end with every member's share
+// installed.
+func TestActuationReentersThroughMachineRun(t *testing.T) {
+	r := newRig(core.Config{})
+	var big *core.Job
+	armed, joined := false, false
+	lead := r.kern.Spawn("lead", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
+		if armed && !joined {
+			joined = true
+			r.ctl.AddMember(big, r.kern.Spawn("late", napper))
+		}
+		// Exactly one period's budget (10 ppt of 10 ms at 400 MHz), so the
+		// lead naps at an op boundary and consults its program on wake.
+		return &kernel.OpCompute{Cycles: 40_000}
+	}))
+	team, err := r.ctl.AddRealTime(lead, 120, 10*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 11; i++ {
+		r.ctl.AddMember(team, r.kern.Spawn("crew", napper))
+	}
+	if big, err = r.ctl.AddRealTime(r.kern.Spawn("big", napper), 200, 10*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 39; i++ {
+		r.ctl.AddMember(big, r.kern.Spawn("member", napper))
+	}
+	r.kern.Spawn("hog", &workload.Hog{Burst: 400_000}) // keeps the CPU busy
+	r.start()
+	r.run(5500 * sim.Microsecond)
+	if got := lead.State(); got != kernel.StateSleeping {
+		t.Fatalf("lead not napping before the actuation: %v", got)
+	}
+	armed = true
+	if err := r.ctl.Renegotiate(team, 360); err != nil {
+		t.Fatal(err)
+	}
+	if !joined {
+		t.Fatal("the lead's program did not run inside the actuation (the scenario no longer re-enters)")
+	}
+	for _, c := range []struct {
+		job   *core.Job
+		total int
+	}{{team, 360}, {big, 200}} {
+		members := c.job.Members()
+		share := c.total / len(members)
+		for i, m := range members {
+			want := share
+			if i == 0 {
+				want += c.total - share*len(members)
+			}
+			if res, ok := r.policy.ReservationOf(m); !ok || res != (rbs.Reservation{Proportion: want, Period: 10 * sim.Millisecond}) {
+				t.Errorf("%s's member %d holds %+v, want %d ppt", c.job.Thread().Name(), i, res, want)
+			}
+		}
+	}
 }

@@ -61,6 +61,11 @@ func (c *Controller) EpochPrologue(now sim.Time) {
 // gap, so a skipped-then-resampled job converges to the same allocation
 // the periodic sweep would have reached. It reports whether the job
 // participates in the squish (false for reservation-holding classes).
+//
+// An adaptive job's usage marks advance to what the sample read. Nothing
+// runs the machine between a plane's samples and its squish, so these are
+// the values SquishApply would store; a plane that skips an unchanged
+// squish (DESIGN.md §10.5) leaves them exact.
 func (c *Controller) SampleJob(j *Job, now sim.Time, epochs int64) bool {
 	dt := c.intervalSec * float64(epochs)
 	switch j.class {
@@ -99,6 +104,7 @@ func (c *Controller) SampleJob(j *Job, now sim.Time, epochs int64) bool {
 		c.samples++
 		j.desired = c.estimateInteractive(j)
 	}
+	j.lastCPU, j.lastBlocked = j.usageMarks()
 	return true
 }
 
@@ -112,40 +118,26 @@ func (c *Controller) PeekPressure(j *Job, now sim.Time) float64 {
 }
 
 // SquishApply runs pass 2 over one shard's squishable jobs with the
-// shard's slice of the machine capacity: squish desires to fit, clamp,
-// raise quality exceptions, and actuate changes. The capacity can go
-// negative when missed deadlines shrink the effective threshold below what
-// is already admitted; adaptive jobs then get nothing rather than
-// panicking the squish. The scratch buffers are the controller's own —
-// shard ticks are serialized by the simulation, so sharing them is safe
-// and keeps every tick allocation-free. It returns each job's new
-// Allocated, index for index, in that scratch: valid until the next call,
-// and read by the plane instead of the jobs themselves.
+// shard's slice of the machine capacity: squish desires to fit (Squish),
+// raise quality exceptions, and actuate changes. The scratch buffers are
+// the controller's own — shard ticks are serialized by the simulation, so
+// sharing them is safe and keeps every tick allocation-free. It returns
+// each job's new Allocated, index for index, in that scratch: valid until
+// the next call, and read by the plane instead of the jobs themselves.
+//
+// After its actuations, each job's usage marks are re-read: an actuation
+// can run the machine and charge CPU to a later job in the list.
 func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []float64, capacity int, now sim.Time) []int {
 	if len(squishable) == 0 {
 		return nil
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	// The non-zero floor only fits while floor·n ≤ capacity; past that
-	// point (thousands of adaptive jobs on one CPU) the machine simply
-	// lacks the ppt resolution, so the floor degrades gracefully
-	// instead of panicking the squish.
-	floor := MinProportion
-	if floor*len(squishable) > capacity {
-		floor = capacity / len(squishable)
-	}
 	allocs := grow(c.allocBuf, len(squishable))
 	frozen := growBool(c.frozenBuf, len(squishable))
 	c.allocBuf, c.frozenBuf = allocs, frozen
-	squishInto(allocs, frozen, desires, weights, capacity, floor)
+	Squish(allocs, frozen, desires, weights, capacity)
 	for i, j := range squishable {
 		if i%PrefetchBlock == 0 {
 			c.Prefetch(squishable[i:min(i+PrefetchBlock, len(squishable))])
-		}
-		if allocs[i] > MaxProportion {
-			allocs[i] = MaxProportion
 		}
 		j.squished = allocs[i] < j.desired
 		c.maybeRaiseQuality(j, allocs[i], now)
@@ -156,10 +148,32 @@ func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []flo
 			c.actuate(j, allocs[i], j.period)
 		}
 		j.allocated = allocs[i]
-		j.lastCPU = j.cpuTime()
-		j.lastBlocked = j.blockedCount()
+		j.lastCPU, j.lastBlocked = j.usageMarks()
 	}
 	return allocs
+}
+
+// Squish computes the grants SquishApply gives a squish set into out,
+// with frozen as scratch; both must have the desires' length. It is a pure
+// function of the desires, weights and capacity, and touches no job. The
+// capacity can go negative when missed deadlines shrink the effective
+// threshold below what is already admitted; adaptive jobs then get
+// nothing rather than panicking the squish. The non-zero floor only fits
+// while floor·n ≤ capacity; past that point (thousands of adaptive jobs on
+// one CPU) the machine simply lacks the ppt resolution, so the floor
+// degrades gracefully. No grant exceeds MaxProportion.
+func Squish(out []int, frozen []bool, desires []int, weights []float64, capacity int) {
+	if capacity < 0 {
+		capacity = 0
+	}
+	floor := MinProportion
+	if floor*len(desires) > capacity {
+		floor = capacity / len(desires)
+	}
+	squishInto(out, frozen, desires, weights, capacity, floor)
+	for i, a := range out {
+		out[i] = min(a, MaxProportion)
+	}
 }
 
 // PrefetchBlock is how many jobs a batched pass reads ahead with Prefetch
@@ -255,9 +269,10 @@ func (c *Controller) AdmitOverhead(proportion int) { c.admitted += proportion }
 // still, every job's primary thread sits on the CPU it last did.
 func (c *Controller) PrimaryChanges() uint64 { return c.primaryChanges }
 
-// OutOfPassWrites counts writes to a job's desire or allocation made
-// outside SampleJob and SquishApply: admissions (AddRealTime,
-// AddAperiodicRealTime, the adaptive classes' bootstrap) and Renegotiate.
-// A control plane that caches desires and allocations refreshes them when
-// this count moves.
+// OutOfPassWrites counts writes to a job's desire, allocation or
+// importance made outside SampleJob and SquishApply: admissions
+// (AddRealTime, AddAperiodicRealTime, the adaptive classes' bootstrap),
+// Renegotiate and SetImportance. A control plane that caches desires and
+// allocations refreshes them when this count moves, and one that skips an
+// unchanged squish treats a move as changed squish weights.
 func (c *Controller) OutOfPassWrites() uint64 { return c.outOfPassWrites }

@@ -38,6 +38,12 @@ var fuzzSeeds = []fuzzSeed{
 // list that the lastEpoch guard let through exactly once: its sampled and
 // skipped counts sum to them.
 //
+// Each input runs twice, as built and with every walk forced to run its
+// squish, and the two runs must emit the same control events and end with
+// the same job states: a skipped squish (DESIGN.md §10.5) changes nothing
+// but the host time. Both runs also check installedContract at every
+// epoch end.
+//
 // njobs 1–64 run that many miscellaneous jobs plus a pipeline under the
 // default (Figure 5) cost model; 0 runs 16. njobs 65–255 run
 // 8·(1 + (njobs−65) mod 64) jobs, 8–512, so one shard's due set can span
@@ -51,13 +57,24 @@ func FuzzEventDrivenThresholds(f *testing.F) {
 		f.Add(s.threshold, s.stalenessMs, s.shards, s.njobs)
 	}
 	f.Fuzz(func(t *testing.T, threshold float64, stalenessMs int64, shards, njobs uint8) {
-		fuzzPlane(t, fuzzSeed{threshold, stalenessMs, shards, njobs})
+		in := fuzzSeed{threshold, stalenessMs, shards, njobs}
+		built, builtLog := fuzzPlane(t, in, false)
+		forced, forcedLog := fuzzPlane(t, in, true)
+		if i, ok := firstDiff(builtLog, forcedLog); !ok {
+			t.Fatalf("%+v: skipped and forced squishes emit different events at %d:\nskipped: %s\nforced:  %s",
+				in, i, lineAt(builtLog, i), lineAt(forcedLog, i))
+		}
+		if a, b := jobsLine(built.ctl), jobsLine(forced.ctl); a != b {
+			t.Fatalf("%+v: skipped and forced squishes end in different job states:\nskipped: %s\nforced:  %s", in, a, b)
+		}
 	})
 }
 
 // fuzzPlane runs one FuzzEventDrivenThresholds input for a simulated
-// second, checking the contracts at every epoch end, and returns its rig.
-func fuzzPlane(t *testing.T, in fuzzSeed) *rig {
+// second, checking the contracts at every epoch end, and returns its rig
+// and every control event it emitted. forceSquish makes every walk run
+// its squish.
+func fuzzPlane(t *testing.T, in fuzzSeed, forceSquish bool) (*rig, []string) {
 	threshold, stalenessMs, shards, njobs := in.threshold, in.stalenessMs, in.shards, in.njobs
 	ccfg, n := core.Config{}, int(njobs)
 	switch {
@@ -79,6 +96,9 @@ func fuzzPlane(t *testing.T, in fuzzSeed) *rig {
 		Threshold:    threshold,
 		MaxStaleness: sim.Duration(stalenessMs) * sim.Millisecond,
 	})
+	r.plane.forceSquish = forceSquish
+	var events []string
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { events = append(events, eventLine(ev)) }), ^core.EventKind(0))
 	r.addMisc(n)
 	r.addPipeline("p0", 128)
 	r.start()
@@ -87,6 +107,9 @@ func fuzzPlane(t *testing.T, in fuzzSeed) *rig {
 	late := make([]uint64, len(r.plane.shards))
 	r.onStep(func(now sim.Time) {
 		if _, _, err := skipContract(r.plane); err != nil {
+			t.Fatalf("threshold=%v staleness=%dms shards=%d: t=%v: %v", threshold, stalenessMs, shards, now, err)
+		}
+		if err := installedContract(r.plane); err != nil {
 			t.Fatalf("threshold=%v staleness=%dms shards=%d: t=%v: %v", threshold, stalenessMs, shards, now, err)
 		}
 		for _, sh := range r.plane.shards {
@@ -131,7 +154,7 @@ func fuzzPlane(t *testing.T, in fuzzSeed) *rig {
 	if r.plane.Epoch() == 0 {
 		t.Fatal("no epochs ran")
 	}
-	return r
+	return r, events
 }
 
 // lateTicks sums the shards' late-tick counts.
@@ -150,7 +173,8 @@ func TestFuzzSeedsRunOnTime(t *testing.T) {
 		if in.njobs > 64 {
 			continue
 		}
-		if n := lateTicks(fuzzPlane(t, in).plane); n != 0 {
+		r, _ := fuzzPlane(t, in, false)
+		if n := lateTicks(r.plane); n != 0 {
 			t.Errorf("seed %+v: %d late ticks, want 0", in, n)
 		}
 	}

@@ -23,6 +23,10 @@
 //     sample, so allocations converge to what the periodic sweep would
 //     have computed.
 //
+// In either mode, a walk whose squish would repeat the shard's previous
+// whole-list squish, input for input, skips it: the grants are already
+// installed.
+//
 // The whole simulation is single-threaded (shard "threads" are simulated
 // kernel threads serialized by the engine), so the plane shares one set
 // of scratch buffers across shards and needs no locking.
@@ -165,14 +169,28 @@ type shard struct {
 	idleEpoch int64
 	idleLen   int
 
+	// Skipped-squish state (DESIGN.md §10.5). gen counts changes to the
+	// list's membership: an entry added, removed, or moved in or out. The
+	// squish fields hold the inputs of the shard's latest squish over its
+	// whole adaptive list, every entry sampled by that walk: the
+	// generation, the capacity and the out-of-pass write count. They
+	// describe the grants installed on the list's jobs while installed
+	// holds; any other squish clears it.
+	gen                     uint64
+	squishGen, squishWrites uint64
+	squishCap               int
+	installed               bool
+
 	// stats
 	ticks     uint64
 	sampled   uint64
 	skipped   uint64
 	handoffs  uint64
 	lateTicks uint64
-	// walks counts the ticks that walked the list.
-	walks uint64
+	// walks counts the ticks that walked the list; squishSkips, the walks
+	// that skipped an unchanged squish.
+	walks       uint64
+	squishSkips uint64
 }
 
 // Plane drives one core.Controller through sharded, staggered, optionally
@@ -187,6 +205,9 @@ type Plane struct {
 	interval        sim.Duration
 	stalenessEpochs int64
 	threshold       float64
+	// periodAdaptation mirrors the controller's setting: SquishApply then
+	// adapts every squished job's period, so no squish may be skipped.
+	periodAdaptation bool
 
 	shards []*shard
 	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
@@ -226,8 +247,10 @@ type Plane struct {
 
 	started bool
 	// forceWalk makes every tick walk its list, for tests that check idle
-	// ticks against walks or time the walk itself.
-	forceWalk bool
+	// ticks against walks or time the walk itself. forceSquish makes every
+	// walk run its squish, for tests that check skipped squishes against
+	// run ones.
+	forceWalk, forceSquish bool
 }
 
 // New wires a plane to a controller and claims its job-change hooks. In
@@ -255,6 +278,8 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 		cfg:       cfg,
 		interval:  ccfg.Interval,
 		threshold: cfg.Threshold,
+
+		periodAdaptation: ccfg.PeriodAdaptation,
 	}
 	p.stalenessEpochs = (int64(cfg.MaxStaleness) + int64(ccfg.Interval) - 1) / int64(ccfg.Interval)
 	if p.stalenessEpochs < 1 {
@@ -426,6 +451,7 @@ func (p *Plane) jobAdded(j *core.Job) {
 	sh := p.shards[e.shard]
 	sh.list = append(sh.list, e)
 	sh.live++
+	sh.gen++
 	sh.wake = true
 }
 
@@ -436,6 +462,7 @@ func (p *Plane) jobRemoved(j *core.Job) {
 		e.removed = true
 		sh := p.shards[e.shard]
 		sh.live--
+		sh.gen++
 		sh.wake = true
 		p.entryAt[j.Slot()] = nil
 	}
@@ -623,7 +650,9 @@ func (p *Plane) slice(desireRaw int) int {
 // nothing but its entry. Pass 2 squishes only this epoch's sampled jobs
 // into the shard's demand-proportional slice of machine capacity, minus
 // what the shard's un-sampled jobs already hold — so a walk that samples
-// nothing does no squish work at all.
+// nothing does no squish work at all, and a sweep whose squish inputs
+// equal the shard's previous whole-list squish skips it (DESIGN.md §10.5,
+// skipped squish).
 func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 	s.walks++
 	s.wake = false
@@ -677,7 +706,9 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 				moves = append(moves, e)
 				s.handoffs++
 				s.live--
+				s.gen++
 				p.shards[home].live++
+				p.shards[home].gen++
 			}
 		}
 		if e.shard == s.id {
@@ -717,6 +748,10 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 	// ahead before any of it is overwritten.
 	sampledTick := len(squishEnt)
 	inSquish := 0
+	// The squish may be skipped only if no sampled desire moved and no
+	// real-rate job is in the set (its quality streak advances at every
+	// squish).
+	desireMoved, realRate := false, false
 	for i := 0; i < sampledTick; i++ {
 		if i%core.PrefetchBlock == 0 {
 			p.ctl.Prefetch(squishable[i:min(i+core.PrefetchBlock, sampledTick)])
@@ -731,11 +766,14 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 			e.watched = p.watchedOf(j)
 		}
 		squished := p.ctl.SampleJob(j, now, epochs)
+		before := e.desired
 		e.load()
+		desireMoved = desireMoved || e.desired != before
 		e.sampled = true
 		e.sampleEpoch = p.epoch
 		e.dirty = false
 		if squished {
+			realRate = realRate || e.realRate
 			squishable[inSquish], squishEnt[inSquish] = j, e
 			inSquish++
 			desires = append(desires, e.desired)
@@ -745,6 +783,12 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 		agg.add(e)
 	}
 	squishable, squishEnt = squishable[:inSquish], squishEnt[:inSquish]
+	// whole reports whether the squish set is the shard's whole adaptive
+	// list, every entry sampled by this walk: no entry was guarded (which
+	// covers those an idle tick stamped), none moved out, and in event mode
+	// no visited adaptive entry went unsampled. Such a set cannot need
+	// over-commit recovery.
+	whole := !guarded && len(moves) == 0 && (!event || inSquish == len(allAdaptive))
 	clear(s.list[kept:])
 	s.list = s.list[:kept]
 	for _, e := range moves {
@@ -791,14 +835,28 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 	// adaptive jobs keep theirs out of the slice. Each squished entry still
 	// caches its pre-squish allocation until the refresh below.
 	squishCap := slice - (agg.allocAdaptive - held)
-	granted := p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
-	delta := 0
-	for i, e := range squishEnt {
-		delta += granted[i] - e.allocated
-		e.allocated = granted[i]
+	skippable := whole && !realRate && !p.periodAdaptation
+	if skippable && !desireMoved && !p.forceSquish && s.installed &&
+		s.gen == s.squishGen && squishCap == s.squishCap && s.writes == s.squishWrites {
+		// Skipped squish: the same inputs as the installed grants' squish,
+		// so every job and entry already holds what this one would grant.
+		s.squishSkips++
+	} else {
+		if skippable || len(squishable) > 0 {
+			// Read before the squish: anything its actuations set off moves
+			// a count past the recorded one.
+			s.installed = skippable
+			s.squishGen, s.squishCap, s.squishWrites = s.gen, squishCap, s.writes
+		}
+		granted := p.ctl.SquishApply(squishable, desires, weights, squishCap, now)
+		delta := 0
+		for i, e := range squishEnt {
+			delta += granted[i] - e.allocated
+			e.allocated = granted[i]
+		}
+		s.govGranted += delta
+		s.allocAdaptive += delta
 	}
-	s.govGranted += delta
-	s.allocAdaptive += delta
 
 	p.squishable, p.squishEnt, p.desires, p.weights, p.moves = squishable, squishEnt, desires, weights, moves[:0]
 	p.adaptiveScratch = allAdaptive
