@@ -9,9 +9,11 @@ build:
 
 # examples builds the runnable examples explicitly (build already covers
 # them via ./..., but CI keeps a dedicated step so a broken example fails
-# with a readable name).
+# with a readable name), then runs each one and fails on a non-zero exit,
+# which drives the public Action layer end to end.
 examples:
 	$(GO) build ./examples/...
+	@for d in examples/*/; do echo "run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # vet also gates formatting: any file gofmt would rewrite fails the step.
 # bench/ is a module of its own that compiles against the public API, and

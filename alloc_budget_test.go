@@ -145,3 +145,76 @@ func TestSpawnAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// actionSink keeps each constructed Action reachable, so the compiler
+// cannot drop a construction that would otherwise escape to the heap.
+var actionSink realrate.Action
+
+// TestActionsAllocateNothing holds the Action layer to zero allocations.
+// Every package-level constructor returns a plain value, and a machine
+// whose programs build every action with them — a reserved producer
+// feeding a real-rate consumer through a queue, beside a CPU hog — runs a
+// simulated second without allocating once it is warm.
+func TestActionsAllocateNothing(t *testing.T) {
+	sys := realrate.NewSystem(realrate.Config{})
+	q := sys.NewQueue("pipe", 1<<20)
+	m := sys.NewMutex("lock")
+	wq := sys.NewWaitQueue("tty")
+	for _, c := range []struct {
+		name string
+		make func() realrate.Action
+	}{
+		{"Compute", func() realrate.Action { return realrate.Compute(400_000) }},
+		{"ComputeFor", func() realrate.Action { return realrate.ComputeFor(time.Millisecond) }},
+		{"Produce", func() realrate.Action { return realrate.Produce(q, 4096) }},
+		{"Consume", func() realrate.Action { return realrate.Consume(q, 4096) }},
+		{"Sleep", func() realrate.Action { return realrate.Sleep(time.Millisecond) }},
+		{"SleepUntil", func() realrate.Action { return realrate.SleepUntil(time.Second) }},
+		{"Lock", func() realrate.Action { return realrate.Lock(m) }},
+		{"Unlock", func() realrate.Action { return realrate.Unlock(m) }},
+		{"Wait", func() realrate.Action { return realrate.Wait(wq) }},
+		{"Yield", realrate.Yield},
+		{"Exit", realrate.Exit},
+	} {
+		if got := testing.AllocsPerRun(100, func() { actionSink = c.make() }); got != 0 {
+			t.Errorf("%s allocated %v objects per call, want 0", c.name, got)
+		}
+	}
+
+	producing := false
+	producer := realrate.ProgramFunc(func(*realrate.Thread, time.Duration) realrate.Action {
+		producing = !producing
+		if producing {
+			return realrate.Produce(q, 20_000)
+		}
+		return realrate.Compute(400_000)
+	})
+	consuming := false
+	consumer := realrate.ProgramFunc(func(*realrate.Thread, time.Duration) realrate.Action {
+		consuming = !consuming
+		if consuming {
+			return realrate.Consume(q, 4096)
+		}
+		return realrate.ComputeFor(400 * time.Microsecond)
+	})
+	hog := realrate.ProgramFunc(func(*realrate.Thread, time.Duration) realrate.Action {
+		return realrate.Compute(100_000)
+	})
+	if _, err := sys.Spawn("producer", producer, realrate.Reserve(100, 10*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	cons, err := sys.Spawn("consumer", consumer, realrate.RealRate(0, realrate.ConsumerOf(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Spawn("hog", hog, realrate.Miscellaneous()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(2 * time.Second) // warm-up: the controller's and engine's first touches
+	if got := testing.AllocsPerRun(3, func() { sys.Run(time.Second) }); got != 0 {
+		t.Errorf("a simulated second of the pipeline allocated %v objects, want 0", got)
+	}
+	if q.Consumed() == 0 || cons.Allocation() == 0 {
+		t.Fatalf("pipeline did not run: %d bytes consumed, consumer allocation %d ppt", q.Consumed(), cons.Allocation())
+	}
+}

@@ -80,6 +80,13 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap (allocation) profile to this file at exit")
 	)
 	flag.Parse()
+	switch *fig {
+	case 0, 5, 6, 7, 8:
+	default:
+		fmt.Fprintf(os.Stderr, "rrexp: -fig %d: no such figure (5, 6, 7, or 8)\n", *fig)
+		flag.Usage()
+		os.Exit(2)
+	}
 	experiments.SetParallel(!*seq)
 
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)

@@ -10,7 +10,7 @@ import (
 
 func hog(burst sim.Cycles) kernel.Program {
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpCompute{Cycles: burst}
+		return kernel.Compute(burst)
 	})
 }
 
@@ -118,9 +118,9 @@ func TestLinuxRealtimeYieldsWhenBlocked(t *testing.T) {
 	rt := k.Spawn("rt", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpCompute{Cycles: 400_000} // 1ms
+			return kernel.Compute(400_000) // 1ms
 		}
-		return kernel.OpSleep{D: 9 * sim.Millisecond}
+		return kernel.Sleep(9 * sim.Millisecond)
 	}))
 	lp.SetRealtime(rt, 50)
 	ts := k.Spawn("ts", hog(400_000))
@@ -145,10 +145,10 @@ func TestLinuxInteractivePreemptsOnWake(t *testing.T) {
 	inter := k.Spawn("inter", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpSleep{D: 50 * sim.Millisecond}
+			return kernel.Sleep(50 * sim.Millisecond)
 		}
 		woke++
-		return kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	_ = inter
 	k.Start()

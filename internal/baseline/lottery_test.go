@@ -71,9 +71,9 @@ func TestLotteryBlockedThreadsExcluded(t *testing.T) {
 	sleeper := k.Spawn("sleeper", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpSleep{D: 100 * sim.Millisecond}
+			return kernel.Sleep(100 * sim.Millisecond)
 		}
-		return kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	lot.SetTickets(sleeper, 10_000)
 	worker := k.Spawn("worker", hog(400_000))
@@ -114,9 +114,9 @@ func TestLotteryChurnExercisesSlotCompaction(t *testing.T) {
 		return k.Spawn(name, kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 			phase++
 			if phase%2 == 1 {
-				return kernel.OpCompute{Cycles: 100_000}
+				return kernel.Compute(100_000)
 			}
-			return kernel.OpSleep{D: 3 * sim.Millisecond}
+			return kernel.Sleep(3 * sim.Millisecond)
 		}))
 	}
 	var churners []*kernel.Thread

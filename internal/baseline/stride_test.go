@@ -66,9 +66,9 @@ func TestStrideSleeperCannotBankCredit(t *testing.T) {
 	sleeper := k.Spawn("sleeper", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase == 1 {
-			return kernel.OpSleep{D: 900 * sim.Millisecond}
+			return kernel.Sleep(900 * sim.Millisecond)
 		}
-		return kernel.OpCompute{Cycles: 400_000}
+		return kernel.Compute(400_000)
 	}))
 	worker := k.Spawn("worker", hog(400_000))
 	k.Start()
@@ -109,9 +109,9 @@ func TestStridePassHeapUnderChurn(t *testing.T) {
 		k.Spawn("churn", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 			phase++
 			if phase%2 == 1 {
-				return kernel.OpCompute{Cycles: 50_000}
+				return kernel.Compute(50_000)
 			}
-			return kernel.OpSleep{D: 2 * sim.Millisecond}
+			return kernel.Sleep(2 * sim.Millisecond)
 		}))
 	}
 	a := k.Spawn("a", hog(400_000))

@@ -17,8 +17,8 @@ import (
 // the shard's 0.5 ms budget per interval.
 func stepRig(n int) *rig {
 	r := newRig(core.Config{BaseCost: 100, PerJobCost: 1})
-	op := kernel.OpSleep{D: 50 * sim.Millisecond}
-	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(50 * sim.Millisecond)
+	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {
 		r.ctl.AddMiscellaneous(r.kern.Spawn("dummy", prog))
 	}
@@ -40,9 +40,9 @@ func (r *rig) epoch(tb testing.TB) {
 // TestControllerStepZeroAlloc asserts the acceptance criterion of the
 // allocation-free actuation path: after warm-up, a control interval over
 // miscellaneous jobs — the plane's epoch and the machine's dispatching
-// alike — performs zero heap allocations. (Only real-rate jobs may
-// allocate in steady state, when their pressure series grows its backing
-// array.)
+// alike — performs zero heap allocations. (Only real-rate jobs under
+// PeriodAdaptation may allocate in steady state, when their pressure
+// series grows its backing array.)
 func TestControllerStepZeroAlloc(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 1000} {
 		r := stepRig(n)
@@ -58,8 +58,8 @@ func TestControllerStepZeroAlloc(t *testing.T) {
 // values, so none escapes to the heap.
 func TestEventEmissionZeroAlloc(t *testing.T) {
 	r := stepRig(10)
-	op := kernel.OpSleep{D: 50 * sim.Millisecond}
-	rt := r.kern.Spawn("rt", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return &op }))
+	op := kernel.Sleep(50 * sim.Millisecond)
+	rt := r.kern.Spawn("rt", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return op }))
 	j, err := r.ctl.AddRealTime(rt, 100, 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestControllerStepScalesPastFloorLimit(t *testing.T) {
 // epoch must hand adaptive jobs nothing instead of panicking.
 func TestControllerStepNegativeCapacity(t *testing.T) {
 	r := newRig(core.Config{})
-	op := kernel.OpSleep{D: 50 * sim.Millisecond}
-	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(50 * sim.Millisecond)
+	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return op })
 	rt := r.kern.Spawn("rt", prog)
 	misc := r.kern.Spawn("misc", prog)
 	r.plane.Start()

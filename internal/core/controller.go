@@ -282,9 +282,6 @@ type Controller struct {
 	// freePID pools the per-job PID filters; every pooled filter was
 	// built from cfg.PID, so Reset restores the fresh-filter state.
 	freePID []*pid.Controller
-	// fillNames interns thread-name → "<name>.pressure" so an admission
-	// storm of interned-name threads concatenates each distinct name once.
-	fillNames map[string]string
 	// vetoErr memoizes one OverloadError per rung: the rung string and
 	// retry-after hint are pure per rung at a fixed interval, and callers
 	// only ever read the fields, so an admission storm shares one object
@@ -581,21 +578,11 @@ func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 	} else {
 		j.period = DefaultPeriod
 	}
-	// The pressure series is only read over recent windows (period
-	// adaptation, tooling), so it is bounded: at 10k+ jobs an unbounded
-	// 100 Hz series per job would dominate the heap. A pooled job reuses
-	// its previous life's series object and capacity, and — when the slot
-	// is reissued to a same-named thread, the steady state of a recycling
-	// storm — the series name too, skipping the concatenation.
-	switch {
-	case j.fill == nil:
-		j.fillFor = t.Name()
-		j.fill = metrics.NewSeries(c.pressureName(j.fillFor)).Bound(8192)
-	case j.fillFor != t.Name():
-		j.fillFor = t.Name()
-		j.fill.Reset(c.pressureName(j.fillFor))
-	default:
-		j.fill.Reset(j.fill.Name)
+	// Only period adaptation reads the pressure series, and only over
+	// recent windows, so it exists only with that heuristic on and is
+	// bounded.
+	if c.cfg.PeriodAdaptation {
+		j.fill = metrics.NewSeries("pressure").Bound(8192)
 	}
 	c.bootstrap(j)
 	return j
@@ -786,19 +773,6 @@ func (c *Controller) allocJob() *Job {
 	return j
 }
 
-// pressureName returns the interned "<name>.pressure" series label.
-func (c *Controller) pressureName(name string) string {
-	if fn, ok := c.fillNames[name]; ok {
-		return fn
-	}
-	fn := name + ".pressure"
-	if c.fillNames == nil {
-		c.fillNames = make(map[string]string)
-	}
-	c.fillNames[name] = fn
-	return fn
-}
-
 // allocPID returns a fresh-state PID filter for cfg.PID, reusing a pooled
 // one when available (every pooled filter was built from the same config,
 // so Reset restores the fresh-filter state exactly).
@@ -826,8 +800,7 @@ func (c *Controller) flushRetired() {
 			j.members[k] = nil
 		}
 		members := j.members[:0]
-		fill, fillFor, slot := j.fill, j.fillFor, j.slot
-		*j = Job{members: members, fill: fill, fillFor: fillFor, slot: slot}
+		*j = Job{members: members, slot: j.slot}
 		j.freeNext = c.freeJob
 		c.freeJob = j
 	}

@@ -341,9 +341,9 @@ func TestJobRemovalOnExit(t *testing.T) {
 	th := r.kern.Spawn("mortal", kernel.ProgramFunc(func(tt *kernel.Thread, now sim.Time) kernel.Op {
 		count++
 		if count > 10 {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
-		return kernel.OpCompute{Cycles: 100_000}
+		return kernel.Compute(100_000)
 	}))
 	r.ctl.AddMiscellaneous(th)
 	r.start()
@@ -401,9 +401,9 @@ func kernelProgramCountdown(counter *int, bursts int) kernel.Program {
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		*counter++
 		if *counter > bursts {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
-		return kernel.OpCompute{Cycles: 400_000}
+		return kernel.Compute(400_000)
 	})
 }
 

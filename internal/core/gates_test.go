@@ -12,10 +12,10 @@ import (
 // dispatch.
 var (
 	napper = kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
-		return &kernel.OpSleep{D: 3600 * sim.Second}
+		return kernel.Sleep(3600 * sim.Second)
 	})
 	quitter = kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
-		return &kernel.OpExit{}
+		return kernel.Exit()
 	})
 )
 

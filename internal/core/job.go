@@ -163,11 +163,9 @@ type Job struct {
 	fallback int
 
 	// fill tracks recent summed-pressure samples for the period
-	// adaptation heuristic (oscillation detection). fillFor is the thread
-	// name the series was last named after, preserved across pooling so a
-	// recycled job reissued to a same-named thread skips the rename.
-	fill    *metrics.Series
-	fillFor string
+	// adaptation heuristic (oscillation detection); nil unless
+	// Config.PeriodAdaptation is set.
+	fill *metrics.Series
 
 	// stats
 	actuations uint64

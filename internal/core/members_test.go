@@ -149,7 +149,7 @@ func TestActuationReentersThroughMachineRun(t *testing.T) {
 		}
 		// Exactly one period's budget (10 ppt of 10 ms at 400 MHz), so the
 		// lead naps at an op boundary and consults its program on wake.
-		return &kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	team, err := r.ctl.AddRealTime(lead, 120, 10*sim.Millisecond)
 	if err != nil {

@@ -42,12 +42,12 @@ func TestRenegotiateExitDuringActuationSkipsEvent(t *testing.T) {
 	exitNow := false
 	th := r.kern.Spawn("victim", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		if exitNow {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
 		// Exactly one period's budget (100 ppt of 10 ms at 400 MHz = 1 ms):
 		// the burst completes just as the budget empties, so the thread
 		// naps at an op boundary and consults its program on wake.
-		return kernel.OpCompute{Cycles: 400_000}
+		return kernel.Compute(400_000)
 	}))
 	j, err := r.ctl.AddRealTime(th, 100, 10*sim.Millisecond)
 	if err != nil {

@@ -16,14 +16,14 @@ import (
 // exactly 0.
 func TestIdleUsageFlushesToZero(t *testing.T) {
 	r := newRig(core.Config{})
-	burst, nap := kernel.OpCompute{Cycles: 400_000}, kernel.OpSleep{D: 3600 * sim.Second}
+	burst, nap := kernel.Compute(400_000), kernel.Sleep(3600*sim.Second)
 	ran := false
 	th := r.kern.Spawn("idle", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 		if ran {
-			return &nap
+			return nap
 		}
 		ran = true
-		return &burst
+		return burst
 	}))
 	j := r.ctl.AddMiscellaneous(th)
 	r.kern.Start()

@@ -26,8 +26,8 @@ func benchRig(n int, cfg Config) (*rig, sim.Time) {
 // hashes thread IDs.
 func benchRigSMP(n int, mode Mode) (*rig, sim.Time) {
 	r := newRigCfg(8, core.Config{BaseCost: 100, PerJobCost: 1}, Config{Mode: mode, Shards: 8})
-	op := kernel.OpSleep{D: sim.Duration(time.Hour)}
-	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(sim.Duration(time.Hour))
+	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {
 		r.ctl.AddMiscellaneous(r.kern.Spawn("sleeper", prog))
 	}
@@ -152,8 +152,8 @@ func TestSoak1MAdmission(t *testing.T) {
 	// cost is collapsed to let epochs complete in simulated time.
 	ccfg := core.Config{BaseCost: 100, PerJobCost: 1}
 	r := newRigCfg(1, ccfg, Config{Mode: EventDriven, Shards: 8})
-	op := kernel.OpSleep{D: sim.Duration(time.Hour)}
-	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(sim.Duration(time.Hour))
+	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {
 		r.ctl.AddMiscellaneous(r.kern.Spawn("soak", prog))
 	}

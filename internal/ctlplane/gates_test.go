@@ -65,12 +65,12 @@ func (f *actuationFaults) ActuationFault(string, sim.Time) (drop, delay bool) {
 // cycle returns a program that alternates compute and sleep; after limit
 // ops (0: never) it exits.
 func cycle(cycles sim.Cycles, nap sim.Duration, limit int) kernel.Program {
-	ops := [2]kernel.Op{&kernel.OpCompute{Cycles: cycles}, &kernel.OpSleep{D: nap}}
-	exit := kernel.OpExit{}
+	ops := [2]kernel.Op{kernel.Compute(cycles), kernel.Sleep(nap)}
+	exit := kernel.Exit()
 	var i int
 	return kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 		if limit > 0 && i >= limit {
-			return &exit
+			return exit
 		}
 		op := ops[i%2]
 		i++

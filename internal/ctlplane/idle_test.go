@@ -181,8 +181,8 @@ func (m idleMachine) log() ([]string, idleCounts, error) {
 	// jobs, and, in a storm machine, pinned pipelines whose queues push
 	// dirty marks and whose producer rates the calm phases change, moving
 	// adaptive demand between shards.
-	op := kernel.OpSleep{D: 3600 * sim.Second}
-	sleeper := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(3600 * sim.Second)
+	sleeper := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return op })
 	for i := 0; i < 16; i++ {
 		r.ctl.AddMiscellaneous(r.kern.Spawn("sleeper", sleeper))
 	}
@@ -210,15 +210,13 @@ func (m idleMachine) log() ([]string, idleCounts, error) {
 		// uses less than it is granted, moves at every sample. Its weight
 		// lets it keep its desire in the squish.
 		var bursts int
-		nap := kernel.OpSleep{D: 10 * sim.Millisecond}
-		burst := kernel.OpCompute{}
+		nap := kernel.Sleep(10 * sim.Millisecond)
 		dabbler := r.ctl.AddMiscellaneous(r.kern.SpawnAffinity("dabbler", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 			bursts++
 			if bursts%2 == 0 {
-				return &nap
+				return nap
 			}
-			burst.Cycles = sim.Cycles(4_000 * (1 + bursts%5))
-			return &burst
+			return kernel.Compute(sim.Cycles(4_000 * (1 + bursts%5)))
 		}), 0))
 		r.ctl.SetImportance(dabbler, 1000)
 		hungry := r.kern.SpawnAffinity("hungry", cycle(2_000_000, 100*sim.Microsecond, 0), cpus-1)
@@ -355,14 +353,14 @@ func (saturated) Describe() string          { return "saturated" }
 
 // napThenExit returns a program that sleeps for d and exits.
 func napThenExit(d sim.Duration) kernel.Program {
-	nap, exit := kernel.OpSleep{D: d}, kernel.OpExit{}
+	nap, exit := kernel.Sleep(d), kernel.Exit()
 	napped := false
 	return kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 		if napped {
-			return &exit
+			return exit
 		}
 		napped = true
-		return &nap
+		return nap
 	})
 }
 
@@ -371,19 +369,17 @@ func napThenExit(d sim.Duration) kernel.Program {
 // producer moves *rate bytes per 5 ms, read at every batch.
 func (r *rig) addRatePipeline(name string, cpu int, rate *int64) {
 	q := r.kern.NewQueue(name, 1<<16)
-	produce := &kernel.OpProduce{Queue: q}
-	nap := &kernel.OpSleep{D: 5 * sim.Millisecond}
+	nap := kernel.Sleep(5 * sim.Millisecond)
 	var pi int
 	prod := r.kern.SpawnAffinity(name+".prod", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 		pi++
 		if pi%2 == 0 {
 			return nap
 		}
-		produce.Bytes = *rate
-		return produce
+		return kernel.Produce(q, *rate)
 	}), cpu)
 	r.policy.SetReservation(prod, rbs.Reservation{Proportion: 100, Period: 10 * sim.Millisecond})
-	consOps := [2]kernel.Op{&kernel.OpConsume{Queue: q, Bytes: 256}, &kernel.OpCompute{Cycles: 40000}}
+	consOps := [2]kernel.Op{kernel.Consume(q, 256), kernel.Compute(40000)}
 	var ci int
 	cons := r.kern.SpawnAffinity(name+".cons", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 		ci++

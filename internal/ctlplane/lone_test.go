@@ -57,10 +57,18 @@ func TestPeriodicChargesLiveJobs(t *testing.T) {
 			r.start()
 			ccfg := r.ctl.Config()
 			iv := ccfg.Interval
+			// A shard charges its compute phase as CPU its thread burns, so
+			// the cycles charged over a window are that thread's CPU time.
+			cpu := make([]sim.Duration, shards)
+			mark := func() {
+				for i, s := range r.plane.shards {
+					cpu[i] = s.thread.CPUTime()
+				}
+			}
 			charged := func() sim.Cycles {
 				var c sim.Cycles
-				for _, s := range r.plane.shards {
-					c += s.computeOp.Cycles
+				for i, s := range r.plane.shards {
+					c += sim.DurationToCycles(s.thread.CPUTime()-cpu[i], kernel.ClockRate)
 				}
 				return c
 			}
@@ -71,6 +79,7 @@ func TestPeriodicChargesLiveJobs(t *testing.T) {
 			r.eng.RunFor(iv + iv*9/10)
 			r.addMisc(3)
 			r.ctl.Remove(r.ctl.Jobs()[0])
+			mark()
 			r.eng.RunFor(iv)
 			if got, want := charged(), base+6*ccfg.PerJobCost; got != want {
 				t.Fatalf("compute phases after admitting 3 and removing 1 of 4 charged %d cycles, want %d", got, want)

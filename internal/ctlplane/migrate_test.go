@@ -42,8 +42,8 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		// unpinned job off, idle enough to pull it back.
 		for c := 0; c < cpus; c++ {
 			ops := [2]kernel.Op{
-				&kernel.OpCompute{Cycles: 2_000_000}, // 5 ms at 400 MHz
-				&kernel.OpSleep{D: 5 * sim.Millisecond},
+				kernel.Compute(2_000_000), // 5 ms at 400 MHz
+				kernel.Sleep(5 * sim.Millisecond),
 			}
 			var i int
 			th := r.kern.SpawnAffinity("hog", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
@@ -55,8 +55,8 @@ func TestMigrationHandoffExactlyOnce(t *testing.T) {
 		}
 
 		jobOps := [2]kernel.Op{
-			&kernel.OpCompute{Cycles: 800_000}, // 2 ms at 400 MHz
-			&kernel.OpSleep{D: 3 * sim.Millisecond},
+			kernel.Compute(800_000), // 2 ms at 400 MHz
+			kernel.Sleep(3 * sim.Millisecond),
 		}
 		var ji int
 		wanderer := r.kern.Spawn("wanderer", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {

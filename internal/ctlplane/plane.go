@@ -127,10 +127,8 @@ type shard struct {
 
 	list []*entry
 
-	phase     int
-	nextWake  sim.Time
-	computeOp kernel.OpCompute
-	sleepOp   kernel.OpSleepUntil
+	phase    int
+	nextWake sim.Time
 
 	// Published aggregates, refreshed at every tick of this shard; other
 	// shards read the latest published value (an epoch-versioned
@@ -373,14 +371,12 @@ func (p *Plane) programOf(s *shard) func(t *kernel.Thread, now sim.Time) kernel.
 			if p.cfg.Mode == EventDriven {
 				work = sim.Cycles(s.lastSampled) + sim.Cycles(s.lastSkipped)/8
 			}
-			s.computeOp.Cycles = base + work*ccfg.PerJobCost
-			return &s.computeOp
+			return kernel.Compute(base + work*ccfg.PerJobCost)
 		}
 		p.tick(s, now)
 		wake := s.nextWake
 		s.nextWake = s.nextWake.Add(p.interval)
-		s.sleepOp.At = wake
-		return &s.sleepOp
+		return kernel.SleepUntil(wake)
 	}
 }
 

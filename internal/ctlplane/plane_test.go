@@ -56,8 +56,8 @@ func (r *rig) start() {
 
 // addMisc spawns n sleepy miscellaneous jobs.
 func (r *rig) addMisc(n int) {
-	op := kernel.OpSleep{D: 50 * sim.Millisecond}
-	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Sleep(50 * sim.Millisecond)
+	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {
 		r.ctl.AddMiscellaneous(r.kern.Spawn("misc", prog))
 	}
@@ -69,8 +69,8 @@ func (r *rig) addMisc(n int) {
 func (r *rig) addPipeline(name string, rate int64) *core.Job {
 	q := r.kern.NewQueue(name, 1<<16)
 	prodOps := [2]kernel.Op{
-		&kernel.OpProduce{Queue: q, Bytes: rate},
-		&kernel.OpSleep{D: 5 * sim.Millisecond},
+		kernel.Produce(q, rate),
+		kernel.Sleep(5 * sim.Millisecond),
 	}
 	var pi int
 	prod := r.kern.Spawn(name+".prod", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
@@ -80,8 +80,8 @@ func (r *rig) addPipeline(name string, rate int64) *core.Job {
 	}))
 	r.policy.SetReservation(prod, rbs.Reservation{Proportion: 100, Period: 10 * sim.Millisecond})
 	consOps := [2]kernel.Op{
-		&kernel.OpConsume{Queue: q, Bytes: rate},
-		&kernel.OpCompute{Cycles: 40000},
+		kernel.Consume(q, rate),
+		kernel.Compute(40000),
 	}
 	var ci int
 	cons := r.kern.Spawn(name+".cons", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {

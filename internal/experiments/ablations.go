@@ -88,18 +88,15 @@ func RunReclaimAblation(reclaimOn bool, duration sim.Duration) ReclaimAblationRe
 	// Bottlenecked consumer: tiny compute per block, then a 5 ms wait on a
 	// slow device. The queue pins full; more CPU cannot help.
 	phase := 0
-	consumeOp := kernel.OpConsume{Queue: q, Bytes: 4096}
-	computeOp := kernel.OpCompute{Cycles: 40_000}
-	sleepOp := kernel.OpSleep{D: 5 * sim.Millisecond}
 	ct := r.kern.Spawn("consumer", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		switch phase % 3 {
 		case 1:
-			return &consumeOp
+			return kernel.Consume(q, 4096)
 		case 2:
-			return &computeOp
+			return kernel.Compute(40_000)
 		default:
-			return &sleepOp
+			return kernel.Sleep(5 * sim.Millisecond)
 		}
 	}))
 	r.reg.RegisterQueue(pt, q, progress.Producer)

@@ -62,9 +62,8 @@ func (r *rig) startNoController() {
 
 // sleepyProgram returns a controlled-but-idle dummy thread program.
 func sleepyProgram() kernel.Program {
-	op := kernel.OpSleep{D: 50 * sim.Millisecond}
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return &op
+		return kernel.Sleep(50 * sim.Millisecond)
 	})
 }
 

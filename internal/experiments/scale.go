@@ -161,29 +161,26 @@ func RunContextSwitchStorm(cfg StormConfig) StormResult {
 	}
 }
 
-// hogProgram returns a CPU-bound program that reuses its op across calls.
+// hogProgram returns a CPU-bound program of 1M-cycle bursts.
 func hogProgram() kernel.Program {
-	op := kernel.OpCompute{Cycles: 1_000_000}
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return &op
+		return kernel.Compute(1_000_000)
 	})
 }
 
 // finiteHogProgram burns total cycles in 1M-cycle bursts, then exits.
 func finiteHogProgram(total sim.Cycles) kernel.Program {
-	op := kernel.OpCompute{}
 	remaining := total
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		if remaining <= 0 {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
 		burst := sim.Cycles(1_000_000)
 		if remaining < burst {
 			burst = remaining
 		}
 		remaining -= burst
-		op.Cycles = burst
-		return &op
+		return kernel.Compute(burst)
 	})
 }
 

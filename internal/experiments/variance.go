@@ -86,16 +86,13 @@ func varianceWorkload(k *kernel.Kernel) (*kernel.Thread, *kernel.Thread, *kernel
 	// cycles/byte × 2 MB/s = 40% of the CPU.
 	phase := 0
 	var nextAt sim.Time
-	var sleepOp kernel.OpSleepUntil
-	produceOp := kernel.OpProduce{Queue: q, Bytes: 20_000}
 	pt := k.Spawn("producer", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
 			nextAt = nextAt.Add(10 * sim.Millisecond)
-			sleepOp.At = nextAt
-			return &sleepOp
+			return kernel.SleepUntil(nextAt)
 		}
-		return &produceOp
+		return kernel.Produce(q, 20_000)
 	}))
 	cons := &workload.Consumer{Queue: q, BlockBytes: 4096, CyclesPerByte: 80}
 	ct := k.Spawn("consumer", cons)

@@ -71,20 +71,18 @@ func BenchmarkTimerHeavySleepers(b *testing.B) {
 			eng := sim.NewEngine()
 			k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(sim.Millisecond))
 			period := sim.Duration(n) * 50 * sim.Microsecond
-			computeOp := kernel.OpCompute{Cycles: 10_000}
 			for i := 0; i < n; i++ {
-				first := kernel.OpSleepUntil{At: sim.Time(period / sim.Duration(n) * sim.Duration(i))}
-				sleepOp := kernel.OpSleep{D: period}
+				first := sim.Time(period / sim.Duration(n) * sim.Duration(i))
 				phase := 0
 				k.Spawn("sleeper", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 					phase++
 					switch {
 					case phase == 1:
-						return &first
+						return kernel.SleepUntil(first)
 					case phase%2 == 1:
-						return &sleepOp
+						return kernel.Sleep(period)
 					}
-					return &computeOp
+					return kernel.Compute(10_000)
 				}))
 			}
 			k.Start()

@@ -27,39 +27,39 @@ func (p *randomProgram) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 		if p.held != nil {
 			m := p.held
 			p.held = nil
-			return kernel.OpUnlock{M: m}
+			return kernel.Unlock(m)
 		}
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}
 	// While holding a mutex, only compute or release: keeps lock usage
 	// well-formed so the test exercises scheduling, not API misuse.
 	if p.held != nil {
 		if p.rng.Intn(2) == 0 {
-			return kernel.OpCompute{Cycles: sim.Cycles(1 + p.rng.Intn(500_000))}
+			return kernel.Compute(sim.Cycles(1 + p.rng.Intn(500_000)))
 		}
 		m := p.held
 		p.held = nil
-		return kernel.OpUnlock{M: m}
+		return kernel.Unlock(m)
 	}
 	switch p.rng.Intn(8) {
 	case 0, 1:
-		return kernel.OpCompute{Cycles: sim.Cycles(1 + p.rng.Intn(2_000_000))}
+		return kernel.Compute(sim.Cycles(1 + p.rng.Intn(2_000_000)))
 	case 2:
 		q := p.queues[p.rng.Intn(len(p.queues))]
-		return kernel.OpProduce{Queue: q, Bytes: int64(1 + p.rng.Intn(2000))}
+		return kernel.Produce(q, int64(1+p.rng.Intn(2000)))
 	case 3:
 		q := p.queues[p.rng.Intn(len(p.queues))]
-		return kernel.OpConsume{Queue: q, Bytes: int64(1 + p.rng.Intn(2000))}
+		return kernel.Consume(q, int64(1+p.rng.Intn(2000)))
 	case 4:
-		return kernel.OpSleep{D: sim.Duration(p.rng.Intn(20)) * sim.Millisecond}
+		return kernel.Sleep(sim.Duration(p.rng.Intn(20)) * sim.Millisecond)
 	case 5:
 		m := p.mus[p.rng.Intn(len(p.mus))]
 		p.held = m
-		return kernel.OpLock{M: m}
+		return kernel.Lock(m)
 	case 6:
-		return kernel.OpYield{}
+		return kernel.Yield()
 	default:
-		return kernel.OpCompute{Cycles: sim.Cycles(1 + p.rng.Intn(100_000))}
+		return kernel.Compute(sim.Cycles(1 + p.rng.Intn(100_000)))
 	}
 }
 
@@ -132,7 +132,7 @@ func TestRandomWorkloadNeverDeadlocksMachine(t *testing.T) {
 	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(sim.Millisecond))
 	q := k.NewQueue("q", 1024)
 	k.Spawn("starved-consumer", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpConsume{Queue: q, Bytes: 512}
+		return kernel.Consume(q, 512)
 	}))
 	k.Start()
 	eng.RunFor(2 * sim.Second)

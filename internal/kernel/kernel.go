@@ -107,7 +107,7 @@ type Stats struct {
 	TimerFires uint64
 	Wakeups    uint64
 	Migrations uint64
-	// Exits counts threads that left the machine for good — program OpExit
+	// Exits counts threads that left the machine for good — program Exit
 	// and forced Retires alike. Retires counts only the forced removals
 	// (admission-undo and overload shedding), so Exits − Retires is the
 	// count of natural completions.
@@ -197,7 +197,7 @@ type Kernel struct {
 	// faults is the optional fault injector; nil in healthy machines.
 	faults FaultInjector
 	// onExit, when set, fires after a thread leaves the machine for good —
-	// whether its program returned OpExit or it was forcibly Retired. The
+	// whether its program returned Exit() or it was forcibly Retired. The
 	// public layer uses it to drop per-thread indexes, so churn-heavy
 	// workloads (high-rate spawn/remove cycles) cannot accumulate stale
 	// entries.
@@ -336,7 +336,7 @@ func (k *Kernel) Stats() Stats {
 // re-homing gate. Cheaper than building Stats.
 func (k *Kernel) Migrations() uint64 { return k.stats.Migrations }
 
-// Exits returns how many threads have left the machine, OpExit and Retire
+// Exits returns how many threads have left the machine, Exit and Retire
 // alike. exit is the only place a thread turns StateExited, so an
 // unchanged count proves no thread exited in between — the controller's
 // reap gate.
@@ -361,7 +361,7 @@ func (k *Kernel) SetTracer(tr Tracer) { k.tracer = tr }
 func (k *Kernel) SetFaultInjector(fi FaultInjector) { k.faults = fi }
 
 // SetExitHook installs (or clears, with nil) a callback fired exactly once
-// when a thread exits — via OpExit or Retire. The callback runs after the
+// when a thread exits — via Exit or Retire. The callback runs after the
 // thread is fully removed from the policy, so it may inspect but must not
 // re-enqueue the thread.
 func (k *Kernel) SetExitHook(fn func(t *Thread, now sim.Time)) { k.onExit = fn }
@@ -580,7 +580,6 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 			k.overheadOn(c, SwitchCost)
 		}
 		c.lastRan = t
-		t.dispatched++
 		k.startRun(c, t, now)
 		return
 	}
@@ -645,70 +644,43 @@ const (
 	// (counts toward the zero-cost-op runaway guard).
 	opNext
 	// opNextFree: like opNext but exempt from the runaway guard (an
-	// already-expired OpSleepUntil).
+	// already-expired SleepUntil).
 	opNextFree
 )
 
-// prepare drives t's program until it owes CPU (an in-progress OpCompute),
+// prepare drives t's program until it owes CPU (an in-progress compute),
 // or blocks/sleeps/exits. It reports whether t is ready to run a segment.
-//
-// Each op is accepted both by value and as a pointer: hot programs keep
-// their op structs across iterations and return pointers, so emitting an
-// op does not box a fresh interface value on every call.
 func (k *Kernel) prepare(t *Thread, now sim.Time) bool {
 	for {
-		if t.op == nil {
+		if t.op.kind == kindNone {
 			t.op = t.program.Next(t, now)
-			if t.op == nil {
-				panic(fmt.Sprintf("kernel: program of %v returned nil op", t))
+			if t.op.kind == kindNone {
+				panic(fmt.Sprintf("kernel: program of %v returned the zero Op; return Exit() to retire a thread", t))
 			}
 		}
 		var st opStatus
-		switch op := t.op.(type) {
-		case OpCompute:
-			st = k.opCompute(t, op)
-		case *OpCompute:
-			st = k.opCompute(t, *op)
-		case OpProduce:
-			st = k.opProduce(t, op, now)
-		case *OpProduce:
-			st = k.opProduce(t, *op, now)
-		case OpConsume:
-			st = k.opConsume(t, op, now)
-		case *OpConsume:
-			st = k.opConsume(t, *op, now)
-		case OpSleep:
-			st = k.opSleep(t, op.D, now)
-		case *OpSleep:
-			st = k.opSleep(t, op.D, now)
-		case OpSleepUntil:
-			st = k.opSleepUntil(t, op.At, now)
-		case *OpSleepUntil:
-			st = k.opSleepUntil(t, op.At, now)
-		case OpLock:
-			st = k.opLock(t, op.M, now)
-		case *OpLock:
-			st = k.opLock(t, op.M, now)
-		case OpUnlock:
-			st = k.opUnlock(t, op.M, now)
-		case *OpUnlock:
-			st = k.opUnlock(t, op.M, now)
-		case OpYield:
+		switch op := t.op; op.kind {
+		case kindCompute:
+			st = k.opCompute(t)
+		case kindProduce:
+			st = k.opProduce(t, op.q, op.n, now)
+		case kindConsume:
+			st = k.opConsume(t, op.q, op.n, now)
+		case kindSleep:
+			st = k.opSleep(t, sim.Duration(op.n), now)
+		case kindSleepUntil:
+			st = k.opSleepUntil(t, sim.Time(op.n), now)
+		case kindLock:
+			st = k.opLock(t, op.m, now)
+		case kindUnlock:
+			st = k.opUnlock(t, op.m, now)
+		case kindYield:
 			st = k.opYield(t, now)
-		case *OpYield:
-			st = k.opYield(t, now)
-		case OpBlock:
-			st = k.opBlock(t, op.WQ, now)
-		case *OpBlock:
-			st = k.opBlock(t, op.WQ, now)
-		case OpExit:
+		case kindBlock:
+			st = k.opBlock(t, op.wq, now)
+		case kindExit:
 			k.exit(t, now)
 			return false
-		case *OpExit:
-			k.exit(t, now)
-			return false
-		default:
-			panic(fmt.Sprintf("kernel: unknown op %T", t.op))
 		}
 		switch st {
 		case opRun:
@@ -725,30 +697,29 @@ func (k *Kernel) prepare(t *Thread, now sim.Time) bool {
 	}
 }
 
-func (k *Kernel) opCompute(t *Thread, op OpCompute) opStatus {
-	if t.remaining == 0 && op.Cycles > 0 {
-		t.remaining = op.Cycles
-	}
-	if t.remaining > 0 {
+// opCompute runs the thread while its op has cycles left to burn; the op
+// itself counts them down (see chargeSegment).
+func (k *Kernel) opCompute(t *Thread) opStatus {
+	if t.op.n > 0 {
 		t.zeroOps = 0
 		return opRun
 	}
-	t.finishOp() // zero-cycle compute completes immediately
+	t.finishOp() // a burst of zero or fewer cycles completes immediately
 	return opNext
 }
 
-func (k *Kernel) opProduce(t *Thread, op OpProduce, now sim.Time) opStatus {
-	if !op.Queue.tryProduce(t, op.Bytes, now) {
-		k.block(t, &op.Queue.notFull, now)
+func (k *Kernel) opProduce(t *Thread, q *Queue, n int64, now sim.Time) opStatus {
+	if !q.tryProduce(t, n, now) {
+		k.block(t, &q.notFull, now)
 		return opParked
 	}
 	t.finishOp()
 	return opNext
 }
 
-func (k *Kernel) opConsume(t *Thread, op OpConsume, now sim.Time) opStatus {
-	if !op.Queue.tryConsume(t, op.Bytes, now) {
-		k.block(t, &op.Queue.notEmpty, now)
+func (k *Kernel) opConsume(t *Thread, q *Queue, n int64, now sim.Time) opStatus {
+	if !q.tryConsume(t, n, now) {
+		k.block(t, &q.notEmpty, now)
 		return opParked
 	}
 	t.finishOp()
@@ -806,15 +777,12 @@ func (k *Kernel) opBlock(t *Thread, wq *WaitQueue, now sim.Time) opStatus {
 }
 
 // finishOp clears the in-progress op so the program is consulted again.
-func (t *Thread) finishOp() {
-	t.op = nil
-	t.remaining = 0
-}
+func (t *Thread) finishOp() { t.op = Op{} }
 
 // beginSegment resumes t on its CPU after a tick. If its burst is already
 // complete it is driven through prepare first.
 func (k *Kernel) beginSegment(c *cpu, t *Thread, now sim.Time) {
-	if t.remaining <= 0 {
+	if t.op.kind != kindCompute {
 		if !k.prepare(t, now) {
 			c.current = nil
 			k.dispatch(c, now)
@@ -839,7 +807,7 @@ func (k *Kernel) startRun(c *cpu, t *Thread, now sim.Time) {
 		// The policy did nothing; run one tick to avoid livelock.
 		slice = k.cfg.TickInterval
 	}
-	runFor := k.cyclesDur(t.remaining)
+	runFor := k.cyclesDur(sim.Cycles(t.op.n))
 	if slice < runFor {
 		runFor = slice
 	}
@@ -887,18 +855,12 @@ func (k *Kernel) chargeSegment(c *cpu, now sim.Time) {
 	}
 	if ran > 0 {
 		t.cpuTime += ran
-		t.runSinceBlock += ran
-		burned := sim.DurationToCycles(ran, ClockRate)
-		if burned >= t.remaining {
-			t.remaining = 0
-		} else {
-			t.remaining -= burned
-		}
-	}
-	if t.remaining == 0 && t.op != nil {
-		switch t.op.(type) {
-		case OpCompute, *OpCompute:
-			t.finishOp()
+		if t.op.kind == kindCompute {
+			if burned := int64(sim.DurationToCycles(ran, ClockRate)); burned >= t.op.n {
+				t.finishOp()
+			} else {
+				t.op.n -= burned
+			}
 		}
 	}
 	if k.tracer != nil {
@@ -933,7 +895,6 @@ func (k *Kernel) segmentEnd(c *cpu, now sim.Time) {
 func (k *Kernel) block(t *Thread, wq *WaitQueue, now sim.Time) {
 	t.state = StateBlocked
 	t.blockedCount++
-	t.runSinceBlock = 0
 	t.waitingOn = wq
 	wq.push(t)
 	if k.tracer != nil {
@@ -948,7 +909,6 @@ func (k *Kernel) block(t *Thread, wq *WaitQueue, now sim.Time) {
 // sleepUntil parks t until the first tick at or after deadline.
 func (k *Kernel) sleepUntil(t *Thread, deadline, now sim.Time) {
 	t.state = StateSleeping
-	t.runSinceBlock = 0
 	k.policy.Dequeue(t, now)
 	k.sleepers.push(t, deadline)
 	if c := &k.cpus[t.cpu]; c.current == t {
@@ -990,7 +950,7 @@ func (k *Kernel) wake(t *Thread, now sim.Time) {
 	k.reschedule(now)
 }
 
-// Wake wakes a thread parked on a raw wait queue (OpBlock) or sleeping.
+// Wake wakes a thread parked on a raw wait queue (Block) or sleeping.
 // Waking a runnable thread is a no-op.
 func (k *Kernel) Wake(t *Thread) { k.wake(t, k.Now()) }
 
@@ -1030,14 +990,14 @@ func (k *Kernel) maybePreempt(woken *Thread, now sim.Time) {
 func (k *Kernel) unlock(t *Thread, m *Mutex, now sim.Time) {
 	next := m.unlock(t)
 	if next != nil {
-		// Direct handoff: the waiter's pending OpLock has succeeded.
+		// Direct handoff: the waiter's pending Lock has succeeded.
 		next.finishOp()
 		k.wake(next, now)
 	}
 }
 
 // Retire forcibly removes a thread from the machine, as if its program had
-// returned OpExit: it is dequeued from the policy, unhooked from any wait
+// returned Exit(): it is dequeued from the policy, unhooked from any wait
 // queue or the sleep heap, and marked exited. Callers use it to undo a Spawn
 // whose higher-level registration (e.g. admission control) failed, so the
 // rejected thread does not keep running in the leftover CPU.

@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -9,11 +11,9 @@ import (
 )
 
 // hog returns a program that computes forever in bursts of the given size.
-// The op struct is reused across iterations, so emitting it never allocates.
 func hog(burst sim.Cycles) kernel.Program {
-	op := kernel.OpCompute{Cycles: burst}
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return &op
+		return kernel.Compute(burst)
 	})
 }
 
@@ -99,13 +99,13 @@ func TestSleepWakesAtTickGranularity(t *testing.T) {
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		switch {
 		case now == 0:
-			return kernel.OpSleep{D: 2500 * sim.Microsecond}
+			return kernel.Sleep(2500 * sim.Microsecond)
 		case !done:
 			done = true
 			wokenAt = now
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
-		return kernel.OpExit{}
+		return kernel.Exit()
 	})
 	k.Spawn("sleeper", prog)
 	k.Start()
@@ -126,9 +126,9 @@ func TestThreadExitRemovesFromMachine(t *testing.T) {
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		steps++
 		if steps > 3 {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
-		return kernel.OpCompute{Cycles: 1000}
+		return kernel.Compute(1000)
 	})
 	th := k.Spawn("worker", prog)
 	k.Start()
@@ -155,31 +155,24 @@ func TestSpawnDuringSimulation(t *testing.T) {
 	}
 }
 
-// pcProgram alternates compute and a queue op, reusing its op structs.
+// pcProgram alternates compute and a queue op.
 type pcProgram struct {
 	q       *kernel.Queue
 	cycles  sim.Cycles
 	bytes   int64
 	produce bool
 	compute bool // next op is compute
-
-	computeOp kernel.OpCompute
-	produceOp kernel.OpProduce
-	consumeOp kernel.OpConsume
 }
 
 func (p *pcProgram) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	p.compute = !p.compute
 	if p.compute {
-		p.computeOp = kernel.OpCompute{Cycles: p.cycles}
-		return &p.computeOp
+		return kernel.Compute(p.cycles)
 	}
 	if p.produce {
-		p.produceOp = kernel.OpProduce{Queue: p.q, Bytes: p.bytes}
-		return &p.produceOp
+		return kernel.Produce(p.q, p.bytes)
 	}
-	p.consumeOp = kernel.OpConsume{Queue: p.q, Bytes: p.bytes}
-	return &p.consumeOp
+	return kernel.Consume(p.q, p.bytes)
 }
 
 func TestProducerConsumerPipeline(t *testing.T) {
@@ -282,14 +275,14 @@ func (p *lockProgram) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	p.phase++
 	switch p.phase % 4 {
 	case 1:
-		return kernel.OpLock{M: p.m}
+		return kernel.Lock(p.m)
 	case 2:
-		return kernel.OpCompute{Cycles: p.hold}
+		return kernel.Compute(p.hold)
 	case 3:
-		return kernel.OpUnlock{M: p.m}
+		return kernel.Unlock(p.m)
 	default:
 		p.loops++
-		return kernel.OpSleep{D: p.gap}
+		return kernel.Sleep(p.gap)
 	}
 }
 
@@ -320,7 +313,7 @@ func TestRecursiveLockPanics(t *testing.T) {
 	phase := 0
 	k.Spawn("rec", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
-		return kernel.OpLock{M: m}
+		return kernel.Lock(m)
 	}))
 	defer func() {
 		if recover() == nil {
@@ -331,6 +324,43 @@ func TestRecursiveLockPanics(t *testing.T) {
 	eng.RunFor(10 * sim.Millisecond)
 }
 
+// TestZeroOpPanicsNamingThread pins what a program that returns the zero
+// Op gets: a panic naming its thread, whether the zero Op is its first op
+// or comes after a compute burst, a sleep or a queue transfer.
+func TestZeroOpPanicsNamingThread(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		before func(q *kernel.Queue) kernel.Op
+	}{
+		{"first", nil},
+		{"after-compute", func(*kernel.Queue) kernel.Op { return kernel.Compute(10_000) }},
+		{"after-sleep", func(*kernel.Queue) kernel.Op { return kernel.Sleep(5 * sim.Millisecond) }},
+		{"after-produce", func(q *kernel.Queue) kernel.Op { return kernel.Produce(q, 64) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, k := newRRMachine(sim.Millisecond)
+			q := k.NewQueue("q", 1024)
+			name := "zero-" + c.name
+			calls := 0
+			k.Spawn(name, kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
+				calls++
+				if calls == 1 && c.before != nil {
+					return c.before(q)
+				}
+				return kernel.Op{}
+			}))
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "zero Op") {
+					t.Fatalf("panic %q does not name thread %q and the zero Op", msg, name)
+				}
+			}()
+			k.Start()
+			eng.RunFor(20 * sim.Millisecond)
+		})
+	}
+}
+
 func TestYieldRotatesFairly(t *testing.T) {
 	eng, k := newRRMachine(100 * sim.Millisecond) // long quantum: rotation must come from yields
 	counts := [2]int{}
@@ -339,10 +369,10 @@ func TestYieldRotatesFairly(t *testing.T) {
 		return kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 			phase++
 			if phase%2 == 1 {
-				return kernel.OpCompute{Cycles: 40_000} // 0.1ms
+				return kernel.Compute(40_000) // 0.1ms
 			}
 			counts[i]++
-			return kernel.OpYield{}
+			return kernel.Yield()
 		})
 	}
 	k.Spawn("y0", mk(0))
@@ -366,14 +396,14 @@ func TestOpBlockAndWake(t *testing.T) {
 	k.Spawn("interactive", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		served++
 		if served%2 == 1 {
-			return kernel.OpBlock{WQ: wq}
+			return kernel.Block(wq)
 		}
-		return kernel.OpCompute{Cycles: 10_000}
+		return kernel.Compute(10_000)
 	}))
 	// Waker: wakes the interactive thread every 10ms.
 	k.Spawn("waker", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		k.WakeOne(wq)
-		return kernel.OpSleep{D: 10 * sim.Millisecond}
+		return kernel.Sleep(10 * sim.Millisecond)
 	}))
 	k.Start()
 	eng.RunFor(sim.Second)
@@ -482,10 +512,10 @@ func TestLinuxInteractiveGetsCPUPromptly(t *testing.T) {
 		phase++
 		if phase%2 == 1 {
 			wantAt = now.Add(20 * sim.Millisecond)
-			return kernel.OpSleep{D: 20 * sim.Millisecond}
+			return kernel.Sleep(20 * sim.Millisecond)
 		}
 		latencies = append(latencies, now.Sub(wantAt))
-		return kernel.OpCompute{Cycles: 400_000} // 1ms burst
+		return kernel.Compute(400_000) // 1ms burst
 	}))
 	k.Start()
 	eng.RunFor(2 * sim.Second)

@@ -110,12 +110,6 @@ func (q *Queue) Reset() {
 	q.watchers = q.watchers[:0]
 }
 
-// ProducerWaiting reports whether a producer is blocked on the queue.
-func (q *Queue) ProducerWaiting() bool { return q.notFull.Len() > 0 }
-
-// ConsumerWaiting reports whether a consumer is blocked on the queue.
-func (q *Queue) ConsumerWaiting() bool { return q.notEmpty.Len() > 0 }
-
 // tryProduce transfers bytes into the queue if they fit, waking one blocked
 // consumer. It reports false (and transfers nothing) when full.
 func (q *Queue) tryProduce(t *Thread, bytes int64, now sim.Time) bool {

@@ -10,9 +10,9 @@ import (
 
 // sleeper returns a program that sleeps in fixed intervals forever.
 func sleeper(d sim.Duration) kernel.Program {
-	op := kernel.OpSleep{D: d}
+	op := kernel.Sleep(d)
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return &op
+		return op
 	})
 }
 
@@ -125,7 +125,7 @@ func TestSpawnRetireChurnLeaksNothing(t *testing.T) {
 					prog = hog(sim.Cycles(100_000 + rng.Intn(400_000)))
 				default:
 					prog = kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-						return kernel.OpExit{}
+						return kernel.Exit()
 					})
 				}
 				live = append(live, k.Spawn("churn", prog))
@@ -178,7 +178,7 @@ func TestRetireIdempotent(t *testing.T) {
 	exits := 0
 	k.SetExitHook(func(tt *kernel.Thread, now sim.Time) { exits++ })
 	a := k.Spawn("a", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}))
 	k.Spawn("b", hog(400_000))
 	k.Start()

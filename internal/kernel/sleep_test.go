@@ -57,14 +57,14 @@ func TestTimerFireOrderFIFOAtSameTick(t *testing.T) {
 	// round-robin dispatcher runs the threads, and so registers their
 	// sleeps, in spawn order.
 	for _, when := range []sim.Time{deadline, deadline, sim.Time(3 * sim.Millisecond), deadline, sim.Time(2 * sim.Millisecond)} {
-		sleep := kernel.OpSleepUntil{At: when}
+		sleep := kernel.SleepUntil(when)
 		slept := false
 		k.Spawn("sleeper", kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op {
 			if slept {
-				return kernel.OpExit{}
+				return kernel.Exit()
 			}
 			slept = true
-			return &sleep
+			return sleep
 		}))
 	}
 	k.Start()
@@ -152,7 +152,7 @@ func runSleepHeap(t *testing.T, data []byte) {
 	k.SetRecycle(data[0]&1 == 1)
 	log := &wakeLog{}
 	k.SetTracer(log)
-	prog := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return kernel.OpExit{} })
+	prog := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return kernel.Exit() })
 	// Background sleepers that outlast any input (second bit of the first
 	// byte) fill the heap past its first storage chunk, so the fuzzed
 	// entries sift across chunks; without them the bottom of the heap is
@@ -237,7 +237,7 @@ func TestSleepPathAllocatesNothing(t *testing.T) {
 	const n = 10_000
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.DefaultConfig(), idlePolicy{})
-	prog := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return kernel.OpExit{} })
+	prog := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return kernel.Exit() })
 	threads := make([]*kernel.Thread, n)
 	for i := range threads {
 		threads[i] = k.Spawn("sleeper", prog)

@@ -66,9 +66,9 @@ func (tr *smpTracer) OnMigration(now sim.Time, t *kernel.Thread, from, to int) {
 }
 
 func smpHog(cycles sim.Cycles) kernel.Program {
-	op := kernel.OpCompute{Cycles: cycles}
+	op := kernel.Compute(cycles)
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return &op
+		return op
 	})
 }
 
@@ -159,9 +159,9 @@ func TestSMPWorkPull(t *testing.T) {
 	sleeper := k.Spawn("sleeper", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpCompute{Cycles: 400_000} // 1 ms at 400 MHz
+			return kernel.Compute(400_000) // 1 ms at 400 MHz
 		}
-		return kernel.OpSleep{D: 5 * sim.Millisecond}
+		return kernel.Sleep(5 * sim.Millisecond)
 	})) // placed on CPU 1
 	b := k.Spawn("hogB", smpHog(1_000_000)) // placed on CPU 0, behind hogA
 	k.Start()

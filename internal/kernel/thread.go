@@ -54,11 +54,10 @@ type Thread struct {
 	affinity int32
 	// migrations counts how many times the thread changed CPUs.
 	migrations uint64
-	// op is the operation in progress; nil when the program must be asked
-	// for the next one.
+	// op is the operation in progress, the zero Op when the program must be
+	// asked for the next one. An in-progress compute counts its unburned
+	// cycles down in place.
 	op Op
-	// remaining is the unburned portion of an in-progress OpCompute.
-	remaining sim.Cycles
 	// zeroOps counts consecutive operations that consumed no CPU, to catch
 	// runaway programs.
 	zeroOps int32
@@ -72,13 +71,8 @@ type Thread struct {
 
 	// cpuTime is the total simulated CPU the thread has consumed.
 	cpuTime sim.Duration
-	// dispatched counts how many run segments the thread received.
-	dispatched uint64
 	// blockedCount counts voluntary blocks (queue/mutex/waitq).
 	blockedCount uint64
-	// lastRunStart supports burst-length measurement for the interactive
-	// heuristic: time the thread last went Running after a block.
-	runSinceBlock sim.Duration
 
 	// gen is the slot's generation: incremented when the thread object is
 	// recycled into the kernel's free pool, so any holder of a stale
@@ -146,21 +140,8 @@ func (t *Thread) State() State { return t.state }
 // CPUTime returns the total simulated CPU time the thread has consumed.
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
-// CPUCycles returns the total simulated cycles the thread has consumed.
-func (t *Thread) CPUCycles() sim.Cycles {
-	return sim.DurationToCycles(t.cpuTime, ClockRate)
-}
-
-// Dispatched returns the number of run segments the thread has received.
-func (t *Thread) Dispatched() uint64 { return t.dispatched }
-
 // BlockedCount returns the number of times the thread voluntarily blocked.
 func (t *Thread) BlockedCount() uint64 { return t.blockedCount }
-
-// RunSinceBlock returns the CPU time consumed since the thread last blocked
-// voluntarily. The controller's interactive heuristic estimates proportion
-// from "the amount of time they typically run before blocking" (§1).
-func (t *Thread) RunSinceBlock() sim.Duration { return t.runSinceBlock }
 
 // Runnable reports whether the thread is ready or running.
 func (t *Thread) Runnable() bool {

@@ -101,17 +101,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 	s.points = append(s.points, Point{t, v})
 }
 
-// Reset empties the series and renames it, keeping the backing capacity
-// and the bound, so a pooled owner (a recycled controller job) can reuse
-// the object as a new logical series without reallocating.
-func (s *Series) Reset(name string) {
-	s.Name = name
-	for i := range s.points {
-		s.points[i] = Point{} // dropped samples must be unreachable
-	}
-	s.points = s.points[:0]
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.points) }
 

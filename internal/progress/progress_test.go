@@ -16,7 +16,7 @@ func newQueue(size int64) (*kernel.Kernel, *kernel.Queue, *kernel.Thread) {
 	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(0))
 	q := k.NewQueue("q", size)
 	filler := k.Spawn("filler", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}))
 	return k, q, filler
 }
@@ -28,9 +28,9 @@ func fillTo(t *testing.T, k *kernel.Kernel, q *kernel.Queue, filler *kernel.Thre
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase == 1 && bytes > 0 {
-			return kernel.OpProduce{Queue: q, Bytes: bytes}
+			return kernel.Produce(q, bytes)
 		}
-		return kernel.OpExit{}
+		return kernel.Exit()
 	})
 	th := k.Spawn("fill", prog)
 	k.Start()
@@ -106,11 +106,11 @@ func TestRegistrySummedPressurePipelineStage(t *testing.T) {
 		phase++
 		switch phase {
 		case 1:
-			return kernel.OpProduce{Queue: qa, Bytes: 250}
+			return kernel.Produce(qa, 250)
 		case 2:
-			return kernel.OpProduce{Queue: qb, Bytes: 250}
+			return kernel.Produce(qb, 250)
 		}
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}))
 	k.Start()
 	eng.RunFor(10 * sim.Millisecond)
@@ -132,7 +132,7 @@ func TestRegistrySummedPressureClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(0))
 	th := k.Spawn("t", kernel.ProgramFunc(func(tt *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}))
 	reg := progress.NewRegistry()
 	for i := 0; i < 3; i++ {
@@ -148,7 +148,7 @@ func TestRegistryUnregister(t *testing.T) {
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(0))
 	th := k.Spawn("t", kernel.ProgramFunc(func(tt *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpExit{}
+		return kernel.Exit()
 	}))
 	q := k.NewQueue("q", 100)
 	reg := progress.NewRegistry()
@@ -217,9 +217,9 @@ func TestPropertyPressureAntisymmetricAndBounded(t *testing.T) {
 		k.Spawn("f", kernel.ProgramFunc(func(tt *kernel.Thread, now sim.Time) kernel.Op {
 			phase++
 			if phase == 1 && fill > 0 {
-				return kernel.OpProduce{Queue: q, Bytes: fill}
+				return kernel.Produce(q, fill)
 			}
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}))
 		k.Start()
 		eng.RunFor(10 * sim.Millisecond)

@@ -26,21 +26,21 @@ func chaosProgram(rng *sim.RNG, q *kernel.Queue) kernel.Program {
 		phase++
 		switch rng.Intn(6) {
 		case 0:
-			return kernel.OpSleep{D: sim.Duration(1+rng.Intn(20)) * sim.Millisecond}
+			return kernel.Sleep(sim.Duration(1+rng.Intn(20)) * sim.Millisecond)
 		case 1:
-			return kernel.OpYield{}
+			return kernel.Yield()
 		case 2:
 			if phase%2 == 0 {
-				return kernel.OpProduce{Queue: q, Bytes: int64(64 + rng.Intn(512))}
+				return kernel.Produce(q, int64(64+rng.Intn(512)))
 			}
-			return kernel.OpCompute{Cycles: sim.Cycles(10_000 + rng.Intn(500_000))}
+			return kernel.Compute(sim.Cycles(10_000 + rng.Intn(500_000)))
 		case 3:
 			if phase%2 == 0 {
-				return kernel.OpConsume{Queue: q, Bytes: int64(64 + rng.Intn(512))}
+				return kernel.Consume(q, int64(64+rng.Intn(512)))
 			}
-			return kernel.OpCompute{Cycles: sim.Cycles(10_000 + rng.Intn(500_000))}
+			return kernel.Compute(sim.Cycles(10_000 + rng.Intn(500_000)))
 		default:
-			return kernel.OpCompute{Cycles: sim.Cycles(10_000 + rng.Intn(1_000_000))}
+			return kernel.Compute(sim.Cycles(10_000 + rng.Intn(1_000_000)))
 		}
 	})
 }
@@ -156,9 +156,9 @@ func TestTotalProportionDropsOnExit(t *testing.T) {
 	exiting := k.Spawn("exiting", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		done++
 		if done > 1 {
-			return kernel.OpExit{}
+			return kernel.Exit()
 		}
-		return kernel.OpCompute{Cycles: 1000}
+		return kernel.Compute(1000)
 	}))
 	stayer := k.Spawn("stayer", hog(1_000_000))
 	p.SetReservation(exiting, rbs.Reservation{Proportion: 300, Period: 10 * sim.Millisecond})

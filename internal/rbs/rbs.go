@@ -113,15 +113,14 @@ type state struct {
 	heapIdx int32
 	exhIdx  int32
 	used    sim.Duration // consumed this period
-	// totalGranted accumulates the budgets granted across periods, for the
-	// proportion-delivery property tests.
-	totalGranted sim.Duration
 	// rrUsed is quantum usage for unregistered threads.
 	rrUsed sim.Duration
 	// t is the thread this state schedules; nil while pooled.
 	t *kernel.Thread
 	// counted marks threads included in the incremental proportion total.
 	counted bool
+	// _ rounds the state up to two full cache lines.
+	_ [8]byte
 }
 
 // Policy is the reservation-based dispatcher.
@@ -282,7 +281,6 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		st.periodStart = now
 		st.budget = st.perBudget
 		st.used = 0
-		st.totalGranted += st.budget
 	} else {
 		if st.counted {
 			p.totalProp += res.Proportion - st.res.Proportion
@@ -333,24 +331,6 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 	p.reconcile(st)
 }
 
-// UsedThisPeriod returns the CPU t consumed in its current period, zero
-// for a recycled (exited) thread.
-func (p *Policy) UsedThisPeriod(t *kernel.Thread) sim.Duration {
-	if st, ok := t.Sched.(*state); ok {
-		return st.used
-	}
-	return 0
-}
-
-// TotalGranted returns the cumulative budget ever granted to t, zero for a
-// recycled (exited) thread.
-func (p *Policy) TotalGranted(t *kernel.Thread) sim.Duration {
-	if st, ok := t.Sched.(*state); ok {
-		return st.totalGranted
-	}
-	return 0
-}
-
 // MissedDeadlines returns the count of periods that ended with a runnable
 // thread still holding unused budget — the dispatcher could not deliver the
 // allocation. The prototype notifies the controller of misses so it can
@@ -393,7 +373,6 @@ func (p *Policy) refresh(st *state, now sim.Time) {
 	st.periodStart = st.periodStart.Add(sim.Duration(k * int64(st.res.Period)))
 	st.budget = st.perBudget
 	st.used = 0
-	st.totalGranted += sim.Duration(k * int64(st.perBudget))
 }
 
 // roll is refresh plus structure maintenance: after the period rolls, the

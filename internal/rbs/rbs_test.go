@@ -11,7 +11,7 @@ import (
 
 func hog(burst sim.Cycles) kernel.Program {
 	return kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpCompute{Cycles: burst}
+		return kernel.Compute(burst)
 	})
 }
 
@@ -251,10 +251,10 @@ func TestBlockedThreadDoesNotBurnBudget(t *testing.T) {
 	cons := k.Spawn("cons", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpConsume{Queue: q, Bytes: 256}
+			return kernel.Consume(q, 256)
 		}
 		consumed++
-		return kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	p.SetReservation(cons, rbs.Reservation{Proportion: 300, Period: 10 * sim.Millisecond})
 	k.Spawn("load", hog(1_000_000))
@@ -270,9 +270,9 @@ func TestBlockedThreadDoesNotBurnBudget(t *testing.T) {
 	prod := k.Spawn("prod", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		prodPhase++
 		if prodPhase%2 == 1 {
-			return kernel.OpProduce{Queue: q, Bytes: 256}
+			return kernel.Produce(q, 256)
 		}
-		return kernel.OpSleep{D: sim.Millisecond}
+		return kernel.Sleep(sim.Millisecond)
 	}))
 	p.SetReservation(prod, rbs.Reservation{Proportion: 100, Period: 5 * sim.Millisecond})
 	eng.RunFor(500 * sim.Millisecond)

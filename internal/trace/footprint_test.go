@@ -66,8 +66,8 @@ func TestRecorderFootprint10kThreads(t *testing.T) {
 	r.MaxEvents = maxEvents
 	k.SetTracer(r)
 
-	op := kernel.OpCompute{Cycles: 1_000_000}
-	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return &op })
+	op := kernel.Compute(1_000_000)
+	prog := kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < threads; i++ {
 		th := k.Spawn("w", prog)
 		if err := p.SetReservation(th, rbs.Reservation{Proportion: 1, Period: 10 * sim.Millisecond}); err != nil {

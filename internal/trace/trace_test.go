@@ -21,7 +21,7 @@ func buildTracedMachine() (*sim.Engine, *kernel.Kernel, *trace.Recorder) {
 func TestRecorderCountsSegments(t *testing.T) {
 	eng, k, rec := buildTracedMachine()
 	k.Spawn("hog", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpCompute{Cycles: 1_000_000}
+		return kernel.Compute(1_000_000)
 	}))
 	k.Start()
 	eng.RunFor(sim.Second)
@@ -54,9 +54,9 @@ func TestRecorderSchedulingLatency(t *testing.T) {
 	k.Spawn("sleeper", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpSleep{D: 10 * sim.Millisecond}
+			return kernel.Sleep(10 * sim.Millisecond)
 		}
-		return kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	k.Start()
 	eng.RunFor(sim.Second)
@@ -84,7 +84,7 @@ func TestRecorderBlockEventsAndCSV(t *testing.T) {
 	eng, k, rec := buildTracedMachine()
 	q := k.NewQueue("pipe", 1024)
 	k.Spawn("cons", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpConsume{Queue: q, Bytes: 512} // blocks forever
+		return kernel.Consume(q, 512) // blocks forever
 	}))
 	k.Start()
 	eng.RunFor(100 * sim.Millisecond)
@@ -118,7 +118,7 @@ func TestRecorderMaxEventsBound(t *testing.T) {
 	eng, k, rec := buildTracedMachine()
 	rec.MaxEvents = 10
 	k.Spawn("hog", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.OpCompute{Cycles: 100_000}
+		return kernel.Compute(100_000)
 	}))
 	k.Start()
 	eng.RunFor(sim.Second)
@@ -142,16 +142,16 @@ func TestLatencyUnderLoadReflectsPolicy(t *testing.T) {
 	eng, k, rec := buildTracedMachine()
 	for i := 0; i < 3; i++ {
 		k.Spawn("hog", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-			return kernel.OpCompute{Cycles: 1_000_000}
+			return kernel.Compute(1_000_000)
 		}))
 	}
 	phase := 0
 	k.Spawn("waker", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
 		phase++
 		if phase%2 == 1 {
-			return kernel.OpSleep{D: 20 * sim.Millisecond}
+			return kernel.Sleep(20 * sim.Millisecond)
 		}
-		return kernel.OpCompute{Cycles: 40_000}
+		return kernel.Compute(40_000)
 	}))
 	k.Start()
 	eng.RunFor(2 * sim.Second)

@@ -27,9 +27,6 @@ type Disk struct {
 	phase  int
 	nextAt sim.Time
 	blocks int64
-
-	sleepOp   kernel.OpSleepUntil
-	produceOp kernel.OpProduce
 }
 
 // Next implements kernel.Program.
@@ -45,12 +42,10 @@ func (d *Disk) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	if d.phase%2 == 1 {
 		// Seek + transfer time for one block, on an absolute schedule.
 		d.nextAt = d.nextAt.Add(sim.Duration(block * int64(sim.Second) / d.BytesPerSec))
-		d.sleepOp = kernel.OpSleepUntil{At: d.nextAt}
-		return &d.sleepOp
+		return kernel.SleepUntil(d.nextAt)
 	}
 	d.blocks++
-	d.produceOp = kernel.OpProduce{Queue: d.Queue, Bytes: block}
-	return &d.produceOp
+	return kernel.Produce(d.Queue, block)
 }
 
 // Blocks returns the number of blocks transferred.

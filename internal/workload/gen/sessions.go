@@ -397,9 +397,9 @@ func (sr *sessionRun) recycleSession(st *sessionState) {
 }
 
 // srcState, midState, and sinkState are a session's stage programs,
-// embedded in the pooled session state and stepping through a reusable
-// Ops buffer, so a recycled session admits with zero program or op-box
-// allocations.
+// embedded in the pooled session state, so a recycled session admits with
+// zero program allocations; the actions they return are plain values and
+// allocate nothing either.
 //
 // srcState is the ingest stage: per chunk, one compute burst then one
 // enqueue; marks its stage done and exits after the full payload.
@@ -409,7 +409,6 @@ type srcState struct {
 	out     *realrate.Queue
 	sent    int64
 	compute bool
-	ops     realrate.Ops
 }
 
 func (p *srcState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
@@ -419,11 +418,11 @@ func (p *srcState) Next(th *realrate.Thread, now time.Duration) realrate.Action 
 	}
 	if p.compute {
 		p.compute = false
-		return p.ops.Compute(p.sr.work)
+		return realrate.Compute(p.sr.work)
 	}
 	p.compute = true
 	p.sent++
-	return p.ops.Produce(p.out, p.sr.chunk)
+	return realrate.Produce(p.out, p.sr.chunk)
 }
 
 // midState is a transform stage: consume a chunk, process it, forward
@@ -435,7 +434,6 @@ type midState struct {
 	in, out *realrate.Queue
 	moved   int64
 	phase   int
-	ops     realrate.Ops
 }
 
 func (p *midState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
@@ -446,14 +444,14 @@ func (p *midState) Next(th *realrate.Thread, now time.Duration) realrate.Action 
 			return realrate.Exit()
 		}
 		p.phase = 1
-		return p.ops.Consume(p.in, p.sr.chunk)
+		return realrate.Consume(p.in, p.sr.chunk)
 	case 1:
 		p.phase = 2
-		return p.ops.Compute(p.sr.work)
+		return realrate.Compute(p.sr.work)
 	default:
 		p.phase = 0
 		p.moved++
-		return p.ops.Produce(p.out, p.sr.chunk)
+		return realrate.Produce(p.out, p.sr.chunk)
 	}
 }
 
@@ -467,7 +465,6 @@ type sinkState struct {
 	in      *realrate.Queue
 	got     int64
 	consume bool
-	ops     realrate.Ops
 }
 
 func (p *sinkState) Next(th *realrate.Thread, now time.Duration) realrate.Action {
@@ -478,11 +475,11 @@ func (p *sinkState) Next(th *realrate.Thread, now time.Duration) realrate.Action
 	}
 	if p.consume {
 		p.consume = false
-		return p.ops.Consume(p.in, p.sr.chunk)
+		return realrate.Consume(p.in, p.sr.chunk)
 	}
 	p.consume = true
 	p.got++
-	return p.ops.Compute(p.sr.work)
+	return realrate.Compute(p.sr.work)
 }
 
 // complete closes one session: attainment bookkeeping, the SLO report's

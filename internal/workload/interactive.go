@@ -18,24 +18,19 @@ type InteractiveJob struct {
 	// latency bookkeeping: set by the event source at wake time.
 	lastEvent sim.Time
 	latencies []sim.Duration
-
-	blockOp   kernel.OpBlock
-	computeOp kernel.OpCompute
 }
 
 // Next implements kernel.Program.
 func (ij *InteractiveJob) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	ij.waiting = !ij.waiting
 	if ij.waiting {
-		ij.blockOp = kernel.OpBlock{WQ: ij.TTY}
-		return &ij.blockOp
+		return kernel.Block(ij.TTY)
 	}
 	if ij.lastEvent > 0 {
 		ij.latencies = append(ij.latencies, now.Sub(ij.lastEvent))
 	}
 	ij.handled++
-	ij.computeOp = kernel.OpCompute{Cycles: ij.Burst}
-	return &ij.computeOp
+	return kernel.Compute(ij.Burst)
 }
 
 // Handled returns the number of events processed.
@@ -53,23 +48,18 @@ type EventSource struct {
 
 	sleeping bool
 	events   int64
-
-	sleepOp   kernel.OpSleep
-	computeOp kernel.OpCompute
 }
 
 // Next implements kernel.Program.
 func (es *EventSource) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	es.sleeping = !es.sleeping
 	if es.sleeping {
-		es.sleepOp = kernel.OpSleep{D: es.Interval}
-		return &es.sleepOp
+		return kernel.Sleep(es.Interval)
 	}
 	es.Target.lastEvent = now
 	es.events++
 	es.Kernel.WakeOne(es.Target.TTY)
-	es.computeOp = kernel.OpCompute{Cycles: 1000}
-	return &es.computeOp
+	return kernel.Compute(1000)
 }
 
 // Events returns the number of events generated.

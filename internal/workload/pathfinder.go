@@ -81,15 +81,15 @@ func NewPathfinder(k *kernel.Kernel, cfg PathfinderConfig) *Pathfinder {
 		switch busPhase % 4 {
 		case 1:
 			periodStart = now
-			return kernel.OpLock{M: p.Mutex}
+			return kernel.Lock(p.Mutex)
 		case 2:
-			return kernel.OpCompute{Cycles: cfg.BusWork}
+			return kernel.Compute(cfg.BusWork)
 		case 3:
-			return kernel.OpUnlock{M: p.Mutex}
+			return kernel.Unlock(p.Mutex)
 		default:
 			p.busDone++
 			p.lastCompletion = now
-			return kernel.OpSleepUntil{At: periodStart.Add(cfg.BusPeriod)}
+			return kernel.SleepUntil(periodStart.Add(cfg.BusPeriod))
 		}
 	}))
 
@@ -98,9 +98,9 @@ func NewPathfinder(k *kernel.Kernel, cfg PathfinderConfig) *Pathfinder {
 	p.Comms = k.Spawn("comms", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		commsPhase++
 		if commsPhase%2 == 1 {
-			return kernel.OpCompute{Cycles: cfg.CommsBurst}
+			return kernel.Compute(cfg.CommsBurst)
 		}
-		return kernel.OpSleep{D: cfg.CommsGap}
+		return kernel.Sleep(cfg.CommsGap)
 	}))
 
 	// Meteorological data gathering: holds the shared mutex for real work.
@@ -109,14 +109,14 @@ func NewPathfinder(k *kernel.Kernel, cfg PathfinderConfig) *Pathfinder {
 		weatherPhase++
 		switch weatherPhase % 4 {
 		case 1:
-			return kernel.OpLock{M: p.Mutex}
+			return kernel.Lock(p.Mutex)
 		case 2:
-			return kernel.OpCompute{Cycles: cfg.WeatherHold}
+			return kernel.Compute(cfg.WeatherHold)
 		case 3:
-			return kernel.OpUnlock{M: p.Mutex}
+			return kernel.Unlock(p.Mutex)
 		default:
 			p.weatherLoops++
-			return kernel.OpSleep{D: cfg.WeatherGap}
+			return kernel.Sleep(cfg.WeatherGap)
 		}
 	}))
 
@@ -126,7 +126,7 @@ func NewPathfinder(k *kernel.Kernel, cfg PathfinderConfig) *Pathfinder {
 	p.Watchdog = k.Spawn("watchdog", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		wdPhase++
 		if wdPhase%2 == 1 {
-			return kernel.OpSleep{D: cfg.Deadline / 4}
+			return kernel.Sleep(cfg.Deadline / 4)
 		}
 		last := p.lastCompletion
 		if now.Sub(last) > cfg.Deadline {
@@ -134,7 +134,7 @@ func NewPathfinder(k *kernel.Kernel, cfg PathfinderConfig) *Pathfinder {
 			p.resetTimes = append(p.resetTimes, now)
 			p.lastCompletion = now // reset clears the watchdog
 		}
-		return kernel.OpCompute{Cycles: 10_000}
+		return kernel.Compute(10_000)
 	}))
 	return p
 }
@@ -174,17 +174,17 @@ func NewSpinWait(k *kernel.Kernel, spinBurst, serverWork sim.Cycles) *SpinWait {
 			s.inputReady = false
 			s.consumed++
 		}
-		return kernel.OpCompute{Cycles: spinBurst}
+		return kernel.Compute(spinBurst)
 	}))
 	serverPhase := 0
 	s.Server = k.Spawn("x_server", kernel.ProgramFunc(func(t *kernel.Thread, now sim.Time) kernel.Op {
 		serverPhase++
 		if serverPhase%2 == 1 {
-			return kernel.OpCompute{Cycles: serverWork}
+			return kernel.Compute(serverWork)
 		}
 		s.inputReady = true
 		s.delivered++
-		return kernel.OpSleep{D: sim.Millisecond}
+		return kernel.Sleep(sim.Millisecond)
 	}))
 	return s
 }

@@ -20,19 +20,13 @@ type Producer struct {
 
 	computing bool
 	blocks    int64
-
-	// Op structs are reused across iterations so emitting one does not box
-	// a fresh interface value per call (see kernel.Program).
-	computeOp kernel.OpCompute
-	produceOp kernel.OpProduce
 }
 
 // Next implements kernel.Program.
 func (p *Producer) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	p.computing = !p.computing
 	if p.computing {
-		p.computeOp = kernel.OpCompute{Cycles: p.CyclesPerBlock}
-		return &p.computeOp
+		return kernel.Compute(p.CyclesPerBlock)
 	}
 	bytes := int64(p.Rate(now) * float64(p.CyclesPerBlock) / 1000)
 	if bytes < 1 {
@@ -42,8 +36,7 @@ func (p *Producer) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 		bytes = p.Queue.Size()
 	}
 	p.blocks++
-	p.produceOp = kernel.OpProduce{Queue: p.Queue, Bytes: bytes}
-	return &p.produceOp
+	return kernel.Produce(p.Queue, bytes)
 }
 
 // Blocks returns the number of blocks enqueued so far.
@@ -62,25 +55,20 @@ type Consumer struct {
 
 	computing bool
 	blocks    int64
-
-	computeOp kernel.OpCompute
-	consumeOp kernel.OpConsume
 }
 
 // Next implements kernel.Program.
 func (c *Consumer) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 	c.computing = !c.computing
 	if !c.computing {
-		c.consumeOp = kernel.OpConsume{Queue: c.Queue, Bytes: c.BlockBytes}
-		return &c.consumeOp
+		return kernel.Consume(c.Queue, c.BlockBytes)
 	}
 	c.blocks++
 	cycles := sim.Cycles(c.CyclesPerByte * float64(c.BlockBytes))
 	if cycles < 1 {
 		cycles = 1
 	}
-	c.computeOp = kernel.OpCompute{Cycles: cycles}
-	return &c.computeOp
+	return kernel.Compute(cycles)
 }
 
 // Blocks returns the number of blocks dequeued so far.
@@ -97,10 +85,6 @@ type Stage struct {
 
 	phase  int
 	blocks int64
-
-	computeOp kernel.OpCompute
-	consumeOp kernel.OpConsume
-	produceOp kernel.OpProduce
 }
 
 // Next implements kernel.Program.
@@ -112,25 +96,21 @@ func (s *Stage) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 			s.phase++ // skip the consume leg
 			break
 		}
-		s.consumeOp = kernel.OpConsume{Queue: s.In, Bytes: s.BlockBytes}
-		return &s.consumeOp
+		return kernel.Consume(s.In, s.BlockBytes)
 	case 2:
 		break
 	default:
 		if s.Out == nil {
-			s.computeOp = kernel.OpCompute{Cycles: 1} // nothing to emit; keep looping
-			return &s.computeOp
+			return kernel.Compute(1) // nothing to emit; keep looping
 		}
 		s.blocks++
-		s.produceOp = kernel.OpProduce{Queue: s.Out, Bytes: s.BlockBytes}
-		return &s.produceOp
+		return kernel.Produce(s.Out, s.BlockBytes)
 	}
 	cycles := sim.Cycles(s.CyclesPerByte * float64(s.BlockBytes))
 	if cycles < 1 {
 		cycles = 1
 	}
-	s.computeOp = kernel.OpCompute{Cycles: cycles}
-	return &s.computeOp
+	return kernel.Compute(cycles)
 }
 
 // Blocks returns the number of blocks this stage has emitted.
@@ -141,8 +121,6 @@ func (s *Stage) Blocks() int64 { return s.blocks }
 type Hog struct {
 	Burst sim.Cycles
 	done  sim.Cycles
-
-	computeOp kernel.OpCompute
 }
 
 // Next implements kernel.Program.
@@ -152,8 +130,7 @@ func (h *Hog) Next(t *kernel.Thread, now sim.Time) kernel.Op {
 		b = 100_000
 	}
 	h.done += b
-	h.computeOp = kernel.OpCompute{Cycles: b}
-	return &h.computeOp
+	return kernel.Compute(b)
 }
 
 // Work returns the total cycles requested so far.

@@ -149,10 +149,6 @@ type System struct {
 
 	// faults is the compiled fault injector, nil without Config.Faults.
 	faults *faults.Injector
-	// stuckOp is the spin burst every thread hijacked by a StuckThread
-	// fault emits: 1 ms of this machine's clock, built once. The kernel
-	// only reads an operation, so stuck threads share it.
-	stuckOp kernel.OpCompute
 	// srcRejects counts NaN/Inf values refused by the custom-source
 	// clamping adapter (see customMetric), feeding Health.
 	srcRejects uint64
@@ -204,7 +200,6 @@ func NewSystem(cfg Config) *System {
 	kern.SetExitHook(s.threadExited)
 	if cfg.Faults != nil && len(cfg.Faults.Specs) > 0 {
 		s.faults = s.buildInjector(cfg.Faults)
-		s.stuckOp.Cycles = sim.DurationToCycles(sim.Millisecond, kernel.ClockRate)
 		kern.SetFaultInjector(s.faults)
 	}
 	if rbsPol != nil {

@@ -1,6 +1,7 @@
 package realrate_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,44 @@ func TestMutexAndWaitQueue(t *testing.T) {
 	}
 	if m.Acquisitions() == 0 {
 		t.Fatal("mutex never used")
+	}
+}
+
+// TestZeroActionPanicsNamingThread pins what a program that returns the
+// zero Action gets: a panic naming its thread, whether the zero Action is
+// its first action or comes after a compute burst, a sleep or a queue
+// transfer, and whether the thread is reserved or controlled.
+func TestZeroActionPanicsNamingThread(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		before func(q *realrate.Queue) realrate.Action
+		opt    realrate.SpawnOption
+	}{
+		{"first", nil, realrate.Miscellaneous()},
+		{"after-compute", func(*realrate.Queue) realrate.Action { return realrate.Compute(10_000) }, realrate.Miscellaneous()},
+		{"after-sleep", func(*realrate.Queue) realrate.Action { return realrate.Sleep(5 * time.Millisecond) }, realrate.Reserve(100, 10*time.Millisecond)},
+		{"after-produce", func(q *realrate.Queue) realrate.Action { return realrate.Produce(q, 64) }, realrate.Reserve(100, 10*time.Millisecond)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := realrate.NewSystem(realrate.Config{})
+			q := sys.NewQueue("q", 1024)
+			name := "zero-" + c.name
+			calls := 0
+			spawn(t, sys, name, realrate.ProgramFunc(func(*realrate.Thread, time.Duration) realrate.Action {
+				calls++
+				if calls == 1 && c.before != nil {
+					return c.before(q)
+				}
+				return realrate.Action{}
+			}), c.opt)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "zero Action") {
+					t.Fatalf("panic %q does not name thread %q and the zero Action", msg, name)
+				}
+			}()
+			sys.Run(50 * time.Millisecond)
+		})
 	}
 }
 
