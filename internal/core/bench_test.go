@@ -40,9 +40,7 @@ func (r *rig) epoch(tb testing.TB) {
 // TestControllerStepZeroAlloc asserts the acceptance criterion of the
 // allocation-free actuation path: after warm-up, a control interval over
 // miscellaneous jobs — the plane's epoch and the machine's dispatching
-// alike — performs zero heap allocations. (Only real-rate jobs under
-// PeriodAdaptation may allocate in steady state, when their pressure
-// series grows its backing array.)
+// alike — performs zero heap allocations.
 func TestControllerStepZeroAlloc(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 1000} {
 		r := stepRig(n)

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/overload"
 	"repro/internal/pid"
 	"repro/internal/progress"
@@ -71,14 +70,6 @@ const (
 	// squishes them below their bursts; the paper singles interactive
 	// jobs out for "reasonable performance" (§1, §3.2).
 	InteractiveImportance float64 = 8
-	// MinBudgetTicks is the period heuristic's quantization target:
-	// budgets below this many dispatch ticks double the period.
-	MinBudgetTicks int = 2
-	// MinPeriod is the floor of period adaptation.
-	MinPeriod sim.Duration = 5 * sim.Millisecond
-	// JitterThreshold is the per-period fill oscillation (fraction of the
-	// buffer) above which the period heuristic halves the period.
-	JitterThreshold float64 = 0.3
 	// OverloadStreak is how many consecutive saturated, squished intervals
 	// raise a quality exception.
 	OverloadStreak int = 25
@@ -96,12 +87,6 @@ type Config struct {
 	// ReclaimFraction triggers the P−C reduction: a job that used less
 	// than this fraction of its allocation is "too generous".
 	ReclaimFraction float64
-
-	// PeriodAdaptation enables the §3.3 period heuristic (disabled in all
-	// the paper's experiments, and by default here).
-	PeriodAdaptation bool
-	// MaxPeriod is the ceiling of period adaptation.
-	MaxPeriod sim.Duration
 
 	// BaseCost and PerJobCost model the controller's own execution cost:
 	// each interval it computes BaseCost + PerJobCost per controlled job.
@@ -138,8 +123,6 @@ func DefaultConfig() Config {
 			OutLo:         0, OutHi: 2.0,
 		},
 		ReclaimFraction:   0.5,
-		PeriodAdaptation:  false,
-		MaxPeriod:         200 * sim.Millisecond,
 		BaseCost:          2280,
 		PerJobCost:        2640,
 		Reservation:       rbs.Reservation{Proportion: 50, Period: 10 * sim.Millisecond},
@@ -218,17 +201,6 @@ type Controller struct {
 	// gov is the optional supervisory overload governor (the outer control
 	// loop over this inner one); nil keeps every hot path a single branch.
 	gov *overload.Governor
-	// sloProbe, when set, supplies the recent p99 wake→dispatch latency for
-	// the governor's SLO-driven trip point.
-	sloProbe func() sim.Duration
-	// lastEpochAt is when the governor last observed an epoch's signals.
-	// AdmissionVeto compares it against the clock to detect a stalled
-	// control plane (see the stall guard there).
-	lastEpochAt sim.Time
-	// govLastMisses/govLastDemotions turn the cumulative miss and demotion
-	// totals into per-interval deltas for the governor's signals.
-	govLastMisses    uint64
-	govLastDemotions uint64
 
 	steps      uint64
 	actuations uint64
@@ -264,8 +236,8 @@ type Controller struct {
 	// prefetched sinks the values Prefetch reads; nothing consumes it.
 	prefetched uint64
 
-	// recycle pools Job objects, their PID filters, and their pressure
-	// series across remove/add cycles; see SetRecycle.
+	// recycle pools Job objects and their PID filters across remove/add
+	// cycles; see SetRecycle.
 	recycle bool
 	// jobSlab backs new Job allocation; freeJob heads the free list of
 	// recycled ones. retired parks removed jobs until the next epoch
@@ -302,9 +274,6 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 	if cfg.ReclaimFraction == 0 {
 		cfg.ReclaimFraction = def.ReclaimFraction
 	}
-	if cfg.MaxPeriod == 0 {
-		cfg.MaxPeriod = def.MaxPeriod
-	}
 	if cfg.BaseCost == 0 {
 		cfg.BaseCost = def.BaseCost
 	}
@@ -336,11 +305,11 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 func (c *Controller) Config() Config { return c.cfg }
 
 // SetRecycle turns controller-state recycling on or off. When on, a
-// removed job's object — with its PID filter and bounded pressure series —
-// parks on a retired list and is reissued to a later admission after the
-// next epoch prologue, so churn-heavy workloads add and remove jobs
-// without growing the heap. Callers that retain *Job pointers past Remove
-// (the experiments' post-run report readers do) must leave it off.
+// removed job's object — with its PID filter — parks on a retired list
+// and is reissued to a later admission after the next epoch prologue, so
+// churn-heavy workloads add and remove jobs without growing the heap.
+// Callers that retain *Job pointers past Remove (the experiments'
+// post-run report readers do) must leave it off.
 func (c *Controller) SetRecycle(on bool) { c.recycle = on }
 
 // Jobs returns the controlled jobs in registration order.
@@ -416,38 +385,17 @@ func (c *Controller) SetGovernor(g *overload.Governor) { c.gov = g }
 // Governor returns the installed overload governor, or nil.
 func (c *Controller) Governor() *overload.Governor { return c.gov }
 
-// SetSLOProbe installs a callback supplying the recent p99 wake→dispatch
-// latency, sampled once per control interval for the governor's
-// SLO-driven trip point.
-func (c *Controller) SetSLOProbe(fn func() sim.Duration) { c.sloProbe = fn }
-
 // AdmissionVeto consults the governor before a new admission: at the
 // throttle rung and above, new work is refused with a typed overload
 // error carrying a retry-after hint — callers get backpressure instead of
 // joining an already-saturated squish.
-//
-// The stall guard covers the regime the ladder alone cannot: the rung
-// only moves at control-epoch boundaries, and the per-epoch control cost
-// grows with the job count, so under a fast enough admission storm the
-// epochs themselves fall behind the interval cadence before the governor
-// has accumulated its trip streak — backpressure arriving exactly too
-// late, while every accepted admission slows the next epoch further. When
-// the last observed epoch is staler than the governor could possibly have
-// tripped in and the SLO probe's recent p99 — which is fed at dispatch
-// edges, not epochs, so it stays fresh through a stall — already reads
-// past the latency trip, admissions are refused as if the throttle rung
-// were active. On a healthy plane the guard never fires: epochs stay
-// inside the window and the ladder remains the only authority.
 func (c *Controller) AdmissionVeto() error {
 	if c.gov == nil {
 		return nil
 	}
 	rung := c.gov.Rung()
 	if rung < overload.Throttle {
-		if !c.planeStalled() {
-			return nil
-		}
-		rung = overload.Throttle // the guard's effective rung
+		return nil
 	}
 	c.health.Throttled++
 	return c.overloadErr(rung)
@@ -457,8 +405,7 @@ func (c *Controller) AdmissionVeto() error {
 // only ever read the error's fields, so while the governor holds a rung
 // steady — the entire lifetime of an admission storm — every refusal
 // shares one object; a new error is built only when the retry-after hint
-// actually changes (the hint tracks the governor's current rung, which can
-// lag the effective rung on the stall-guard path).
+// actually changes.
 func (c *Controller) overloadErr(rung overload.Rung) *OverloadError {
 	ra := c.gov.RetryAfter(c.cfg.Interval)
 	if rung < 0 || int(rung) >= len(c.vetoErr) {
@@ -470,28 +417,6 @@ func (c *Controller) overloadErr(rung overload.Rung) *OverloadError {
 		c.vetoErr[rung] = e
 	}
 	return e
-}
-
-// planeStalled reports whether the governor's epoch evidence is too stale
-// to trust and the fresh dispatch-latency signal already reads saturated.
-// Requires an SLO-driven trip point: without a latency SLO there is no
-// epoch-independent saturation signal to consult.
-func (c *Controller) planeStalled() bool {
-	if c.sloProbe == nil {
-		return false
-	}
-	gcfg := c.gov.Config()
-	if gcfg.LatencyTrip <= 0 {
-		return false
-	}
-	// On cadence, TripIntervals saturated epochs throttle within
-	// (TripIntervals+1)·Interval; an older last epoch means the plane is
-	// not keeping up with the interval clock.
-	window := sim.Duration(int64(c.cfg.Interval) * int64(gcfg.TripIntervals+1))
-	if c.kern.Now().Sub(c.lastEpochAt) <= window {
-		return false
-	}
-	return c.sloProbe() > gcfg.LatencyTrip
 }
 
 // Health returns a snapshot of the fault-tolerance counters, including the
@@ -531,7 +456,6 @@ func (c *Controller) AddRealTime(t *kernel.Thread, proportion int, period sim.Du
 	j := c.addJob(t, RealTime)
 	j.specified = proportion
 	j.period = period
-	j.periodFixed = true
 	j.desired = proportion
 	j.allocated = proportion
 	c.outOfPassWrites++
@@ -565,24 +489,16 @@ func (c *Controller) AddAperiodicRealTime(t *kernel.Thread, proportion int) (*Jo
 }
 
 // AddRealRate registers a job whose progress metrics are already in the
-// registry. Passing period 0 lets the controller assign (and, when
-// enabled, adapt) the period.
+// registry. Its period is the given one, or DefaultPeriod (30 ms) when
+// period is 0.
 func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 	if !c.reg.HasMetrics(t) {
 		panic("core: AddRealRate without registered progress metrics")
 	}
 	j := c.addJob(t, RealRate)
+	j.period = DefaultPeriod
 	if period > 0 {
 		j.period = period
-		j.periodFixed = true
-	} else {
-		j.period = DefaultPeriod
-	}
-	// Only period adaptation reads the pressure series, and only over
-	// recent windows, so it exists only with that heuristic on and is
-	// bounded.
-	if c.cfg.PeriodAdaptation {
-		j.fill = metrics.NewSeries("pressure").Bound(8192)
 	}
 	c.bootstrap(j)
 	return j
@@ -755,8 +671,7 @@ const jobSlabSize = 256
 
 // allocJob returns a scrubbed Job object: from the free pool when
 // recycling has banked one, otherwise carved from the current slab chunk.
-// A pooled object keeps its members backing array and its bounded
-// pressure series (capacity, not contents) from the previous life.
+// A pooled object keeps its members backing array from the previous life.
 func (c *Controller) allocJob() *Job {
 	if j := c.freeJob; j != nil {
 		c.freeJob = j.freeNext

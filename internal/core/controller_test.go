@@ -460,3 +460,44 @@ func TestSMPCapacityGeneralization(t *testing.T) {
 		t.Fatalf("effective threshold %d exceeds the scaled ceiling %d", got, 900*4)
 	}
 }
+
+// trickleConsumer builds a reserved trickle producer feeding a real-rate
+// consumer admitted with the given period, runs it for d and returns the
+// consumer's job: its allocation stays far below one dispatch tick per
+// period.
+func trickleConsumer(t *testing.T, period, d sim.Duration) *core.Job {
+	r := newRig(core.Config{})
+	q := r.kern.NewQueue("pipe", 1<<20)
+	prod := &workload.Producer{Queue: q, CyclesPerBlock: 400_000, Rate: workload.ConstantRate(2)}
+	cons := &workload.Consumer{Queue: q, BlockBytes: 512, CyclesPerByte: 10}
+	pt := r.kern.Spawn("producer", prod)
+	ct := r.kern.Spawn("consumer", cons)
+	if _, err := r.ctl.AddRealTime(pt, 100, 10*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	r.reg.RegisterQueue(pt, q, progress.Producer)
+	r.reg.RegisterQueue(ct, q, progress.Consumer)
+	j := r.ctl.AddRealRate(ct, period)
+	r.start()
+	r.run(d)
+	r.kern.Stop()
+	return j
+}
+
+// TestPeriodPinnedWhenSpecified: a real-rate job that supplied its own
+// period keeps it.
+func TestPeriodPinnedWhenSpecified(t *testing.T) {
+	if j := trickleConsumer(t, 20*sim.Millisecond, 5*sim.Second); j.Period() != 20*sim.Millisecond {
+		t.Fatalf("pinned period changed to %v", j.Period())
+	}
+}
+
+// TestPeriodStaticWithoutAdaptation: a real-rate job admitted with period
+// 0 runs at DefaultPeriod for its whole life, even with an allocation far
+// below one tick per period. The paper ran §3.3's period heuristic in none
+// of its experiments, and the controller does not implement it.
+func TestPeriodStaticWithoutAdaptation(t *testing.T) {
+	if j := trickleConsumer(t, 0, 5*sim.Second); j.Period() != core.DefaultPeriod {
+		t.Fatalf("period changed to %v, want the %v default", j.Period(), core.DefaultPeriod)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/pid"
 	"repro/internal/sim"
 )
@@ -24,8 +23,9 @@ const (
 	// AperiodicRealTime jobs specify proportion only; the controller
 	// assigns the default period.
 	AperiodicRealTime
-	// RealRate jobs supply a progress metric but neither proportion nor
-	// period; the controller estimates both.
+	// RealRate jobs supply a progress metric but no proportion; the
+	// controller estimates the proportion, and the period is DefaultPeriod
+	// unless one is given.
 	RealRate
 	// Miscellaneous jobs supply nothing; a constant-pressure heuristic
 	// grows their allocation until they are satisfied or squished.
@@ -114,9 +114,6 @@ type Job struct {
 	// below the reclaim threshold; hysteresis keeps the heuristic from
 	// dithering at the boundary.
 	reclaiming bool
-	// periodFixed marks periods that must not be adapted (real-time jobs
-	// or explicitly pinned real-rate jobs).
-	periodFixed bool
 	// haveSample gates the watchdog's first comparison (see lastSample).
 	haveSample bool
 	// slot is the job object's dense index among every Job the controller
@@ -162,17 +159,17 @@ type Job struct {
 	// allocation granted while the signal was still trusted.
 	fallback int
 
-	// fill tracks recent summed-pressure samples for the period
-	// adaptation heuristic (oscillation detection); nil unless
-	// Config.PeriodAdaptation is set.
-	fill *metrics.Series
-
 	// stats
 	actuations uint64
 
 	// freeNext links the object into the controller's free list while
 	// pooled (recycle mode only).
 	freeNext *Job
+
+	// _ keeps Job at 256 bytes, four whole cache lines, so every job of a
+	// slab chunk starts on a line boundary and a sampled job touches
+	// four lines, not five.
+	_ [8]byte
 }
 
 // Thread returns the job's primary kernel thread.

@@ -79,9 +79,6 @@ func (c *Controller) SampleJob(j *Job, now sim.Time, epochs int64) bool {
 		c.samples++
 		p, ok := c.samplePressure(j, now)
 		j.lastRaw = p
-		if j.fill != nil {
-			j.fill.Add(now, p)
-		}
 		c.watchdog(j, p, ok, now)
 		switch {
 		case j.degraded == LevelFallback:
@@ -141,10 +138,7 @@ func (c *Controller) SquishApply(squishable []*Job, desires []int, weights []flo
 		}
 		j.squished = allocs[i] < j.desired
 		c.maybeRaiseQuality(j, allocs[i], now)
-		if c.cfg.PeriodAdaptation {
-			c.adaptPeriod(j, now)
-		}
-		if allocs[i] != j.allocated || c.cfg.PeriodAdaptation {
+		if allocs[i] != j.allocated {
 			c.actuate(j, allocs[i], j.period)
 		}
 		j.allocated = allocs[i]
@@ -215,26 +209,14 @@ func (c *Controller) Prefetch(jobs []*Job) {
 // ever be granted: a squished real-rate job's raw desire integrates toward
 // DesireCap by design (that is how it wins the squish), so the un-clamped
 // sum would read as brownout on any machine running one busy pipeline.
-// The miss and demotion deltas come from global counters, banked once per
-// epoch here, so the governor's per-interval rates are identical under
-// one shard or many.
 func (c *Controller) EpochEpilogue(now sim.Time, desired, granted int) {
 	if c.gov != nil {
-		c.lastEpochAt = now
 		sig := overload.Signals{
 			// The controller's own reservation is demand too; job desires
 			// and grants are current as of this epoch's passes 1 and 2.
 			Desired:  desired + c.cfg.Reservation.Proportion,
 			Granted:  granted + c.cfg.Reservation.Proportion,
 			Capacity: c.effectiveThreshold,
-		}
-		// lastMisses was synced to the policy's total in the prologue.
-		sig.Misses = c.lastMisses - c.govLastMisses
-		c.govLastMisses = c.lastMisses
-		sig.Demotions = c.health.Degradations - c.govLastDemotions
-		c.govLastDemotions = c.health.Degradations
-		if c.sloProbe != nil {
-			sig.RecentP99 = c.sloProbe()
 		}
 		dec := c.gov.Observe(sig)
 		if dec.Changed() && c.wants(EventRung) {

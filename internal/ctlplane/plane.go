@@ -203,9 +203,6 @@ type Plane struct {
 	interval        sim.Duration
 	stalenessEpochs int64
 	threshold       float64
-	// periodAdaptation mirrors the controller's setting: SquishApply then
-	// adapts every squished job's period, so no squish may be skipped.
-	periodAdaptation bool
 
 	shards []*shard
 	// cpuShard maps a CPU to the shard homed on it; nil on a uniprocessor,
@@ -276,8 +273,6 @@ func New(ctl *core.Controller, kern *kernel.Kernel, policy *rbs.Policy, reg *pro
 		cfg:       cfg,
 		interval:  ccfg.Interval,
 		threshold: cfg.Threshold,
-
-		periodAdaptation: ccfg.PeriodAdaptation,
 	}
 	p.stalenessEpochs = (int64(cfg.MaxStaleness) + int64(ccfg.Interval) - 1) / int64(ccfg.Interval)
 	if p.stalenessEpochs < 1 {
@@ -831,7 +826,7 @@ func (p *Plane) walk(s *shard, now sim.Time, rehome, refresh bool) {
 	// adaptive jobs keep theirs out of the slice. Each squished entry still
 	// caches its pre-squish allocation until the refresh below.
 	squishCap := slice - (agg.allocAdaptive - held)
-	skippable := whole && !realRate && !p.periodAdaptation
+	skippable := whole && !realRate
 	if skippable && !desireMoved && !p.forceSquish && s.installed &&
 		s.gen == s.squishGen && squishCap == s.squishCap && s.writes == s.squishWrites {
 		// Skipped squish: the same inputs as the installed grants' squish,

@@ -18,8 +18,6 @@ import (
 type StormConfig struct {
 	// Threads is the number of registered CPU-bound threads.
 	Threads int
-	// Unmanaged adds round-robin threads below the registered set.
-	Unmanaged int
 	// RunFor is the simulated window (default 1 s); with Work set it is
 	// the cap on the completion run (default 120 s).
 	RunFor sim.Duration
@@ -55,12 +53,12 @@ type StormResult struct {
 }
 
 // RunContextSwitchStorm spawns cfg.Threads registered hogs with mixed
-// periods and proportions summing to ≈90% of the CPU, plus optional
-// unmanaged hogs, and runs the machine for the window. Beyond a few
-// hundred threads the 1 ms minimum allocation oversubscribes the machine
-// by construction (exactly the paper's quantization limit, §4.3), which
-// maximizes budget-exhaustion naps and period-boundary wakeups — the
-// worst case for the dispatcher's data structures.
+// periods and proportions summing to ≈90% of the CPU, and runs the
+// machine for the window. Beyond a few hundred threads the 1 ms minimum
+// allocation oversubscribes the machine by construction (exactly the
+// paper's quantization limit, §4.3), which maximizes budget-exhaustion
+// naps and period-boundary wakeups — the worst case for the dispatcher's
+// data structures.
 func RunContextSwitchStorm(cfg StormConfig) StormResult {
 	n := cfg.Threads
 	if n <= 0 {
@@ -124,9 +122,6 @@ func RunContextSwitchStorm(cfg StormConfig) StormResult {
 			panic(err)
 		}
 	}
-	for i := 0; i < cfg.Unmanaged; i++ {
-		k.Spawn("rr", hog)
-	}
 	k.Start()
 	if cfg.Work > 0 {
 		// Run-to-completion: advance in chunks until the backlog drains.
@@ -182,45 +177,6 @@ func finiteHogProgram(total sim.Cycles) kernel.Program {
 		remaining -= burst
 		return kernel.Compute(burst)
 	})
-}
-
-// ScalePoint is one row of the scaling sweep.
-type ScalePoint struct {
-	Threads    int
-	Dispatches uint64
-	Wakeups    uint64
-}
-
-// ScaleResult is the ContextSwitchStorm sweep over thread counts: the
-// Figure 5 axis pushed far past the paper's 40 processes, toward the
-// thousands-of-threads regime the ROADMAP targets.
-type ScaleResult struct {
-	Points []ScalePoint
-}
-
-// RunStormScale sweeps RunContextSwitchStorm across thread counts through
-// the parallel sweep runner (each point is an independent machine).
-func RunStormScale(counts []int, runFor sim.Duration) ScaleResult {
-	if len(counts) == 0 {
-		counts = []int{10, 100, 1000}
-	}
-	if runFor == 0 {
-		runFor = sim.Second
-	}
-	pts := Sweep(len(counts), func(i int) ScalePoint {
-		r := RunContextSwitchStorm(StormConfig{Threads: counts[i], RunFor: runFor})
-		return ScalePoint{Threads: r.Threads, Dispatches: r.Dispatches, Wakeups: r.Wakeups}
-	})
-	return ScaleResult{Points: pts}
-}
-
-// Print writes the sweep as a table.
-func (res ScaleResult) Print(w io.Writer) {
-	section(w, "Scaling: ContextSwitchStorm sweep")
-	fmt.Fprintf(w, "%-10s %-12s %s\n", "threads", "dispatches", "wakeups")
-	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-10d %-12d %d\n", p.Threads, p.Dispatches, p.Wakeups)
-	}
 }
 
 // SMPStormResult is the storm swept across machine sizes: a fixed backlog

@@ -1,7 +1,6 @@
 package experiments_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -11,30 +10,30 @@ import (
 
 // TestStormScaleRuns drives the ContextSwitchStorm family at increasing
 // thread counts through the parallel sweep runner: the machine must stay
-// live (dispatching and waking) at every scale, and the dispatch count
-// must stay bounded by the tick rate — dispatches are per-tick events, so
-// a thousandfold thread increase must not inflate them more than the
+// live (dispatching) at every scale, and the dispatch count must stay
+// bounded by the tick rate — dispatches are per-tick events, so a
+// thousandfold thread increase must not inflate them more than the
 // storm's own wake churn does (the old linear-scan core got *slower* per
 // dispatch; the indexed core must not change dispatch semantics at all).
 func TestStormScaleRuns(t *testing.T) {
-	res := experiments.RunStormScale([]int{10, 100, 1000}, 200*sim.Millisecond)
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Dispatches == 0 {
-			t.Fatalf("n=%d: machine never dispatched", p.Threads)
+	counts := []int{10, 100, 1000}
+	res := experiments.Sweep(len(counts), func(i int) experiments.StormResult {
+		return experiments.RunContextSwitchStorm(experiments.StormConfig{
+			Threads: counts[i], RunFor: 200 * sim.Millisecond,
+		})
+	})
+	for i, r := range res {
+		if r.Threads != counts[i] {
+			t.Fatalf("point %d ran %d threads, want %d", i, r.Threads, counts[i])
+		}
+		if r.Dispatches == 0 {
+			t.Fatalf("n=%d: machine never dispatched", r.Threads)
 		}
 		// 200 ms at a 1 ms tick with segment-end and wake dispatch points:
 		// far below 10 per tick at any n.
-		if p.Dispatches > 2000 {
-			t.Fatalf("n=%d: %d dispatches in 200ms — dispatch storm out of bounds", p.Threads, p.Dispatches)
+		if r.Dispatches > 2000 {
+			t.Fatalf("n=%d: %d dispatches in 200ms — dispatch storm out of bounds", r.Threads, r.Dispatches)
 		}
-	}
-	var sb strings.Builder
-	res.Print(&sb)
-	if !strings.Contains(sb.String(), "ContextSwitchStorm") {
-		t.Fatalf("report missing title: %s", sb.String())
 	}
 }
 

@@ -23,9 +23,8 @@ func TestSeriesAddAndQuery(t *testing.T) {
 	if p := s.At(1); p.V != 2 || p.T != ms(10) {
 		t.Fatalf("At(1) = %+v", p)
 	}
-	last, ok := s.Last()
-	if !ok || last.V != 3 {
-		t.Fatalf("Last = %+v ok=%v", last, ok)
+	if p := s.At(s.Len() - 1); p.V != 3 || p.T != ms(20) {
+		t.Fatalf("At(Len-1) = %+v", p)
 	}
 }
 
@@ -164,22 +163,21 @@ func TestMeanVarianceStdDev(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	vs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(vs, 0); p != 1 {
+	vs := SortedCopy(nil, []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	if p := PercentileSorted(vs, 0); p != 1 {
 		t.Fatalf("P0 = %v", p)
 	}
-	if p := Percentile(vs, 100); p != 10 {
+	if p := PercentileSorted(vs, 100); p != 10 {
 		t.Fatalf("P100 = %v", p)
 	}
-	if p := Percentile(vs, 50); math.Abs(p-5.5) > 1e-12 {
+	if p := PercentileSorted(vs, 50); math.Abs(p-5.5) > 1e-12 {
 		t.Fatalf("P50 = %v", p)
 	}
 }
 
-// referencePercentile is Percentile as it stood before the one-sort
+// referencePercentile is the percentile as it stood before the one-sort
 // helper: copy, sort, interpolate between closest ranks. The differential
-// test below holds SortedCopy+PercentileSorted, Percentile and Summarize
-// to it bit for bit.
+// test below holds SortedCopy+PercentileSorted to it bit for bit.
 func referencePercentile(vs []float64, p float64) float64 {
 	if len(vs) == 0 {
 		return 0
@@ -233,54 +231,12 @@ func TestPercentileSortedDifferential(t *testing.T) {
 			if got := math.Float64bits(PercentileSorted(buf, p)); got != want {
 				t.Fatalf("trial %d p%v: PercentileSorted %v, reference %v (sample %v)", trial, p, math.Float64frombits(got), math.Float64frombits(want), vs)
 			}
-			if got := math.Float64bits(Percentile(vs, p)); got != want {
-				t.Fatalf("trial %d p%v: Percentile %v, reference %v", trial, p, math.Float64frombits(got), math.Float64frombits(want))
-			}
-		}
-		if n > 0 {
-			s := Summarize(vs)
-			for _, c := range []struct {
-				p   float64
-				got float64
-			}{{50, s.P50}, {95, s.P95}, {99, s.P99}} {
-				if math.Float64bits(c.got) != math.Float64bits(referencePercentile(vs, c.p)) {
-					t.Fatalf("trial %d: Summarize P%v %v, reference %v", trial, c.p, c.got, referencePercentile(vs, c.p))
-				}
-			}
 		}
 		for i := range vs {
 			if math.Float64bits(vs[i]) != math.Float64bits(orig[i]) {
 				t.Fatalf("trial %d: SortedCopy modified its input", trial)
 			}
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Min != 1 || s.Max != 3 || s.Mean != 2 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 10)
-	h.Observe(0.05)
-	h.Observe(0.55)
-	h.Observe(0.55)
-	h.Observe(-5)  // clamped to first
-	h.Observe(2.0) // clamped to last
-	if h.Buckets[0] != 2 {
-		t.Fatalf("bucket 0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[5] != 2 {
-		t.Fatalf("bucket 5 = %d", h.Buckets[5])
-	}
-	if h.Buckets[9] != 1 {
-		t.Fatalf("bucket 9 = %d", h.Buckets[9])
-	}
-	if f := h.Fraction(5); math.Abs(f-0.4) > 1e-12 {
-		t.Fatalf("Fraction(5) = %v", f)
 	}
 }
 
@@ -406,71 +362,5 @@ func TestMeasureStepOvershoot(t *testing.T) {
 	r := MeasureStep(s, ms(0), 100, 200, ms(100))
 	if math.Abs(r.Overshoot-0.5) > 1e-9 {
 		t.Fatalf("Overshoot = %v, want 0.5", r.Overshoot)
-	}
-}
-
-func TestOscillationAmplitude(t *testing.T) {
-	s := NewSeries("fill")
-	// Square wave between 0.4 and 0.6 with 20ms period.
-	for i := int64(0); i < 1000; i += 10 {
-		v := 0.4
-		if (i/10)%2 == 1 {
-			v = 0.6
-		}
-		s.Add(ms(i), v)
-	}
-	amp := OscillationAmplitude(s, ms(0), ms(1000), 100*sim.Millisecond)
-	if math.Abs(amp-0.2) > 1e-9 {
-		t.Fatalf("amplitude = %v, want 0.2", amp)
-	}
-	// A constant signal has zero amplitude.
-	c := NewSeries("const")
-	for i := int64(0); i < 1000; i += 10 {
-		c.Add(ms(i), 0.5)
-	}
-	if amp := OscillationAmplitude(c, ms(0), ms(1000), 100*sim.Millisecond); amp != 0 {
-		t.Fatalf("constant amplitude = %v", amp)
-	}
-}
-
-// TestSeriesBound pins the bounded-series contract: past the bound the
-// series holds only the newest samples, capacity stays within 2× the
-// bound, ordering survives compaction, and recent-window queries keep
-// working — the footprint guarantee behind per-job pressure series at
-// 10k+ jobs.
-func TestSeriesBound(t *testing.T) {
-	const bound = 1000
-	s := NewSeries("bounded").Bound(bound)
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		s.Add(ms(int64(i)), float64(i))
-	}
-	if s.Len() > 2*bound {
-		t.Fatalf("bounded series holds %d points, want <= %d", s.Len(), 2*bound)
-	}
-	if cap(s.points) > 2*bound {
-		t.Fatalf("bounded series capacity %d, want <= %d", cap(s.points), 2*bound)
-	}
-	// The newest samples survive, in order.
-	last, ok := s.Last()
-	if !ok || last.V != n-1 {
-		t.Fatalf("Last = %+v, want newest sample %d", last, n-1)
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.At(i).T < s.At(i-1).T {
-			t.Fatalf("order broken at %d after compaction", i)
-		}
-	}
-	// Recent-window zero-order-hold queries still resolve.
-	if v, ok := s.ValueAt(ms(n - 10)); !ok || v != n-10 {
-		t.Fatalf("ValueAt(n-10) = %v,%v", v, ok)
-	}
-	// Re-bounding tighter trims immediately.
-	s.Bound(100)
-	if s.Len() != 100 {
-		t.Fatalf("re-bound to 100 left %d points", s.Len())
-	}
-	if last, _ := s.Last(); last.V != n-1 {
-		t.Fatalf("re-bound dropped the newest sample: %+v", last)
 	}
 }

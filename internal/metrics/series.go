@@ -24,9 +24,6 @@ type Point struct {
 type Series struct {
 	Name   string
 	points []Point
-	// maxPoints, when positive, bounds the series to the most recent
-	// maxPoints samples (see Bound).
-	maxPoints int
 }
 
 // NewSeries returns an empty named series.
@@ -34,69 +31,11 @@ func NewSeries(name string) *Series {
 	return &Series{Name: name}
 }
 
-// Bound caps the series at the most recent max samples: once the bound is
-// exceeded, the oldest points are dropped (amortized O(1) via sliding
-// compaction, capacity stays ≤ 2×max). Long-running consumers that only
-// read recent windows — the controller's per-job pressure series, rrtop —
-// use it so 10k-thread machines do not grow per-thread memory without
-// limit. max <= 0 removes the bound. Returns s for chaining.
-//
-// The backing array grows with actual samples (geometrically, capped at
-// 2×max) rather than being pinned at 2×max up front: a bounded series
-// belongs to every real-rate job, including ones that live a few control
-// intervals — a live-service session, a churn-spawned pipeline — and an
-// eager 2×max allocation charges each of them the full long-running
-// footprint (256 KB at the controller's 8192-sample bound) for a history
-// they never accumulate. At 100k sessions that eager pin was gigabytes of
-// dead capacity; lazily grown, a short-lived job's series costs a few
-// dozen points.
-func (s *Series) Bound(max int) *Series {
-	s.maxPoints = max
-	s.trim()
-	return s
-}
-
-// trim enforces the bound, keeping the newest maxPoints samples.
-func (s *Series) trim() {
-	if s.maxPoints <= 0 || len(s.points) <= s.maxPoints {
-		return
-	}
-	keep := s.points[len(s.points)-s.maxPoints:]
-	copy(s.points, keep)
-	tail := s.points[s.maxPoints:]
-	s.points = s.points[:s.maxPoints]
-	// Zero the vacated tail so dropped samples are unreachable.
-	for i := range tail {
-		tail[i] = Point{}
-	}
-}
-
 // Add appends a sample. It panics if time goes backwards, since that would
 // silently corrupt every downstream analysis.
 func (s *Series) Add(t sim.Time, v float64) {
 	if n := len(s.points); n > 0 && t < s.points[n-1].T {
 		panic(fmt.Sprintf("metrics: series %q sample at %v before last %v", s.Name, t, s.points[n-1].T))
-	}
-	if s.maxPoints > 0 {
-		if len(s.points) >= 2*s.maxPoints {
-			s.trim()
-		}
-		if len(s.points) == cap(s.points) && cap(s.points) < 2*s.maxPoints {
-			// Grow geometrically toward the 2×max ceiling ourselves so the
-			// capacity invariant holds exactly; once the ceiling is reached
-			// the sliding trim keeps len inside it and the series never
-			// reallocates again.
-			nc := 2 * cap(s.points)
-			if nc == 0 {
-				nc = 8
-			}
-			if nc > 2*s.maxPoints {
-				nc = 2 * s.maxPoints
-			}
-			pts := make([]Point, len(s.points), nc)
-			copy(pts, s.points)
-			s.points = pts
-		}
 	}
 	s.points = append(s.points, Point{t, v})
 }
@@ -109,14 +48,6 @@ func (s *Series) At(i int) Point { return s.points[i] }
 
 // Points returns the underlying samples. The slice must not be modified.
 func (s *Series) Points() []Point { return s.points }
-
-// Last returns the most recent sample and ok=false when the series is empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
 
 // Values returns just the sample values.
 func (s *Series) Values() []float64 {

@@ -45,28 +45,3 @@ func MeasureStep(s *Series, stepAt sim.Time, from, to float64, deadline sim.Time
 	r.Overshoot = maxPast
 	return r
 }
-
-// OscillationAmplitude returns the mean peak-to-peak swing of the series
-// within the window, computed per sub-window. The controller's period
-// heuristic uses exactly this statistic on queue fill levels to detect
-// jitter (§3.3: "the amount of change in fill-level over the course of a
-// period, averaged over several periods").
-func OscillationAmplitude(s *Series, from, to sim.Time, window sim.Duration) float64 {
-	if window <= 0 || to <= from {
-		return 0
-	}
-	var amps []float64
-	cur := from
-	for cur < to {
-		end := cur.Add(window)
-		if end > to {
-			end = to
-		}
-		sub := s.Slice(cur, end)
-		if sub.Len() >= 2 {
-			amps = append(amps, sub.Max()-sub.Min())
-		}
-		cur = end
-	}
-	return Mean(amps)
-}

@@ -17,12 +17,10 @@
 //	freeze   — additionally, renegotiations to larger reservations refuse.
 //
 // Saturation is judged from signals already flowing through the stack:
-// the desire-vs-capacity gap, the squish compression ratio, missed period
-// boundaries, watchdog demotion rate, and (optionally) the recent p99
-// wake→dispatch latency against a configured SLO. Escalation requires
-// TripIntervals consecutive saturated samples; de-escalation requires
-// RecoverIntervals consecutive healthy samples against a lower recovery
-// band, so the ladder cannot chatter at the trip point.
+// the desire-vs-capacity gap and the squish compression ratio. Escalation
+// requires TripIntervals consecutive saturated samples; de-escalation
+// requires RecoverIntervals consecutive healthy samples against a lower
+// recovery band, so the ladder cannot chatter at the trip point.
 package overload
 
 import "repro/internal/sim"
@@ -69,17 +67,6 @@ type Config struct {
 	// Capacity × GapFactor. Above 1.0 means "over-committed beyond what
 	// squish can absorb gracefully". Default 1.5.
 	GapFactor float64
-	// MissTrip counts missed period boundaries per interval at or above
-	// which the sample is saturated regardless of the demand test.
-	// 0 disables the miss test.
-	MissTrip uint64
-	// DemoteTrip counts watchdog demotions per interval at or above which
-	// the sample is saturated. 0 disables the demotion test.
-	DemoteTrip uint64
-	// LatencyTrip marks the sample saturated when the recent p99
-	// wake→dispatch latency (Signals.RecentP99) exceeds it — the SLO-driven
-	// trip point. 0 disables the latency test.
-	LatencyTrip sim.Duration
 	// TripIntervals is how many consecutive saturated samples escalate the
 	// ladder by one rung. Default 25 (250 ms at the 10 ms interval).
 	TripIntervals int
@@ -119,13 +106,6 @@ type Signals struct {
 	// Capacity is the machine's allocatable budget in ppt (the effective
 	// overload threshold across all CPUs).
 	Capacity int
-	// Misses is the count of missed period boundaries this interval.
-	Misses uint64
-	// Demotions is the count of watchdog demotions this interval.
-	Demotions uint64
-	// RecentP99 is the recent p99 wake→dispatch latency, or 0 when SLO
-	// accounting is off.
-	RecentP99 sim.Duration
 }
 
 // Decision is what the controller must do after one Observe call.
@@ -162,22 +142,10 @@ func New(cfg Config) *Governor {
 // Rung returns the current ladder position.
 func (g *Governor) Rung() Rung { return g.rung }
 
-// Config returns the resolved configuration.
-func (g *Governor) Config() Config { return g.cfg }
-
 // saturated judges one sample against the trip band scaled by factor:
 // factor 1.0 is the escalation band; the recovery test uses a smaller
 // factor so the ladder only unwinds once demand has clearly subsided.
 func (g *Governor) saturated(s Signals, factor float64) bool {
-	if g.cfg.MissTrip > 0 && s.Misses >= g.cfg.MissTrip {
-		return true
-	}
-	if g.cfg.DemoteTrip > 0 && s.Demotions >= g.cfg.DemoteTrip {
-		return true
-	}
-	if g.cfg.LatencyTrip > 0 && s.RecentP99 > g.cfg.LatencyTrip {
-		return true
-	}
 	if s.Capacity <= 0 {
 		// A machine with no allocatable budget is saturated by definition
 		// whenever anything wants CPU.

@@ -86,10 +86,6 @@ func (m QueueMetric) Describe() string {
 	return fmt.Sprintf("queue(%s,%s)", m.Queue.Name(), m.Role)
 }
 
-// F returns the raw fill-level term before the role sign is applied,
-// exposed for tests of the Figure 3 equation.
-func (m QueueMetric) F() float64 { return m.Queue.FillLevel() - 0.5 }
-
 // Watch implements Watchable: the signal moves exactly when the queue's
 // fill does.
 func (m QueueMetric) Watch(fn func()) { m.Queue.Watch(funcWatcher{fn}) }

@@ -45,9 +45,6 @@ const (
 	locFiring
 )
 
-// When returns the instant the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 

@@ -27,8 +27,8 @@ func TestLatencyReservoirBounded(t *testing.T) {
 		r.OnDispatch(at.Add(sim.Duration(i%1000)), th)
 	}
 	lat := r.SchedulingLatencies("hot")
-	if len(lat) != r.MaxLatencySamples {
-		t.Fatalf("latency buffer holds %d samples, want exactly the bound %d", len(lat), r.MaxLatencySamples)
+	if len(lat) != maxLatencySamples {
+		t.Fatalf("latency buffer holds %d samples, want exactly the bound %d", len(lat), maxLatencySamples)
 	}
 	sorted := append([]float64(nil), lat...)
 	sort.Float64s(sorted)
@@ -86,14 +86,14 @@ func TestRecorderFootprint10kThreads(t *testing.T) {
 	}
 	total := 0
 	for _, st := range r.threads {
-		if len(st.latencies) > r.MaxLatencySamples {
-			t.Fatalf("thread %s holds %d latency samples > bound %d", st.name, len(st.latencies), r.MaxLatencySamples)
+		if len(st.latencies) > maxLatencySamples {
+			t.Fatalf("thread %s holds %d latency samples > bound %d", st.name, len(st.latencies), maxLatencySamples)
 		}
 		total += len(st.latencies)
 	}
 	// Interned names: 10k same-named threads share one stats row, so the
 	// whole run's latency footprint is one bounded buffer.
-	if total > r.MaxLatencySamples {
-		t.Fatalf("latency samples %d exceed the per-name bound %d", total, r.MaxLatencySamples)
+	if total > maxLatencySamples {
+		t.Fatalf("latency samples %d exceed the per-name bound %d", total, maxLatencySamples)
 	}
 }

@@ -70,9 +70,9 @@ type threadStats struct {
 	lastWake sim.Time
 	wakePend bool
 	// latencies holds wake-to-dispatch samples in seconds. Above the
-	// recorder's MaxLatencySamples bound it becomes a uniform reservoir
-	// over all latSeen samples, so per-thread memory stays bounded at
-	// 10k+ thread scale while percentiles stay representative.
+	// maxLatencySamples bound it becomes a uniform reservoir over all
+	// latSeen samples, so per-thread memory stays bounded at 10k+ thread
+	// scale while percentiles stay representative.
 	latencies []float64
 	latSeen   int
 }
@@ -90,11 +90,6 @@ type Recorder struct {
 	// are unaffected by the bound. When set, the buffer is preallocated to
 	// the bound so logging never reallocates.
 	MaxEvents int
-	// MaxLatencySamples bounds each thread's wake-to-dispatch latency
-	// buffer; past the bound, reservoir sampling keeps a uniform sample
-	// of the whole run (deterministic: the reservoir PRNG is fixed-seed).
-	// 0 keeps every sample. NewRecorder defaults it to 4096.
-	MaxLatencySamples int
 	// MultiCPU adds the cpu column to the CSV log. It is off by default so
 	// single-CPU traces stay byte-identical to the pre-SMP format.
 	MultiCPU bool
@@ -124,10 +119,9 @@ var _ kernel.Tracer = (*Recorder)(nil)
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		MaxLatencySamples: 4096,
-		threads:           make(map[string]*threadStats),
-		byThread:          make(map[*kernel.Thread]traceCache),
-		rng:               sim.NewRNG(0x7ace5eed),
+		threads:  make(map[string]*threadStats),
+		byThread: make(map[*kernel.Thread]traceCache),
+		rng:      sim.NewRNG(0x7ace5eed),
 	}
 }
 
@@ -169,11 +163,16 @@ func (r *Recorder) log(at sim.Time, kind Kind, thread string, ran sim.Duration, 
 	r.events = append(r.events, Event{At: at, Kind: kind, Thread: thread, Ran: ran, On: on, CPU: cpu, From: from})
 }
 
+// maxLatencySamples bounds each thread's wake-to-dispatch latency buffer;
+// past the bound, reservoir sampling keeps a uniform sample of the whole
+// run (deterministic: the reservoir PRNG is fixed-seed).
+const maxLatencySamples = 4096
+
 // addLatency records one wake-to-dispatch sample, reservoir-sampling past
-// the recorder's bound so per-thread memory cannot grow without limit.
+// maxLatencySamples so per-thread memory cannot grow without limit.
 func (r *Recorder) addLatency(st *threadStats, v float64) {
 	st.latSeen++
-	if r.MaxLatencySamples <= 0 || len(st.latencies) < r.MaxLatencySamples {
+	if len(st.latencies) < maxLatencySamples {
 		st.latencies = append(st.latencies, v)
 		return
 	}

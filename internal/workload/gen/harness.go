@@ -144,8 +144,6 @@ func RunPoint(p Point) (*RunResult, error) {
 type CheckOpts struct {
 	// Policies restricts the disciplines (nil: all five).
 	Policies []string
-	// NoShrink skips minimizing failing points.
-	NoShrink bool
 	// Scale/Duration/CPUs pass through to every point.
 	Scale    float64
 	Duration time.Duration
@@ -180,11 +178,7 @@ func Check(family string, seed uint64, opts CheckOpts) ([]Violation, []Report, e
 		if len(res.Report.Violations) == 0 {
 			continue
 		}
-		rp := p
-		if !opts.NoShrink {
-			rp = Shrink(p)
-		}
-		replay := rp.Replay()
+		replay := Shrink(p).Replay()
 		for _, v := range res.Report.Violations {
 			v.Replay = replay
 			all = append(all, v)

@@ -206,10 +206,8 @@ type SessionSpec struct {
 	PhaseMean time.Duration
 	// Diurnal is the amplitude in [0, 0.95] of a sinusoidal envelope over
 	// the instantaneous arrival rate — a live service's compressed "day".
-	// 0 disables the envelope.
+	// 0 disables the envelope. Its period is the run length.
 	Diurnal float64
-	// DiurnalPeriod is the envelope period (0: one period per run).
-	DiurnalPeriod time.Duration
 	// Stages is the pipeline depth per session, at least 2: an ingest
 	// producer, Stages-2 transforms, and a delivering consumer.
 	Stages int
@@ -496,7 +494,7 @@ func ForSeed(family string, seed uint64) (Spec, error) {
 // drawSessionArrivals realizes the session arrival process: candidate
 // instants at the peak instantaneous rate, thinned against the actual
 // rate at each instant — the MMPP phase (Poisson base / burst) times the
-// diurnal envelope 1 + Diurnal·sin(2πt/period). Thinning keeps the draw
+// diurnal envelope 1 + Diurnal·sin(2πt/dur). Thinning keeps the draw
 // stream fixed-length-free and exactly reproducible: every accept/reject
 // consumes the same pinned RNG stream regardless of which branch wins.
 func drawSessionArrivals(rng *sim.RNG, s SessionSpec, dur time.Duration) []time.Duration {
@@ -509,10 +507,6 @@ func drawSessionArrivals(rng *sim.RNG, s SessionSpec, dur time.Duration) []time.
 		burst = base
 	}
 	amp := math.Min(math.Max(s.Diurnal, 0), 0.95)
-	period := s.DiurnalPeriod
-	if period <= 0 {
-		period = dur
-	}
 	peak := burst * (1 + amp)
 	inBurst := false
 	nextSwitch := dur + time.Second // unreachable without MMPP phases
@@ -534,7 +528,7 @@ func drawSessionArrivals(rng *sim.RNG, s SessionSpec, dur time.Duration) []time.
 		if inBurst {
 			r = burst
 		}
-		r *= 1 + amp*math.Sin(2*math.Pi*float64(t)/float64(period))
+		r *= 1 + amp*math.Sin(2*math.Pi*float64(t)/float64(dur))
 		if rng.Float64()*peak < r {
 			out = append(out, t)
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/overload"
-	"repro/internal/sim"
 )
 
 // OverloadConfig enables the supervisory overload governor: a system-wide
@@ -48,17 +47,12 @@ type OverloadConfig struct {
 	// SessionSLO is the end-to-end session latency target for the
 	// ObserveSessionLatency dimension of System.SLO (default 100 ms).
 	SessionSLO time.Duration
-	// LatencyTrip, when positive, makes the governor SLO-driven: an
-	// interval whose recent p99 wake→dispatch latency exceeds it counts
-	// as saturated.
-	LatencyTrip time.Duration
 }
 
 // governorConfig compiles the public tuning to the internal governor's.
 func (oc *OverloadConfig) governorConfig() overload.Config {
 	return overload.Config{
 		GapFactor:        oc.GapFactor,
-		LatencyTrip:      sim.FromStd(oc.LatencyTrip),
 		TripIntervals:    oc.TripIntervals,
 		RecoverIntervals: oc.RecoverIntervals,
 		ShedBatch:        oc.ShedBatch,

@@ -21,7 +21,8 @@
 // Threads fall into the paper's Figure 2 taxonomy, expressed as Spawn
 // options: Reserve declares proportion and period (a reservation, honored
 // after admission control); Aperiodic declares proportion only; RealRate
-// supplies progress sources and gets both estimated; a thread spawned with
+// supplies progress sources and gets its proportion estimated (its period
+// is the 30 ms default unless it gives one); a thread spawned with
 // no class option is miscellaneous — it supplies nothing and is grown by a
 // constant-pressure heuristic until satisfied or squished. Interactive
 // threads get a small period and a proportion estimated from their burst
@@ -218,12 +219,6 @@ func NewSystem(cfg Config) *System {
 		s.hub.install()
 		if s.ctl != nil {
 			s.ctl.SetGovernor(overload.New(cfg.Overload.governorConfig()))
-			if cfg.Overload.LatencyTrip > 0 {
-				// The probe sorts the recent latency window every control
-				// interval — only worth paying when the ladder is actually
-				// latency-driven.
-				s.ctl.SetSLOProbe(s.slo.recentP99)
-			}
 		}
 	}
 	if s.ctl != nil {

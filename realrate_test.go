@@ -2,6 +2,8 @@ package realrate_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -533,5 +535,47 @@ func TestSpawnIntoJobSharesAllocation(t *testing.T) {
 	if second.Class() != "miscellaneous" || second.Allocation() != lead.Allocation() {
 		t.Fatalf("member metadata: class=%q alloc=%d vs lead %d",
 			second.Class(), second.Allocation(), lead.Allocation())
+	}
+}
+
+// TestConfigSurface pins the public configuration to the values a
+// non-test caller sets: every exported leaf of realrate.Config, walking
+// into its nested structs and struct pointers, with the fault plan counted
+// as one value. A knob added or removed must update this list in the same
+// change.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Policy", "CPUs", "Faults",
+		"Controller.BaseCost", "Controller.PerJobCost",
+		"Controller.WatchdogIntervals", "Controller.WatchdogRecovery",
+		"Overload.GapFactor", "Overload.TripIntervals", "Overload.RecoverIntervals",
+		"Overload.ShedBatch", "Overload.LatencySLO", "Overload.SessionSLO",
+		"CtlPlane.Mode", "CtlPlane.Shards",
+	}
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name := prefix + f.Name
+			ft := f.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct && ft != reflect.TypeOf(realrate.FaultPlan{}) {
+				walk(name+".", ft)
+				continue
+			}
+			got = append(got, name)
+		}
+	}
+	walk("", reflect.TypeOf(realrate.Config{}))
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("realrate.Config settable values = %d %v\nwant %d %v", len(got), got, len(want), want)
 	}
 }

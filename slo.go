@@ -13,11 +13,9 @@ import (
 // Config.Overload is set) per-job and per-class tail-latency metric: the
 // time between a thread becoming runnable and actually getting a CPU is
 // the user-visible scheduling latency, and its p99/p999 against a target
-// is what "degraded" means to a caller. The tracker also keeps a short
-// recent window whose p99 feeds the overload governor's SLO-driven trip
-// point (OverloadConfig.LatencyTrip), and a second, coarser dimension:
-// end-to-end session latencies recorded explicitly through
-// System.ObserveSessionLatency against OverloadConfig.SessionSLO.
+// is what "degraded" means to a caller. The tracker also keeps a second,
+// coarser dimension: end-to-end session latencies recorded explicitly
+// through System.ObserveSessionLatency against OverloadConfig.SessionSLO.
 
 // sloCaps bound the tracker's footprint: past each cap, reservoir
 // sampling (fixed-seed, deterministic) keeps a uniform sample of the
@@ -25,7 +23,6 @@ import (
 const (
 	sloJobSamples   = 512
 	sloClassSamples = 4096
-	sloRecent       = 256
 )
 
 // sloSeries is one reservoir of latency samples (in seconds) plus exact
@@ -92,12 +89,8 @@ type sloTracker struct {
 	sessTotal  *sloSeries
 	sessByKind map[string]*sloSeries
 
-	// recent is a ring of the newest latencies (seconds) for the
-	// governor's SLO trip probe.
-	recent    []float64
-	recentIdx int
-	// scratch is the sorted copy the percentile reads share: the probe's
-	// window, and each series of an SLO report in turn.
+	// scratch is the sorted copy each series of an SLO report is read
+	// from in turn.
 	scratch []float64
 }
 
@@ -158,12 +151,6 @@ func (tr *sloTracker) dispatch(now sim.Time, t *kernel.Thread) {
 	}
 	th.sloJob.add(sec, within, sloJobSamples)
 	th.sloClass.add(sec, within, sloClassSamples)
-	if len(tr.recent) < sloRecent {
-		tr.recent = append(tr.recent, sec)
-	} else {
-		tr.recent[tr.recentIdx] = sec
-		tr.recentIdx = (tr.recentIdx + 1) % sloRecent
-	}
 }
 
 // session records one end-to-end session latency against sessionTarget.
@@ -181,15 +168,6 @@ func (tr *sloTracker) series(m map[string]*sloSeries, dim byte, key string) *slo
 		m[key] = ss
 	}
 	return ss
-}
-
-// recentP99 is the governor's SLO probe: the p99 over the recent window.
-func (tr *sloTracker) recentP99() sim.Duration {
-	if len(tr.recent) == 0 {
-		return 0
-	}
-	tr.scratch = metrics.SortedCopy(tr.scratch, tr.recent)
-	return sim.Duration(metrics.PercentileSorted(tr.scratch, 99) * float64(sim.Second))
 }
 
 // SLOStat summarizes one job's or class's wake→dispatch latency.

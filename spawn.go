@@ -164,10 +164,11 @@ func Aperiodic(proportion int) SpawnOption {
 }
 
 // RealRate declares a real-rate thread: the controller estimates its
-// proportion (and, with period 0, its period) from the given progress
-// sources. At least one source is required. The option keeps the sources
-// slice, so a caller spawning at a high rate can pass one reused array
-// (RealRate(0, srcs[:]...)) instead of a fresh variadic slice per call.
+// proportion from the given progress sources. Its period is the given one,
+// or the 30 ms default when period is 0. At least one source is required.
+// The option keeps the sources slice, so a caller spawning at a high rate
+// can pass one reused array (RealRate(0, srcs[:]...)) instead of a fresh
+// variadic slice per call.
 func RealRate(period time.Duration, sources ...ProgressSource) SpawnOption {
 	return SpawnOption{kind: optRealRate, period: period, sources: sources}
 }
