@@ -107,6 +107,12 @@ func BenchmarkFig8DispatchOverhead(b *testing.B) {
 // machine saturated with N registered CPU-bound threads — the dispatcher's
 // large-N scaling curve. With the linear-scan runnable queue this grew
 // O(n) per dispatch; the indexed-heap core keeps it near-logarithmic.
+// The threads hold RMS reservations, so a ready one rolls its period
+// lazily and the boundary wheel holds only the exhausted ones (DESIGN.md
+// §4.2): per dispatch, the wheel refiles none of the waiting threads.
+// On a 2-vCPU Xeon (go1.24.0) lazy rolls took n=10000 from a median
+// 14.7 to 4.6 ms/op and n=1000 from 2.3 to 1.2 ms/op over five
+// interleaved pairs of 20 iterations.
 func BenchmarkStormDispatch(b *testing.B) {
 	for _, n := range []int{10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -82,6 +82,44 @@ func TestStormPinnedEDF(t *testing.T) {
 	}
 }
 
+// TestStormPinnedRMS pins the whole RMS run-to-completion storm, the
+// rrbench storm workload's machine at 10k threads on 4 CPUs. No golden
+// prints the RMS storm's missed-deadline count, and under RMS a ready
+// reservation rolls lazily, so a roll caught up at the wrong instant or
+// dropped shows up here as a drifted Missed count even where every
+// dispatch decision is unchanged. The values were recorded from the
+// dispatcher that filed every queued reservation in the boundary wheel.
+func TestStormPinnedRMS(t *testing.T) {
+	cases := []experiments.StormResult{
+		{
+			Threads: 1000, CPUs: 1, Dispatches: 14224, Switches: 13767,
+			Wakeups: 13754, Migrations: 0, ThreadTime: 10 * sim.Second,
+			Overhead: 96_424_750, Idle: 153_575_250, Missed: 156_173,
+			SimElapsed: 10_200_255_500, Completed: 1000,
+		},
+		{
+			Threads: 1000, CPUs: 4, Dispatches: 16936, Switches: 13252,
+			Wakeups: 13132, Migrations: 9, ThreadTime: 10 * sim.Second,
+			Overhead: 95_946_000, Idle: 2_904_054_000, Missed: 31_400,
+			SimElapsed: 3_200_000_000, Completed: 1000,
+		},
+		{
+			Threads: 10000, CPUs: 4, Dispatches: 141764, Switches: 137720,
+			Wakeups: 137628, Migrations: 6, ThreadTime: 99_999_984_000,
+			Overhead: 964_449_000, Idle: 1_035_567_000, Missed: 4_110_584,
+			SimElapsed: 25_300_886_250, Completed: 10000,
+		},
+	}
+	for _, want := range cases {
+		got := experiments.RunContextSwitchStorm(experiments.StormConfig{
+			Threads: want.Threads, CPUs: want.CPUs, Work: 4_000_000,
+		})
+		if got != want {
+			t.Errorf("RMS storm %d×%d drifted:\n got %+v\nwant %+v", want.Threads, want.CPUs, got, want)
+		}
+	}
+}
+
 // TestFig5ExtendedTo1000 pushes the Figure 5 sweep past the paper's 40
 // processes into the thousands-of-jobs regime: the controller must survive
 // (the legacy floor handling panicked past ~170 adaptive jobs) and its

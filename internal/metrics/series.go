@@ -111,34 +111,6 @@ func (s *Series) TimeWeightedMean(from, to sim.Time) float64 {
 	return acc / to.Sub(from).Seconds()
 }
 
-// Min returns the minimum sample value, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	m := s.points[0].V
-	for _, p := range s.points[1:] {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Max returns the maximum sample value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	m := s.points[0].V
-	for _, p := range s.points[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
 // WriteCSV writes "seconds,value" rows (with a header) to w.
 func (s *Series) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "time_s,%s\n", s.Name); err != nil {

@@ -29,7 +29,7 @@ type shard struct {
 	// threads with budget and the unmanaged round-robin class below them.
 	ready []*state
 	// buckets/buckets2/overflow/curSlot form the period-boundary wheel of
-	// queued registered threads by next period end; Pick drains the due
+	// the filed states (see filed) by next period end; Pick drains the due
 	// entries instead of refreshing every runnable thread. Each bucket is
 	// the head of an intrusive doubly linked list. Level 1 spans one
 	// kernel tick per slot; level 2 spans bwSlots ticks per slot, so any
@@ -51,6 +51,16 @@ type shard struct {
 	// short-period threads sharing one tick-wide slot, that scan dominated
 	// the dispatch profile at 100k-session scale.
 	curMin sim.Time
+	// drained is the now of the latest boundDrain: the instant the wheel
+	// has rolled every filed state to, and the instant catchUp rolls a
+	// lazy state to.
+	drained sim.Time
+	// lazyDue is a stale-low bound on the earliest period end among the
+	// shard's lazy states (the ready RMS reservations the wheel does not
+	// file). Filing a lazy state lowers it; MissedDeadlines skips the shard
+	// while drained < lazyDue, since no lazy roll is pending, and otherwise
+	// catches the ready heap up and recomputes it.
+	lazyDue sim.Time
 }
 
 // timeMax is the +∞ sentinel for curMin when the current slot is empty.
@@ -183,10 +193,10 @@ func (p *Policy) readyDown(sh *shard, i int) bool {
 	return moved
 }
 
-// --- period-boundary wheel: queued registered threads by period end ---
+// --- period-boundary wheel: filed states by period end ---
 //
-// Period refresh must run for every queued registered thread whose period
-// ended, on every dispatch — but with thousands of oversubscribed threads,
+// Period refresh must run for every filed state whose period ended, on
+// every dispatch — but with thousands of oversubscribed threads,
 // boundaries pass at Σ 1/periodᵢ per second, so an ordered heap pays an
 // O(log n) sift per roll and dominates the profile. Period ends are timer
 // deadlines, so they get the same treatment as the sim engine's event
@@ -217,7 +227,7 @@ const (
 )
 
 // boundInsert files st under its current period end in shard sh. st must
-// be queued, registered, and not already filed. Wheel buckets are
+// be queued, registered, and hold no wheel position. Wheel buckets are
 // intrusive doubly linked lists threaded through the scheduling states, so
 // filing and unfiling never allocate no matter how boundaries cluster.
 func (p *Policy) boundInsert(sh *shard, st *state) {
@@ -282,12 +292,13 @@ func (p *Policy) boundRemove(sh *shard, st *state) {
 	st.boundPos = boundNone
 }
 
-// boundDrain rolls every queued registered thread in sh whose period ended
-// at or before now. The L1 cursor advances to now's slot; L2 buckets whose
-// span the cursor crossed cascade — due entries roll, the rest refile
-// (necessarily into L1, since their slot is within bwSlots of the new
-// cursor). Entries refiled during the drain always carry a
-// rolled-past-now key, so the walk never revisits them.
+// boundDrain rolls every filed state in sh whose period ended at or before
+// now, and records now as the shard's drained instant. The L1 cursor
+// advances to now's slot; L2 buckets whose span the cursor crossed cascade
+// — due entries roll, the rest refile (necessarily into L1, since their
+// slot is within bwSlots of the new cursor). Entries refiled during the
+// drain always carry a rolled-past-now key, so the walk never revisits
+// them.
 func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 	target := int64(now) / p.slotW
 	if target < sh.curSlot {
@@ -295,6 +306,7 @@ func (p *Policy) boundDrain(sh *shard, now sim.Time) {
 	}
 	oldSlot := sh.curSlot
 	sh.curSlot = target
+	sh.drained = now
 
 	// Fast path: the cursor did not move and the current slot's lower bound
 	// says nothing there is due yet. Skipping the L1 walk is safe because a

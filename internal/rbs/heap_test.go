@@ -2,6 +2,8 @@ package rbs_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,37 +47,70 @@ func chaosProgram(rng *sim.RNG, q *kernel.Queue) kernel.Program {
 	})
 }
 
-func runDifferential(t *testing.T, seed uint64, disc rbs.Discipline) {
-	t.Helper()
-	rng := sim.NewRNG(seed)
-	eng := sim.NewEngine()
-	p := rbs.New()
-	p.Discipline = disc
-	p.Verify = true // every Pick cross-checks heap vs linear scan
-	k := kernel.New(eng, kernel.DefaultConfig(), p)
-	q := k.NewQueue("chaos", 2048)
+// chaosMachine is the randomized machine runDifferential drives: 4–15
+// chaos threads on the given CPUs, about two thirds of them reserved, with
+// every Pick cross-checked against the legacy scan. Reserved CPU hogs, when
+// asked for, join the chaos threads and overload the machine, so ready
+// reservations miss deadlines all the time.
+type chaosMachine struct {
+	rng     *sim.RNG
+	eng     *sim.Engine
+	p       *rbs.Policy
+	k       *kernel.Kernel
+	threads []*kernel.Thread
+}
 
-	n := 4 + rng.Intn(12)
-	threads := make([]*kernel.Thread, n)
-	for i := range threads {
-		threads[i] = k.Spawn(fmt.Sprintf("t%d", i), chaosProgram(rng, q))
-		if rng.Intn(3) > 0 {
+func newChaosMachine(t *testing.T, seed uint64, disc rbs.Discipline, cpus, hogs int) *chaosMachine {
+	t.Helper()
+	m := &chaosMachine{rng: sim.NewRNG(seed), eng: sim.NewEngine(), p: rbs.New()}
+	m.p.Discipline = disc
+	m.p.Verify = true // every Pick cross-checks heap vs linear scan
+	cfg := kernel.DefaultConfig()
+	cfg.CPUs = cpus
+	m.k = kernel.New(m.eng, cfg, m.p)
+	q := m.k.NewQueue("chaos", 2048)
+
+	n := 4 + m.rng.Intn(12)
+	m.threads = make([]*kernel.Thread, n)
+	for i := range m.threads {
+		m.threads[i] = m.k.Spawn(fmt.Sprintf("t%d", i), chaosProgram(m.rng, q))
+		if m.rng.Intn(3) > 0 {
 			res := rbs.Reservation{
-				Proportion: 10 + rng.Intn(150),
-				Period:     sim.Duration(2+rng.Intn(60)) * sim.Millisecond,
+				Proportion: 10 + m.rng.Intn(150),
+				Period:     sim.Duration(2+m.rng.Intn(60)) * sim.Millisecond,
 			}
-			if err := p.SetReservation(threads[i], res); err != nil {
+			if err := m.p.SetReservation(m.threads[i], res); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	k.Start()
+	for i := 0; i < hogs; i++ {
+		th := m.k.Spawn(fmt.Sprintf("hog%d", i), hog(1_000_000))
+		res := rbs.Reservation{
+			Proportion: 400 + m.rng.Intn(400),
+			Period:     sim.Duration(2+m.rng.Intn(60)) * sim.Millisecond,
+		}
+		if err := m.p.SetReservation(th, res); err != nil {
+			t.Fatal(err)
+		}
+		m.threads = append(m.threads, th)
+	}
+	return m
+}
 
-	// Mutate reservations mid-run so period phases, budgets, and classes
-	// churn while the machine runs.
-	for step := 0; step < 30; step++ {
-		eng.RunFor(sim.Duration(1+rng.Intn(40)) * sim.Millisecond)
-		th := threads[rng.Intn(n)]
+// churn starts the machine and mutates reservations mid-run so period
+// phases, budgets, and classes churn while it runs. Each mutation lands at
+// a random instant inside its run window, between dispatches, as a
+// controller's does. observe, when not nil, is called after every run
+// window and after every mutation.
+func (m *chaosMachine) churn(t *testing.T, observe func()) {
+	t.Helper()
+	if observe == nil {
+		observe = func() {}
+	}
+	rng, p := m.rng, m.p
+	mutate := func(sim.Time) {
+		th := m.threads[rng.Intn(len(m.threads))]
 		switch rng.Intn(4) {
 		case 0:
 			p.Unregister(th)
@@ -88,9 +123,23 @@ func runDifferential(t *testing.T, seed uint64, disc rbs.Discipline) {
 				t.Fatal(err)
 			}
 		}
+		observe()
 	}
-	eng.RunFor(200 * sim.Millisecond)
-	k.Stop()
+	m.k.Start()
+	for step := 0; step < 30; step++ {
+		d := sim.Duration(1+rng.Intn(40)) * sim.Millisecond
+		m.eng.After(rng.Duration(d), mutate)
+		m.eng.RunFor(d)
+		observe()
+	}
+	m.eng.RunFor(200 * sim.Millisecond)
+	observe()
+	m.k.Stop()
+}
+
+func runDifferential(t *testing.T, seed uint64, disc rbs.Discipline) {
+	t.Helper()
+	newChaosMachine(t, seed, disc, 1, 0).churn(t, nil)
 }
 
 func TestDifferentialHeapVsScanRMS(t *testing.T) {
@@ -313,4 +362,58 @@ func TestOverflowHeapBeyondL2(t *testing.T) {
 	if got := p.TotalProportion(); got != 150 {
 		t.Fatalf("TotalProportion = %d, want 150", got)
 	}
+}
+
+// missedReadSeeds is how many fixed seeds TestMissedDeadlinesAtEveryRead
+// runs per CPU count.
+const missedReadSeeds = 16
+
+// TestMissedDeadlinesAtEveryRead pins the missed-deadline counter as an
+// observer sees it: the chaos machines run under RMS on 1, 2 and 4 CPUs,
+// overloaded by two reserved hogs per CPU (alone they miss deadlines so
+// rarely that a mutation seldom lands on a thread with a pending roll),
+// and MissedDeadlines is read after every run window and after every
+// SetReservation/Unregister. The whole read sequence must match the one in
+// testdata/missed_at_every_read.txt, recorded from the dispatcher that
+// rolled every queued reservation through the boundary wheel, so a lazy
+// roll that is caught up late, caught up to the wrong instant or skipped
+// shows up as a drifted read. Each line run-length encodes one sequence:
+// "v*n" is n reads of v in a row.
+func TestMissedDeadlinesAtEveryRead(t *testing.T) {
+	want, err := os.ReadFile("testdata/missed_at_every_read.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	var got []string
+	for _, cpus := range []int{1, 2, 4} {
+		for seed := uint64(1); seed <= missedReadSeeds; seed++ {
+			m := newChaosMachine(t, seed, rbs.RMS, cpus, 2*cpus)
+			var reads []uint64
+			m.churn(t, func() { reads = append(reads, m.p.MissedDeadlines()) })
+			got = append(got, fmt.Sprintf("cpus=%d seed=%d:%s", cpus, seed, runLength(reads)))
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d read sequences, want %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("read sequence drifted:\n got %s\nwant %s", got[i], wantLines[i])
+		}
+	}
+}
+
+// runLength encodes reads as " v*n" runs.
+func runLength(reads []uint64) string {
+	var b strings.Builder
+	for i := 0; i < len(reads); {
+		j := i
+		for j < len(reads) && reads[j] == reads[i] {
+			j++
+		}
+		fmt.Fprintf(&b, " %d*%d", reads[i], j-i)
+		i = j
+	}
+	return b.String()
 }

@@ -20,9 +20,11 @@
 // (see heap.go), period refresh is driven by a two-level period-boundary
 // timer wheel (with an overflow heap for boundaries past its horizon)
 // drained at dispatch points instead of a full refresh scan per Pick, and
-// the registered-proportion total is maintained incrementally. These
-// structures hold the per-thread scheduling states themselves, so the
-// drain and the heap sifts read only the policy's own memory. The
+// the registered-proportion total is maintained incrementally. The wheel
+// files only the states whose roll moves them (see filed); a ready RMS
+// reservation rolls lazily, caught up before anything reads or changes
+// it. These structures hold the per-thread scheduling states themselves,
+// so the drain and the heap sifts read only the policy's own memory. The
 // resulting schedule is bit-identical to the legacy linear scan's (the
 // Verify hook cross-checks every Pick against the scan order).
 package rbs
@@ -183,6 +185,8 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 	p.needResched = make([]bool, k.NumCPUs())
 	for i := range p.shards {
 		p.shards[i].curSlot = int64(k.Now()) / p.slotW
+		p.shards[i].drained = k.Now()
+		p.shards[i].lazyDue = timeMax
 	}
 }
 
@@ -268,6 +272,7 @@ func (p *Policy) SetReservation(t *kernel.Thread, res Reservation) error {
 		// on an exited, un-recycled one — nothing is queued, nothing wakes.
 		return nil
 	}
+	p.catchUp(st)
 	if !st.registered || st.res.Period != res.Period {
 		if st.counted {
 			p.totalProp += res.Proportion - st.res.Proportion
@@ -322,6 +327,7 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 	if !ok {
 		return
 	}
+	p.catchUp(st)
 	if st.counted {
 		p.totalProp -= st.res.Proportion
 		st.counted = false
@@ -335,7 +341,29 @@ func (p *Policy) Unregister(t *kernel.Thread) {
 // thread still holding unused budget — the dispatcher could not deliver the
 // allocation. The prototype notifies the controller of misses so it can
 // grow the spare capacity; the controller polls this counter.
-func (p *Policy) MissedDeadlines() uint64 { return p.missedTotal }
+//
+// The count includes every lazy roll up to each shard's drained instant:
+// a shard whose lazyDue says a lazy roll may be pending has its ready heap
+// caught up first, and its lazyDue recomputed.
+func (p *Policy) MissedDeadlines() uint64 {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		if sh.drained < sh.lazyDue {
+			continue
+		}
+		due := timeMax
+		for _, st := range sh.ready {
+			if st.registered {
+				p.refresh(st, sh.drained)
+				if end := p.periodEnd(st); end < due {
+					due = end
+				}
+			}
+		}
+		sh.lazyDue = due
+	}
+	return p.missedTotal
+}
 
 // TotalProportion sums the proportions of all registered live threads, the
 // paper's overload signal ("one can easily detect overload by summing the
@@ -392,12 +420,12 @@ func (p *Policy) roll(t *kernel.Thread, st *state, now sim.Time) {
 	p.rollDue(sh, st, now)
 }
 
-// rollDue rolls a queued registered thread of shard sh whose boundary
-// entry has been taken out of the wheel, and refiles it.
+// rollDue rolls a queued registered thread of shard sh that holds no
+// wheel position, and refiles it.
 func (p *Policy) rollDue(sh *shard, st *state, now sim.Time) {
 	wasExhausted := st.exhIdx >= 0
 	p.refresh(st, now)
-	p.boundInsert(sh, st)
+	p.file(sh, st)
 	if wasExhausted && st.budget > 0 {
 		exhRemove(sh, st)
 		p.readyPush(sh, st)
@@ -415,7 +443,7 @@ func (p *Policy) reconcile(st *state) {
 	sh := p.shardOf(st.t)
 	p.boundRemove(sh, st)
 	if st.registered {
-		p.boundInsert(sh, st)
+		p.file(sh, st)
 	}
 	if !st.registered || st.budget > 0 {
 		exhRemove(sh, st)
@@ -427,6 +455,38 @@ func (p *Policy) reconcile(st *state) {
 	} else {
 		p.readyRemove(sh, st)
 		exhAdd(sh, st)
+	}
+}
+
+// filed reports whether the roll of queued registered state st moves it,
+// so the boundary wheel must roll it at its period end: under EDF the roll
+// moves its ready-heap key, and an exhausted state's roll refills it into
+// the ready heap. A ready RMS state with budget > 0 and perBudget > 0
+// keeps its heap key (class, clamped period, seq) across a roll, so it is
+// not filed and rolls lazily: refresh is closed-form and composes, and
+// catchUp rolls it to its shard's drained instant before anything that
+// reads or changes it — Dequeue, SetReservation, Unregister,
+// MissedDeadlines — while TimeSlice and Charge roll it to now.
+func (p *Policy) filed(st *state) bool {
+	return p.Discipline == EDF || st.budget <= 0 || st.perBudget <= 0
+}
+
+// file places queued registered state st, which holds no wheel position:
+// in the wheel when filed, otherwise lazily, lowering its shard's lazyDue.
+func (p *Policy) file(sh *shard, st *state) {
+	if p.filed(st) {
+		p.boundInsert(sh, st)
+	} else if end := p.periodEnd(st); end < sh.lazyDue {
+		sh.lazyDue = end
+	}
+}
+
+// catchUp rolls a queued state to its shard's drained instant, the roll
+// the wheel would have made at the latest drain had the state been filed.
+// A filed state is already rolled that far, so only a lazy one moves.
+func (p *Policy) catchUp(st *state) {
+	if st.queued {
+		p.refresh(st, p.shardOf(st.t).drained)
 	}
 }
 
@@ -463,7 +523,7 @@ func (p *Policy) Enqueue(t *kernel.Thread, now sim.Time) {
 	st.seq = p.seqGen
 	p.seqGen++
 	if st.registered {
-		p.boundInsert(sh, st)
+		p.file(sh, st)
 		if st.budget > 0 {
 			p.readyPush(sh, st)
 		} else {
@@ -483,6 +543,7 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 	if !st.queued {
 		return
 	}
+	p.catchUp(st)
 	sh := p.shardOf(t)
 	st.queued = false
 	p.readyRemove(sh, st)
@@ -560,9 +621,11 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 
 // verifyPick replays the legacy linear scan — runnable threads in slice
 // (enqueue) order, first-best wins via better() — and panics if the heap
-// disagrees. It also asserts the invariants the heap relies on: every due
-// period has been rolled, no exhausted thread lingers in the ready set,
-// and every ready entry is its thread's live state at its recorded slot.
+// disagrees. It also asserts the invariants the heap relies on: every
+// registered state on the wheel is filed and has its due period rolled,
+// every registered state off it keeps the lazy invariant (verifyLazy), no
+// exhausted thread lingers in the ready set, and every ready entry is its
+// thread's live state at its recorded slot.
 func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	for i, st := range sh.ready {
 		if st.t == nil || st.t.Sched != st {
@@ -578,8 +641,15 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	var best *kernel.Thread
 	for _, st := range scan {
 		t := st.t
-		if st.registered && now.Sub(st.periodStart) >= st.res.Period {
-			panic(fmt.Sprintf("rbs: verify: %v has an unrolled period at Pick", t))
+		if st.registered && st.boundLevel != levelNone {
+			if !p.filed(st) {
+				panic(fmt.Sprintf("rbs: verify: %v holds a wheel position but is not filed", t))
+			}
+			if now.Sub(st.periodStart) >= st.res.Period {
+				panic(fmt.Sprintf("rbs: verify: %v has an unrolled period at Pick", t))
+			}
+		} else if st.registered {
+			p.verifyLazy(sh, st)
 		}
 		if st.registered && st.budget <= 0 {
 			panic(fmt.Sprintf("rbs: verify: exhausted %v in ready heap", t))
@@ -590,6 +660,27 @@ func (p *Policy) verifyPick(sh *shard, now sim.Time) {
 	}
 	if top := p.readyTop(sh); top != best {
 		panic(fmt.Sprintf("rbs: verify: heap picked %v, scan picked %v", top, best))
+	}
+}
+
+// verifyLazy asserts the invariant that makes the lazy roll of a
+// registered state off the wheel exact. verifyPick has found it in its
+// shard's ready heap at its heapIdx with no wheel position; it must also
+// run under RMS and be queued with budget > 0 and perBudget > 0 (so a roll
+// keeps its ready-heap key and every ended period is a miss), and end its
+// period no earlier than the shard's lazyDue (so MissedDeadlines' skip is
+// sound).
+func (p *Policy) verifyLazy(sh *shard, st *state) {
+	t := st.t
+	switch {
+	case p.Discipline != RMS:
+		panic(fmt.Sprintf("rbs: verify: unfiled %v under EDF", t))
+	case !st.queued:
+		panic(fmt.Sprintf("rbs: verify: unfiled %v is not queued", t))
+	case st.budget <= 0 || st.perBudget <= 0:
+		panic(fmt.Sprintf("rbs: verify: unfiled %v has budget %v of %v", t, st.budget, st.perBudget))
+	case p.periodEnd(st) < sh.lazyDue:
+		panic(fmt.Sprintf("rbs: verify: unfiled %v ends its period at %v, before lazyDue %v", t, p.periodEnd(st), sh.lazyDue))
 	}
 }
 
@@ -641,9 +732,13 @@ func (p *Policy) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Tim
 		} else if st.queued {
 			// Stays queued with a spent budget (the legacy scan kept such
 			// threads in the runnable slice); Pick naps it next dispatch.
+			// An exhausted state is filed, so a lazy one joins the wheel.
 			sh := p.shardOf(t)
 			p.readyRemove(sh, st)
 			exhAdd(sh, st)
+			if st.boundLevel == levelNone {
+				p.boundInsert(sh, st)
+			}
 		}
 		return true
 	}
