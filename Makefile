@@ -94,8 +94,9 @@ stress:
 	$(GO) run ./cmd/rrexp -gen -scenario slo -cpus 4 -controller event -shards 2 -seeds $(STRESS_SLO_SEEDS)
 
 # goldens byte-compares the Figure 5-8 outputs, the gen_rbs and gen_shards
-# sweeps of generated rbs scenarios, the storm_smp drain and the observer
-# event stream against the committed goldens in testdata/goldens/
+# sweeps of generated rbs scenarios, the storm_smp drain, the observer
+# event stream and all_quick (every section of `rrexp -all -quick`)
+# against the committed goldens in testdata/goldens/
 # (re-bless with scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh

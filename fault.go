@@ -167,9 +167,7 @@ func (s *System) buildInjector(plan *FaultPlan) *faults.Injector {
 			Mag:    f.Mag,
 		}
 	}
-	inj := faults.New(plan.Seed, specs)
-	inj.OnEvent(s.fireInjected)
-	return inj
+	return faults.New(plan.Seed, specs, s.fireInjected)
 }
 
 // fireInjected fans a first-injection event out to observers.

@@ -73,7 +73,7 @@ func TestExitUnregistersProgressUnderBaseline(t *testing.T) {
 			t.Fatalf("pooled=%v: thread did not exit: %v", pooled, th.State())
 		}
 		if sys.reg.HasMetrics(th.t) || sys.reg.Registered() != 0 {
-			t.Fatalf("pooled=%v: exited thread leaked its progress registration (no controller to reap it)", pooled)
+			t.Fatalf("pooled=%v: exited thread leaked its progress registration (no controller to tear it down)", pooled)
 		}
 		if handleOf(th.t) != nil {
 			t.Fatalf("pooled=%v: exited thread's kernel slot still links its public handle", pooled)

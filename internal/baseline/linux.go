@@ -222,9 +222,9 @@ func (p *Linux) TimeSlice(t *kernel.Thread, now sim.Time) sim.Duration {
 	if st.counter <= 0 {
 		// Spent; Pick recalculates at the next epoch. One tick keeps the
 		// machine moving if we are forced to run anyway.
-		return p.k.Config().TickInterval
+		return p.k.Tick()
 	}
-	return sim.Duration(st.counter)*p.k.Config().TickInterval - st.consumed
+	return sim.Duration(st.counter)*p.k.Tick() - st.consumed
 }
 
 // Charge implements kernel.Policy: burn whole ticks off the counter.
@@ -234,7 +234,7 @@ func (p *Linux) Charge(t *kernel.Thread, cpu int, ran sim.Duration, now sim.Time
 		return false
 	}
 	st.consumed += ran
-	tick := p.k.Config().TickInterval
+	tick := p.k.Tick()
 	for st.consumed >= tick {
 		st.consumed -= tick
 		if st.counter > 0 {

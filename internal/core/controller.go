@@ -103,6 +103,14 @@ type Config struct {
 	// WatchdogRecovery is how many consecutive moving samples promote a
 	// degraded job one rung back up.
 	WatchdogRecovery int
+
+	// Faults is the optional fault injector; nil in healthy runs keeps
+	// the sampling and actuation paths a single branch.
+	Faults FaultInjector
+	// Governor is the optional supervisory overload governor (the outer
+	// control loop over this inner one); nil keeps every governor-related
+	// path a single nil check.
+	Governor *overload.Governor
 }
 
 // DefaultConfig returns the calibration used throughout the experiments.
@@ -190,17 +198,11 @@ type Controller struct {
 	subs       []subscription
 	subscribed EventKind
 
-	// faults is the optional fault injector; nil in healthy runs.
-	faults FaultInjector
 	// health accumulates the fault-tolerance counters.
 	health Health
 	// delayed holds actuations deferred by DelayActuation faults until
 	// the next control interval.
 	delayed []delayedActuation
-
-	// gov is the optional supervisory overload governor (the outer control
-	// loop over this inner one); nil keeps every hot path a single branch.
-	gov *overload.Governor
 
 	steps      uint64
 	actuations uint64
@@ -208,19 +210,13 @@ type Controller struct {
 	// the denominator of the event-driven mode's skip ratio.
 	samples uint64
 
-	// reapedExits is the kernel's exit count at the last reap scan. A
-	// member turns StateExited only through a kernel exit, so while the
-	// count stands still the scan cannot find anything — unless a thread
-	// that had already exited joined a job since, which sets reapDue.
-	reapedExits uint64
-	reapDue     bool
 	// primaryChanges counts changes of a surviving job's primary member
 	// (members[0]); with the kernel's migration count it is everything
 	// that can move a job's control-plane home.
 	primaryChanges uint64
 	// outOfPassWrites counts writes to a job's desire, allocation or
 	// importance made outside the sample and squish passes (admission,
-	// bootstrap, Renegotiate, SetImportance), so a control plane that
+	// Renegotiate, SetImportance), so a control plane that
 	// caches them, or the squish they feed, knows when to refresh.
 	outOfPassWrites uint64
 
@@ -237,7 +233,11 @@ type Controller struct {
 	prefetched uint64
 
 	// recycle pools Job objects and their PID filters across remove/add
-	// cycles; see SetRecycle.
+	// cycles: the machine's kernel.Config.Recycle. A removed job's object
+	// parks on retired and is reissued to a later admission after the next
+	// epoch prologue, so churn-heavy workloads add and remove jobs without
+	// growing the heap. Callers that retain *Job pointers past Remove (the
+	// experiments' post-run report readers do) must leave it off.
 	recycle bool
 	// jobSlab backs new Job allocation; freeJob heads the free list of
 	// recycled ones. retired parks removed jobs until the next epoch
@@ -262,7 +262,10 @@ type Controller struct {
 }
 
 // New creates a controller for the given machine, dispatcher, and progress
-// registry. A control plane (internal/ctlplane) drives its epochs.
+// registry, and installs ThreadExited as the kernel's exit hook: a member
+// leaves its job the moment its thread exits. A caller that needs its own
+// exit hook installs it after New and calls ThreadExited from it. A
+// control plane (internal/ctlplane) drives the controller's epochs.
 func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Config) *Controller {
 	def := DefaultConfig()
 	if cfg.Interval <= 0 {
@@ -290,7 +293,7 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		cfg.WatchdogRecovery = def.WatchdogRecovery
 	}
 	ncpu := kern.NumCPUs()
-	return &Controller{
+	c := &Controller{
 		cfg:                cfg,
 		intervalSec:        cfg.Interval.Seconds(),
 		kern:               kern,
@@ -298,19 +301,14 @@ func New(kern *kernel.Kernel, policy *rbs.Policy, reg *progress.Registry, cfg Co
 		reg:                reg,
 		ceiling:            OverloadThreshold * ncpu,
 		effectiveThreshold: OverloadThreshold * ncpu,
+		recycle:            kern.Config().Recycle,
 	}
+	kern.SetExitHook(func(t *kernel.Thread, _ sim.Time) { c.ThreadExited(t) })
+	return c
 }
 
 // Config returns the resolved configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// SetRecycle turns controller-state recycling on or off. When on, a
-// removed job's object — with its PID filter — parks on a retired list
-// and is reissued to a later admission after the next epoch prologue, so
-// churn-heavy workloads add and remove jobs without growing the heap.
-// Callers that retain *Job pointers past Remove (the experiments'
-// post-run report readers do) must leave it off.
-func (c *Controller) SetRecycle(on bool) { c.recycle = on }
 
 // Jobs returns the controlled jobs in registration order.
 func (c *Controller) Jobs() []*Job { return c.jobs }
@@ -374,26 +372,18 @@ func (c *Controller) Actuations() uint64 { return c.actuations }
 // in event-driven mode, only by the jobs actually re-sampled.
 func (c *Controller) Samples() uint64 { return c.samples }
 
-// SetFaults installs (or clears, with nil) a fault injector. Healthy runs
-// keep the injector-nil fast path.
-func (c *Controller) SetFaults(fi FaultInjector) { c.faults = fi }
-
-// SetGovernor installs (or clears, with nil) the supervisory overload
-// governor. Without one every governor-related path is a single nil check.
-func (c *Controller) SetGovernor(g *overload.Governor) { c.gov = g }
-
-// Governor returns the installed overload governor, or nil.
-func (c *Controller) Governor() *overload.Governor { return c.gov }
+// Governor returns the overload governor (Config.Governor), or nil.
+func (c *Controller) Governor() *overload.Governor { return c.cfg.Governor }
 
 // AdmissionVeto consults the governor before a new admission: at the
 // throttle rung and above, new work is refused with a typed overload
 // error carrying a retry-after hint — callers get backpressure instead of
 // joining an already-saturated squish.
 func (c *Controller) AdmissionVeto() error {
-	if c.gov == nil {
+	if c.cfg.Governor == nil {
 		return nil
 	}
-	rung := c.gov.Rung()
+	rung := c.cfg.Governor.Rung()
 	if rung < overload.Throttle {
 		return nil
 	}
@@ -407,7 +397,7 @@ func (c *Controller) AdmissionVeto() error {
 // shares one object; a new error is built only when the retry-after hint
 // actually changes.
 func (c *Controller) overloadErr(rung overload.Rung) *OverloadError {
-	ra := c.gov.RetryAfter(c.cfg.Interval)
+	ra := c.cfg.Governor.RetryAfter(c.cfg.Interval)
 	if rung < 0 || int(rung) >= len(c.vetoErr) {
 		return &OverloadError{Rung: rung.String(), RetryAfter: ra}
 	}
@@ -453,15 +443,7 @@ func (c *Controller) AddRealTime(t *kernel.Thread, proportion int, period sim.Du
 	if a := c.perThreadCap(); proportion > a {
 		return nil, &AdmissionError{Requested: proportion, Available: a}
 	}
-	j := c.addJob(t, RealTime)
-	j.specified = proportion
-	j.period = period
-	j.desired = proportion
-	j.allocated = proportion
-	c.outOfPassWrites++
-	c.admitted += proportion
-	c.actuate(j, proportion, period)
-	return j, nil
+	return c.addJob(t, RealTime, proportion, period), nil
 }
 
 // AddAperiodicRealTime admits a job that specifies proportion only; the
@@ -477,15 +459,7 @@ func (c *Controller) AddAperiodicRealTime(t *kernel.Thread, proportion int) (*Jo
 	if a := c.perThreadCap(); proportion > a {
 		return nil, &AdmissionError{Requested: proportion, Available: a}
 	}
-	j := c.addJob(t, AperiodicRealTime)
-	j.specified = proportion
-	j.period = DefaultPeriod
-	j.desired = proportion
-	j.allocated = proportion
-	c.outOfPassWrites++
-	c.admitted += proportion
-	c.actuate(j, proportion, j.period)
-	return j, nil
+	return c.addJob(t, AperiodicRealTime, proportion, DefaultPeriod), nil
 }
 
 // AddRealRate registers a job whose progress metrics are already in the
@@ -495,32 +469,22 @@ func (c *Controller) AddRealRate(t *kernel.Thread, period sim.Duration) *Job {
 	if !c.reg.HasMetrics(t) {
 		panic("core: AddRealRate without registered progress metrics")
 	}
-	j := c.addJob(t, RealRate)
-	j.period = DefaultPeriod
-	if period > 0 {
-		j.period = period
+	if period <= 0 {
+		period = DefaultPeriod
 	}
-	c.bootstrap(j)
-	return j
+	return c.addJob(t, RealRate, MinProportion, period)
 }
 
 // AddMiscellaneous registers a job with no information at all.
 func (c *Controller) AddMiscellaneous(t *kernel.Thread) *Job {
-	j := c.addJob(t, Miscellaneous)
-	j.period = DefaultPeriod
-	c.bootstrap(j)
-	return j
+	return c.addJob(t, Miscellaneous, MinProportion, DefaultPeriod)
 }
 
 // AddInteractive registers a tty-server job (§3.2's interactive class).
 // Interactive jobs carry a raised default importance so bulk jobs cannot
 // squish them below their burst requirement.
 func (c *Controller) AddInteractive(t *kernel.Thread) *Job {
-	j := c.addJob(t, Interactive)
-	j.period = InteractivePeriod
-	j.importance = InteractiveImportance
-	c.bootstrap(j)
-	return j
+	return c.addJob(t, Interactive, MinProportion, InteractivePeriod)
 }
 
 // Renegotiate changes a real-time or aperiodic real-time job's reservation,
@@ -536,11 +500,11 @@ func (c *Controller) Renegotiate(j *Job, proportion int) error {
 	if proportion <= 0 {
 		return &ReservationError{Proportion: proportion, Period: j.period}
 	}
-	if proportion > j.specified && c.gov != nil && c.gov.Rung() >= overload.Freeze {
+	if proportion > j.specified && c.cfg.Governor != nil && c.cfg.Governor.Rung() >= overload.Freeze {
 		// Freeze rung: renegotiations to larger reservations are refused;
 		// shrinking is still welcome — it helps.
 		c.health.Throttled++
-		return c.overloadErr(c.gov.Rung())
+		return c.overloadErr(c.cfg.Governor.Rung())
 	}
 	delta := proportion - j.specified
 	if delta > 0 && delta > c.available() {
@@ -571,7 +535,8 @@ func (c *Controller) AddMember(j *Job, t *kernel.Thread) {
 	j.members = append(j.members, t)
 	c.index(t, j)
 	if t.State() == kernel.StateExited {
-		c.reapDue = true
+		c.ThreadExited(t) // its exit hook has fired already
+		return
 	}
 	j.lastCPU = j.cpuTime()
 	j.cpuBlockMark = j.cpuTime()
@@ -590,8 +555,8 @@ func (c *Controller) SetImportance(j *Job, w float64) {
 }
 
 // Remove stops controlling a job, freeing its admission if it held one.
-// Removing a job that is no longer controlled (e.g. already reaped after
-// its last member exited) is a no-op, so the incremental admission
+// Removing a job that is no longer controlled (e.g. already torn down
+// after its last member exited) is a no-op, so the incremental admission
 // accounting cannot be corrupted by a double Remove.
 func (c *Controller) Remove(j *Job) {
 	found := false
@@ -627,13 +592,13 @@ func (c *Controller) Remove(j *Job) {
 }
 
 // ThreadExited tears down one exited member thread's controller state
-// immediately: the thread leaves its job (and the job leaves the
-// controller when it was the last member), instead of lingering until the
-// next epoch's reap. The recycling layers need the eager path — a pooled
-// kernel thread can be reissued before the next epoch, and every stale
-// *kernel.Thread reference must be gone by then — but it is correct (and
-// idempotent with reap) for any caller's exit hook. Unknown threads are
-// ignored.
+// immediately: the thread leaves its job, and the job leaves the
+// controller when it was the last member. It is the only teardown path:
+// New installs it as the kernel's exit hook, and a thread that had
+// already exited when it joined is torn down inside the join. Pooling
+// needs it to be immediate: a pooled kernel thread can be reissued
+// before the next epoch, and every stale *kernel.Thread reference must be
+// gone by then. Unknown threads are ignored.
 func (c *Controller) ThreadExited(t *kernel.Thread) {
 	j := c.jobOf(t)
 	if j == nil {
@@ -722,7 +687,11 @@ func (c *Controller) flushRetired() {
 	c.retired = c.retired[:0]
 }
 
-func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
+// addJob admits t as a new job of the class and installs its first
+// reservation: prop ppt every period. For the reservation-holding classes
+// prop is the admitted reservation; the adaptive ones start at their floor
+// so they can make progress before the first control interval.
+func (c *Controller) addJob(t *kernel.Thread, class Class, prop int, period sim.Duration) *Job {
 	if c.jobOf(t) != nil {
 		panic(fmt.Sprintf("core: thread %v already controlled", t))
 	}
@@ -735,9 +704,6 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 		j.members = j.memberBuf[:0]
 	}
 	j.members = append(j.members, t)
-	if t.State() == kernel.StateExited {
-		c.reapDue = true
-	}
 	j.class = class
 	j.importance = 1
 	j.lastCPU = t.CPUTime()
@@ -758,16 +724,23 @@ func (c *Controller) addJob(t *kernel.Thread, class Class) *Job {
 	if c.wants(EventJobAdded) {
 		c.emit(Event{Kind: EventJobAdded, Time: c.kern.Now(), Job: j})
 	}
-	return j
-}
-
-// bootstrap gives adaptive jobs their floor allocation so they can start
-// making progress before the first control interval.
-func (c *Controller) bootstrap(j *Job) {
-	j.desired = MinProportion
-	j.allocated = MinProportion
+	j.period = period
+	j.desired = prop
+	j.allocated = prop
+	switch class {
+	case RealTime, AperiodicRealTime:
+		j.specified = prop
+		c.admitted += prop
+	case Interactive:
+		j.importance = InteractiveImportance
+	}
 	c.outOfPassWrites++
-	c.actuate(j, j.allocated, j.period)
+	if t.State() == kernel.StateExited {
+		c.ThreadExited(t) // its exit hook has fired already
+		return j
+	}
+	c.actuate(j, prop, period)
+	return j
 }
 
 // available returns the admission headroom in ppt of machine capacity
@@ -811,16 +784,6 @@ func (c *Controller) shedOne(now sim.Time, rung overload.Rung) bool {
 		if j.class != Miscellaneous {
 			continue
 		}
-		live := false
-		for _, m := range j.members {
-			if m.State() != kernel.StateExited {
-				live = true
-				break
-			}
-		}
-		if !live {
-			continue
-		}
 		if victim == nil || j.importance < victim.importance {
 			victim = j
 		}
@@ -834,13 +797,11 @@ func (c *Controller) shedOne(now sim.Time, rung overload.Rung) bool {
 	}
 	// Retire is re-entrancy-safe from inside the controller's step (the
 	// kernel's busy guard defers the reschedule), and the exit hook runs
-	// synchronously, so the public layer unindexes the thread before the
-	// next shed candidate is evaluated. Under the eager exit path
-	// (ThreadExited) each Retire also removes the member from
-	// victim.members while we iterate, so walk the slice from the tail
-	// with a bounds re-check instead of ranging over a stale header;
-	// without the eager path the job is reaped — and its admission
-	// headroom freed — on the next interval's reap.
+	// synchronously, so the thread is unindexed before the next shed
+	// candidate is evaluated. Each Retire runs ThreadExited, which removes
+	// the member from victim.members while we iterate, so walk the slice
+	// from the tail with a bounds re-check instead of ranging over a stale
+	// header.
 	for i := len(victim.members) - 1; i >= 0; i-- {
 		if i >= len(victim.members) {
 			continue
@@ -994,9 +955,9 @@ func (c *Controller) maybeRaiseQuality(j *Job, alloc int, now sim.Time) {
 // actuate pushes the job's reservation into the dispatcher, after letting
 // the fault injector drop or defer it.
 func (c *Controller) actuate(j *Job, prop int, period sim.Duration) {
-	if c.faults != nil {
+	if c.cfg.Faults != nil {
 		now := c.kern.Now()
-		if drop, delay := c.faults.ActuationFault(j.thread.Name(), now); drop || delay {
+		if drop, delay := c.cfg.Faults.ActuationFault(j.thread.Name(), now); drop || delay {
 			if drop {
 				c.health.ActuationsDropped++
 				if c.wants(EventActuationDropped) {
@@ -1078,8 +1039,8 @@ func (c *Controller) apply(j *Job, prop int, period sim.Duration) {
 // ok=false so the estimator never integrates garbage.
 func (c *Controller) samplePressure(j *Job, now sim.Time) (float64, bool) {
 	sum := c.memberPressure(j, now)
-	if c.faults != nil {
-		sum = c.faults.PerturbPressure(j.thread.Name(), now, sum)
+	if c.cfg.Faults != nil {
+		sum = c.cfg.Faults.PerturbPressure(j.thread.Name(), now, sum)
 	}
 	if math.IsNaN(sum) || math.IsInf(sum, 0) {
 		c.health.SignalsRejected++
@@ -1172,39 +1133,6 @@ func (c *Controller) promote(j *Job, now sim.Time) {
 	c.health.Recoveries++
 	if c.wants(EventRecover) {
 		c.emit(Event{Kind: EventRecover, Time: now, Job: j, From: int8(from), To: int8(j.degraded)})
-	}
-}
-
-// reap drops exited member threads and removes jobs with no live members.
-// It scans only when the kernel's exit count moved since the last scan (or
-// an exited thread joined a job): otherwise no member can have exited, and
-// the scan of every job's members would find nothing. The eager exit path
-// (ThreadExited) usually leaves it nothing to do even then.
-func (c *Controller) reap() {
-	exits := c.kern.Exits()
-	if exits == c.reapedExits && !c.reapDue {
-		return
-	}
-	c.reapedExits, c.reapDue = exits, false
-	for i := 0; i < len(c.jobs); {
-		j := c.jobs[i]
-		live := j.members[:0]
-		for _, t := range j.members {
-			if t.State() == kernel.StateExited {
-				c.jobAt[t.Slot()] = nil
-				c.policy.Unregister(t)
-				c.reg.Unregister(t)
-				continue
-			}
-			live = append(live, t)
-		}
-		j.members = live
-		if len(j.members) == 0 {
-			c.Remove(j)
-			continue
-		}
-		c.setPrimary(j)
-		i++
 	}
 }
 

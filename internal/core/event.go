@@ -8,7 +8,8 @@ type EventKind uint16
 
 const (
 	// EventJobAdded fires after a job is registered; EventJobRemoved after
-	// it leaves (Remove or reap). Payload: Job.
+	// it leaves (Remove, or ThreadExited for its last member). Payload:
+	// Job.
 	EventJobAdded EventKind = 1 << iota
 	EventJobRemoved
 	// EventStep fires at the end of every control epoch. Payload: Time.

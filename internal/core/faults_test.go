@@ -182,13 +182,12 @@ func TestRejectedSignalHoldsDesireAndCounts(t *testing.T) {
 	// counted, the estimator's desire is held (anti-windup), and the
 	// typed fault reaches the OnFault hook. The watchdog is disabled to
 	// isolate the sanitizer.
-	r := newRig(core.Config{WatchdogIntervals: -1})
+	inj := &scriptedInjector{}
+	r := newRig(core.Config{WatchdogIntervals: -1, Faults: inj})
 	th := r.kern.Spawn("stage", &workload.Hog{Burst: 400_000})
 	m := &scriptedMetric{vary: true}
 	r.reg.Register(th, m)
 	j := r.ctl.AddRealRate(th, 10*sim.Millisecond)
-	inj := &scriptedInjector{}
-	r.ctl.SetFaults(inj)
 	var kinds []string
 	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { kinds = append(kinds, ev.Kind.String()) }), core.EventFaults)
 
@@ -214,11 +213,10 @@ func TestRejectedSignalHoldsDesireAndCounts(t *testing.T) {
 }
 
 func TestActuationFaultsDropDelayAndRecover(t *testing.T) {
-	r := newRig(core.Config{})
+	inj := &scriptedInjector{}
+	r := newRig(core.Config{Faults: inj})
 	th := r.kern.Spawn("misc", &workload.Hog{Burst: 400_000})
 	j := r.ctl.AddMiscellaneous(th)
-	inj := &scriptedInjector{}
-	r.ctl.SetFaults(inj)
 	kinds := map[string]int{}
 	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { kinds[ev.Kind.String()]++ }), core.EventFaults)
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -19,55 +20,64 @@ var (
 	})
 )
 
-// TestReapGatedByExits pins the reap gate: the epoch reap scans only when
-// the kernel counted an exit since its last scan, yet loses nothing. With
-// no eager exit hook, an exited primary is reaped at the next epoch (a
-// counted primary change), and so is a thread that had already exited
-// when it joined a job after that scan.
-func TestReapGatedByExits(t *testing.T) {
+// TestExitTearsDownAtOnce pins the one teardown path on a rig that
+// installs no exit hook of its own and runs no control epoch: the hook
+// core.New installs takes an exiting primary out of its job at the exit
+// (a counted primary change), and a thread that had already exited when
+// it joined, as a job or as a member, is torn down inside the join.
+func TestExitTearsDownAtOnce(t *testing.T) {
 	r := newRig(core.Config{})
+	var kinds []core.EventKind
+	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { kinds = append(kinds, ev.Kind) }),
+		core.EventJobAdded|core.EventJobRemoved)
 	lead := r.kern.Spawn("lead", quitter)
 	crew := r.kern.Spawn("crew", napper)
 	team := r.ctl.AddMiscellaneous(lead)
 	r.ctl.AddMember(team, crew)
-	r.ctl.AddMiscellaneous(r.kern.Spawn("bystander", napper))
-	r.start()
+	r.kern.Start() // the machine alone: the plane never starts
 	r.run(50 * sim.Millisecond)
 
+	if lead.State() != kernel.StateExited || r.ctl.Steps() != 0 {
+		t.Fatalf("setup: lead %v after %d epochs, want exited after none", lead.State(), r.ctl.Steps())
+	}
 	if team.Thread() != crew || len(team.Members()) != 1 {
 		t.Fatalf("after the lead exited: primary %v, %d members; want crew alone", team.Thread(), len(team.Members()))
+	}
+	if _, ok := r.ctl.JobOf(lead); ok {
+		t.Fatal("the exited lead still maps to its job")
 	}
 	if got := r.ctl.PrimaryChanges(); got != 1 {
 		t.Fatalf("primary changes = %d, want 1", got)
 	}
 
-	// A thread that exits after the reap has absorbed every counted exit,
-	// then joins the controller: no exit is counted after it joins, so
-	// only the join itself can schedule the scan that reaps it.
 	late := r.kern.Spawn("late", quitter)
 	r.run(50 * sim.Millisecond)
 	if late.State() != kernel.StateExited {
 		t.Fatalf("late thread %v, want exited", late.State())
 	}
-	jobs := len(r.ctl.Jobs())
+	kinds = kinds[:0]
 	r.ctl.AddMiscellaneous(late)
-	r.run(20 * sim.Millisecond)
 	if _, ok := r.ctl.JobOf(late); ok {
-		t.Fatal("an exited thread that joined after the last scan was never reaped")
+		t.Fatal("a thread that exited before it joined is still controlled after the join")
 	}
-	if got := len(r.ctl.Jobs()); got != jobs {
-		t.Fatalf("%d jobs after the reap, want %d", got, jobs)
+	if want := []core.EventKind{core.EventJobAdded, core.EventJobRemoved}; !slices.Equal(kinds, want) {
+		t.Fatalf("events of the join = %v, want %v", kinds, want)
+	}
+	if got := len(r.ctl.Jobs()); got != 1 {
+		t.Fatalf("%d jobs after the join, want the team alone", got)
+	}
+	r.ctl.AddMember(team, late)
+	if _, ok := r.ctl.JobOf(late); ok || len(team.Members()) != 1 {
+		t.Fatalf("an exited member joined: controlled %v, %d members; want crew alone", ok, len(team.Members()))
 	}
 }
 
 // TestGateCounters pins what moves the controller's gate counters: the
-// eager exit path (ThreadExited, run from the exit hook) counts a primary
-// change only when the primary left a surviving job, and admissions,
-// bootstrap and Renegotiate count as out-of-pass writes while sampling
-// epochs do not.
+// exit path (ThreadExited, run from the exit hook) counts a primary
+// change only when the primary left a surviving job, and admissions and
+// Renegotiate count as out-of-pass writes while sampling epochs do not.
 func TestGateCounters(t *testing.T) {
 	r := newRig(core.Config{})
-	r.kern.SetExitHook(func(th *kernel.Thread, _ sim.Time) { r.ctl.ThreadExited(th) })
 	a, b := r.kern.Spawn("a", napper), r.kern.Spawn("b", napper)
 	team := r.ctl.AddMiscellaneous(a)
 	r.ctl.AddMember(team, b)

@@ -117,13 +117,12 @@ func TestRenegotiateLeavesWatchdogStateIntact(t *testing.T) {
 // *core.OverloadError carrying a positive retry-after, shrinking is
 // still welcome, and the throttle counter tracks the refusals.
 func TestFreezeRungRefusesGrowthAdmitsShrink(t *testing.T) {
-	r := newRig(core.Config{})
+	r := newRig(core.Config{Governor: governorAt(overload.Freeze)})
 	th := r.kern.Spawn("rt", &workload.Hog{Burst: 400_000})
 	j, err := r.ctl.AddRealTime(th, 200, 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.ctl.SetGovernor(governorAt(overload.Freeze))
 
 	err = r.ctl.Renegotiate(j, 400)
 	var oe *core.OverloadError
@@ -151,15 +150,13 @@ func TestFreezeRungRefusesGrowthAdmitsShrink(t *testing.T) {
 // TestAdmissionVetoFollowsRung pins the backpressure boundary: no veto at
 // normal, typed veto with retry-after from throttle up.
 func TestAdmissionVetoFollowsRung(t *testing.T) {
-	r := newRig(core.Config{})
-	if err := r.ctl.AdmissionVeto(); err != nil {
+	if err := newRig(core.Config{}).ctl.AdmissionVeto(); err != nil {
 		t.Fatalf("veto without a governor: %v", err)
 	}
-	r.ctl.SetGovernor(governorAt(overload.Normal))
-	if err := r.ctl.AdmissionVeto(); err != nil {
+	if err := newRig(core.Config{Governor: governorAt(overload.Normal)}).ctl.AdmissionVeto(); err != nil {
 		t.Fatalf("veto at normal rung: %v", err)
 	}
-	r.ctl.SetGovernor(governorAt(overload.Throttle))
+	r := newRig(core.Config{Governor: governorAt(overload.Throttle)})
 	err := r.ctl.AdmissionVeto()
 	var oe *core.OverloadError
 	if !errors.As(err, &oe) {
@@ -178,7 +175,7 @@ func TestAdmissionVetoFollowsRung(t *testing.T) {
 // shed rung: victims must fall in ascending importance order, and the
 // reservation-holding job must never be touched.
 func TestGovernorShedsInImportanceOrder(t *testing.T) {
-	r := newRig(core.Config{})
+	r := newRig(core.Config{Governor: governorAt(overload.Shed)})
 	rt := r.kern.Spawn("rt", &workload.Hog{Burst: 400_000})
 	if _, err := r.ctl.AddRealTime(rt, 200, 10*sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -191,7 +188,6 @@ func TestGovernorShedsInImportanceOrder(t *testing.T) {
 		r.ctl.SetImportance(j, imp)
 		miscThreads[name] = th
 	}
-	r.ctl.SetGovernor(governorAt(overload.Shed))
 	var shedOrder []string
 	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) {
 		shedOrder = append(shedOrder, ev.Job.Thread().Name())

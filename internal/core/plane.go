@@ -13,9 +13,9 @@ import (
 // global sweep.
 
 // EpochPrologue begins one control epoch: it counts the step, folds missed
-// deadlines into the effective threshold, reaps exited jobs, and flushes
-// actuations deferred by faults. The control plane calls it once per
-// epoch, on the first shard's tick.
+// deadlines into the effective threshold, and flushes actuations deferred
+// by faults. The control plane calls it once per epoch, on the first
+// shard's tick.
 func (c *Controller) EpochPrologue(now sim.Time) {
 	c.steps++
 
@@ -31,8 +31,6 @@ func (c *Controller) EpochPrologue(now sim.Time) {
 		c.effectiveThreshold++
 	}
 
-	c.reap()
-
 	if len(c.delayed) > 0 {
 		// Apply actuations deferred by DelayActuation faults. The pending
 		// list is detached first: installing a reservation can run the
@@ -42,7 +40,7 @@ func (c *Controller) EpochPrologue(now sim.Time) {
 		c.delayed = nil
 		for _, d := range pend {
 			if c.jobOf(d.job.thread) != d.job {
-				continue // job reaped while the actuation was in flight
+				continue // job removed while the actuation was in flight
 			}
 			c.apply(d.job, d.prop, d.period)
 		}
@@ -210,7 +208,7 @@ func (c *Controller) Prefetch(jobs []*Job) {
 // DesireCap by design (that is how it wins the squish), so the un-clamped
 // sum would read as brownout on any machine running one busy pipeline.
 func (c *Controller) EpochEpilogue(now sim.Time, desired, granted int) {
-	if c.gov != nil {
+	if c.cfg.Governor != nil {
 		sig := overload.Signals{
 			// The controller's own reservation is demand too; job desires
 			// and grants are current as of this epoch's passes 1 and 2.
@@ -218,7 +216,7 @@ func (c *Controller) EpochEpilogue(now sim.Time, desired, granted int) {
 			Granted:  granted + c.cfg.Reservation.Proportion,
 			Capacity: c.effectiveThreshold,
 		}
-		dec := c.gov.Observe(sig)
+		dec := c.cfg.Governor.Observe(sig)
 		if dec.Changed() && c.wants(EventRung) {
 			c.emit(Event{Kind: EventRung, Time: now, From: int8(dec.From), To: int8(dec.Rung),
 				Desired: sig.Desired, Granted: sig.Granted, Capacity: sig.Capacity})
@@ -252,9 +250,9 @@ func (c *Controller) AdmitOverhead(proportion int) { c.admitted += proportion }
 func (c *Controller) PrimaryChanges() uint64 { return c.primaryChanges }
 
 // OutOfPassWrites counts writes to a job's desire, allocation or
-// importance made outside SampleJob and SquishApply: admissions
-// (AddRealTime, AddAperiodicRealTime, the adaptive classes' bootstrap),
-// Renegotiate and SetImportance. A control plane that caches desires and
-// allocations refreshes them when this count moves, and one that skips an
-// unchanged squish treats a move as changed squish weights.
+// importance made outside SampleJob and SquishApply: every admission
+// (the first reservation addJob installs), Renegotiate and SetImportance.
+// A control plane that caches desires and allocations refreshes them when
+// this count moves, and one that skips an unchanged squish treats a move
+// as changed squish weights.
 func (c *Controller) OutOfPassWrites() uint64 { return c.outOfPassWrites }

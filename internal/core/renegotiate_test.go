@@ -81,11 +81,10 @@ func TestRenegotiateExitDuringActuationSkipsEvent(t *testing.T) {
 			t.Fatalf("actuation event fired for retired thread %v", at)
 		}
 	}
-	// The machine stays coherent: the job is reaped at the next interval
-	// and the freed reservation is admittable again.
-	r.run(20 * sim.Millisecond)
+	// The machine stays coherent: the job left at the exit, inside the
+	// actuate call, and the freed reservation is admittable again.
 	if _, ok := r.ctl.JobOf(th); ok {
-		t.Fatal("exited thread's job not reaped")
+		t.Fatal("exited thread's job not torn down")
 	}
 	nt := r.kern.Spawn("next", &workload.Hog{Burst: 400_000})
 	if _, err := r.ctl.AddRealTime(nt, 300, 10*sim.Millisecond); err != nil {

@@ -25,7 +25,7 @@ func benchRig(n int, cfg Config) (*rig, sim.Time) {
 // its CPU through the cpu→shard table, where benchRig's uniprocessor
 // hashes thread IDs.
 func benchRigSMP(n int, mode Mode) (*rig, sim.Time) {
-	r := newRigCfg(8, core.Config{BaseCost: 100, PerJobCost: 1}, Config{Mode: mode, Shards: 8})
+	r := newRigCfg(machine(8), core.Config{BaseCost: 100, PerJobCost: 1}, Config{Mode: mode, Shards: 8})
 	op := kernel.Sleep(sim.Duration(time.Hour))
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {
@@ -151,7 +151,7 @@ func TestSoak1MAdmission(t *testing.T) {
 	// The soak measures the plane's host-side cost, so the modeled cycle
 	// cost is collapsed to let epochs complete in simulated time.
 	ccfg := core.Config{BaseCost: 100, PerJobCost: 1}
-	r := newRigCfg(1, ccfg, Config{Mode: EventDriven, Shards: 8})
+	r := newRigCfg(machine(1), ccfg, Config{Mode: EventDriven, Shards: 8})
 	op := kernel.Sleep(sim.Duration(time.Hour))
 	prog := kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op { return op })
 	for i := 0; i < n; i++ {

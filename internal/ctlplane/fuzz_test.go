@@ -90,7 +90,7 @@ func fuzzPlane(t *testing.T, in fuzzSeed, forceSquish bool) (*rig, []string) {
 	if stalenessMs > 1000 {
 		stalenessMs = 1000
 	}
-	r := newRigCfg(1, ccfg, Config{
+	r := newRigCfg(machine(1), ccfg, Config{
 		Mode:         EventDriven,
 		Shards:       int(shards),
 		Threshold:    threshold,

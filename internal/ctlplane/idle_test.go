@@ -159,23 +159,17 @@ func (m idleMachine) log() ([]string, idleCounts, error) {
 	if m.periodic {
 		mode = Periodic
 	}
-	r := newRig(cpus, Config{Mode: mode, Shards: m.shards, MaxStaleness: 60 * sim.Millisecond})
+	// Pooled churn, wired as the public System wires it: exited threads,
+	// their jobs and their rbs state are recycled, and the controller tears
+	// an exited thread down at its exit.
+	kcfg := machine(cpus)
+	kcfg.Recycle = true
+	r := newRigCfg(kcfg, core.Config{Faults: &actuationFaults{}},
+		Config{Mode: mode, Shards: m.shards, MaxStaleness: 60 * sim.Millisecond})
 	r.plane.forceWalk, r.plane.forceSquish = m.forceWalk, m.forceSquish
 	p := r.plane
 	var log []string
 	r.ctl.Subscribe(core.SinkFunc(func(ev core.Event) { log = append(log, eventLine(ev)) }), ^core.EventKind(0))
-
-	// Pooled churn, wired as the public System wires it: exited threads,
-	// their jobs and their rbs state are recycled, and the exit hook tears
-	// the controller's state down eagerly.
-	r.kern.SetRecycle(true)
-	r.policy.SetRecycle(true)
-	r.ctl.SetRecycle(true)
-	r.kern.SetExitHook(func(th *kernel.Thread, _ sim.Time) {
-		r.reg.Unregister(th)
-		r.ctl.ThreadExited(th)
-	})
-	r.ctl.SetFaults(&actuationFaults{})
 
 	// The standing population: sleepers that never wake, the idle ticks'
 	// jobs, and, in a storm machine, pinned pipelines whose queues push

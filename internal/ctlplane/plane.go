@@ -553,7 +553,7 @@ func (p *Plane) shouldSample(e *entry, now sim.Time) bool {
 // tick runs one shard's slice of a control epoch.
 //
 // Shard 0's tick opens the epoch (prologue: step count, miss reaction,
-// reap, delayed actuations); the last shard's tick closes it (epilogue:
+// delayed actuations); the last shard's tick closes it (epilogue:
 // governor observation over the summed aggregates). In between, the shard
 // walks its list, or, in event mode with nothing due, skips the walk: an
 // idle tick (DESIGN.md §10.5) publishes what a walk that sampled nothing

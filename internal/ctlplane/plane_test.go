@@ -23,18 +23,23 @@ type rig struct {
 // newRig builds a machine with the given CPU count and a plane in the
 // given configuration. Jobs are added by the caller before start().
 func newRig(cpus int, cfg Config) *rig {
-	return newRigCfg(cpus, core.Config{}, cfg)
+	return newRigCfg(machine(cpus), core.Config{}, cfg)
 }
 
-// newRigCfg is newRig with an explicit controller configuration — the
-// scale tests shrink the modeled per-job cycle cost, since a literal
-// Figure 5 machine (2640 cycles/job at 400 MHz) cannot even touch 10⁵⁺
-// jobs inside one 10 ms interval.
-func newRigCfg(cpus int, ccfg core.Config, cfg Config) *rig {
-	eng := sim.NewEngine()
-	policy := rbs.New()
+// machine is the default machine with the given CPU count.
+func machine(cpus int) kernel.Config {
 	kcfg := kernel.DefaultConfig()
 	kcfg.CPUs = cpus
+	return kcfg
+}
+
+// newRigCfg is newRig with explicit machine and controller configurations
+// — the scale tests shrink the modeled per-job cycle cost, since a literal
+// Figure 5 machine (2640 cycles/job at 400 MHz) cannot even touch 10⁵⁺
+// jobs inside one 10 ms interval.
+func newRigCfg(kcfg kernel.Config, ccfg core.Config, cfg Config) *rig {
+	eng := sim.NewEngine()
+	policy := rbs.New()
 	kern := kernel.New(eng, kcfg, policy)
 	reg := progress.NewRegistry()
 	ctl := core.New(kern, policy, reg, ccfg)

@@ -126,22 +126,20 @@ type frozenKey struct {
 }
 
 // New builds an injector for the given schedule. The schedule is copied.
-func New(seed uint64, specs []Spec) *Injector {
-	in := &Injector{
-		seed:   seed,
-		specs:  append([]Spec(nil), specs...),
-		fired:  make([]bool, len(specs)),
-		frozen: make(map[frozenKey]float64),
+// onEvent, when non-nil, fires once per spec, at its first actual
+// injection (not merely when its window opens).
+func New(seed uint64, specs []Spec, onEvent func(Event)) *Injector {
+	return &Injector{
+		seed:    seed,
+		specs:   append([]Spec(nil), specs...),
+		fired:   make([]bool, len(specs)),
+		onEvent: onEvent,
+		frozen:  make(map[frozenKey]float64),
 	}
-	return in
 }
 
 // Specs returns the schedule. The slice must not be modified.
 func (in *Injector) Specs() []Spec { return in.specs }
-
-// OnEvent installs a callback fired once per spec, at its first actual
-// injection (not merely when its window opens).
-func (in *Injector) OnEvent(fn func(Event)) { in.onEvent = fn }
 
 // Injected returns the total number of individual injections performed
 // (every perturbed sample, skipped dispatch point, jittered tick, stolen

@@ -17,7 +17,7 @@ func TestWindowsGateEveryKind(t *testing.T) {
 		{Kind: CPUStall, CPU: 1, At: ms(10), For: msDur(10)},
 		{Kind: StuckThread, Target: "a", At: ms(10), For: msDur(10)},
 		{Kind: DropActuation, Target: "a", At: ms(10), For: msDur(10)},
-	})
+	}, nil)
 	for _, now := range []sim.Time{ms(0), ms(9), ms(20), ms(30)} {
 		if got := in.PerturbPressure("a", now, 0.25); got != 0.25 {
 			t.Errorf("pressure perturbed outside window at %v: %v", now, got)
@@ -76,8 +76,8 @@ func TestDrawsAreCallOrderIndependent(t *testing.T) {
 		{Kind: JumpSignal, Target: "a", At: ms(0), For: msDur(100), Mag: 0.3},
 		{Kind: BadSignal, Target: "b", At: ms(0), For: msDur(100), Mag: 0.5},
 	}
-	a := New(42, spec)
-	b := New(42, spec)
+	a := New(42, spec, nil)
+	b := New(42, spec, nil)
 	// a samples in one order, b in the reverse; values at each (target,
 	// instant) must agree.
 	pa1 := a.PerturbPressure("a", ms(5), 0.1)
@@ -88,7 +88,7 @@ func TestDrawsAreCallOrderIndependent(t *testing.T) {
 		t.Fatalf("draws depend on call order: %v/%v vs %v/%v", pa1, pa2, pb1, pb2)
 	}
 	// Different seeds must give different perturbations.
-	c := New(43, spec)
+	c := New(43, spec, nil)
 	if pc := c.PerturbPressure("a", ms(5), 0.1); pc == pa1 {
 		t.Fatalf("seed ignored: %v == %v", pc, pa1)
 	}
@@ -102,7 +102,7 @@ func sameFloat(a, b float64) bool {
 }
 
 func TestBadSignalEmitsNonFinite(t *testing.T) {
-	in := New(7, []Spec{{Kind: BadSignal, At: ms(0), For: msDur(1000), Mag: 0.5}})
+	in := New(7, []Spec{{Kind: BadSignal, At: ms(0), For: msDur(1000), Mag: 0.5}}, nil)
 	sawBad := false
 	for i := int64(0); i < 50; i++ {
 		p := in.PerturbPressure("x", ms(i*10), 0.2)
@@ -116,12 +116,11 @@ func TestBadSignalEmitsNonFinite(t *testing.T) {
 }
 
 func TestEventFiresOncePerSpec(t *testing.T) {
+	var events []Event
 	in := New(3, []Spec{
 		{Kind: FreezeSignal, Target: "a", At: ms(0), For: msDur(100)},
 		{Kind: CPUStall, CPU: 0, At: ms(0), For: msDur(100)},
-	})
-	var events []Event
-	in.OnEvent(func(ev Event) { events = append(events, ev) })
+	}, func(ev Event) { events = append(events, ev) })
 	for i := int64(0); i < 10; i++ {
 		in.PerturbPressure("a", ms(i), 0.1)
 		in.CPUStalled(0, ms(i))
@@ -144,7 +143,7 @@ func TestDropWinsOverDelay(t *testing.T) {
 	in := New(9, []Spec{
 		{Kind: DelayActuation, Target: "a", At: ms(0), For: msDur(100)},
 		{Kind: DropActuation, Target: "a", At: ms(0), For: msDur(100)},
-	})
+	}, nil)
 	drop, delay := in.ActuationFault("a", ms(5))
 	if !drop || delay {
 		t.Fatalf("overlapping drop+delay must resolve to drop: drop=%v delay=%v", drop, delay)

@@ -49,6 +49,20 @@ type Config struct {
 	// at every tick. With CPUs=1 the machine is exactly the paper's
 	// single-CPU testbed.
 	CPUs int
+	// Recycle turns on spawn→exit pooling for the whole machine: the
+	// kernel's thread objects, and the per-thread state of the policy and
+	// controller built on it (rbs.Policy.Attach and core.New read it).
+	// A thread that exits without holding a mutex is scrubbed and returned
+	// to a free pool, and the next Spawn reissues the object under a fresh
+	// ID and a bumped generation (Thread.Gen), so churn-heavy workloads
+	// run the spawn→exit cycle without growing the heap. Callers that
+	// retain *Thread pointers past exit must leave it off (or validate
+	// generations); the public realrate layer does the latter. Off, exited
+	// threads stay reachable forever.
+	Recycle bool
+	// Faults is the optional fault injector; nil keeps a healthy machine
+	// on the injector-nil fast path.
+	Faults FaultInjector
 }
 
 // NumCPUs returns the normalized CPU count (at least 1).
@@ -167,8 +181,6 @@ type Kernel struct {
 	// stale, never-reissued pointer.
 	freeThread *Thread
 	exitStub   Thread
-	// recycle turns on spawn→exit object recycling (see SetRecycle).
-	recycle bool
 
 	// cpus holds the per-CPU run state; cpus[0] is the boot CPU. The
 	// slice is sized once at construction and never moves.
@@ -194,8 +206,6 @@ type Kernel struct {
 	busy int
 
 	tracer Tracer
-	// faults is the optional fault injector; nil in healthy machines.
-	faults FaultInjector
 	// onExit, when set, fires after a thread leaves the machine for good —
 	// whether its program returned Exit() or it was forcibly Retired. The
 	// public layer uses it to drop per-thread indexes, so churn-heavy
@@ -270,6 +280,10 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // Config returns the kernel's configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
+// Tick returns the timer-interrupt period, Config().TickInterval without
+// copying the whole configuration on a policy's dispatch path.
+func (k *Kernel) Tick() sim.Duration { return k.cfg.TickInterval }
+
 // Policy returns the scheduling policy.
 func (k *Kernel) Policy() Policy { return k.policy }
 
@@ -288,20 +302,10 @@ func (k *Kernel) CurrentOn(cpu int) *Thread { return k.cpus[cpu].current }
 
 // Threads returns the machine's threads. Without recycling (the default)
 // that is every thread ever created, including exited ones; with recycling
-// (SetRecycle) exited threads leave the list when their objects return to
-// the pool, so the slice holds only live threads and its order is not the
-// creation order. The slice must not be modified.
+// (Config.Recycle) exited threads leave the list when their objects return
+// to the pool, so the slice holds only live threads and its order is not
+// the creation order. The slice must not be modified.
 func (k *Kernel) Threads() []*Thread { return k.threads }
-
-// SetRecycle turns thread-object recycling on or off. When on, a thread
-// that exits without holding a mutex is scrubbed and returned to a free
-// pool, and the next Spawn reissues the object under a fresh ID and a
-// bumped generation (Thread.Gen) — churn-heavy workloads then run the
-// spawn→exit cycle without growing the heap. Callers that retain *Thread
-// pointers past exit must not enable it (or must validate generations);
-// the public realrate layer does both. Off, the kernel keeps the seed
-// behavior: exited threads stay reachable forever.
-func (k *Kernel) SetRecycle(on bool) { k.recycle = on }
 
 // FreeThreads returns the current depth of the recycled-thread pool — the
 // number of exited thread objects banked for reissue. Exposed so leak
@@ -336,12 +340,6 @@ func (k *Kernel) Stats() Stats {
 // re-homing gate. Cheaper than building Stats.
 func (k *Kernel) Migrations() uint64 { return k.stats.Migrations }
 
-// Exits returns how many threads have left the machine, Exit and Retire
-// alike. exit is the only place a thread turns StateExited, so an
-// unchanged count proves no thread exited in between — the controller's
-// reap gate.
-func (k *Kernel) Exits() uint64 { return k.stats.Exits }
-
 // CPUStatsOf returns a snapshot of one CPU's accounting, including a
 // partial in-progress idle span.
 func (k *Kernel) CPUStatsOf(cpu int) CPUStats {
@@ -355,10 +353,6 @@ func (k *Kernel) CPUStatsOf(cpu int) CPUStats {
 
 // SetTracer installs (or clears, with nil) a scheduling-event tracer.
 func (k *Kernel) SetTracer(tr Tracer) { k.tracer = tr }
-
-// SetFaultInjector installs (or clears, with nil) a fault injector. Call
-// before Start; a healthy machine keeps the injector-nil fast path.
-func (k *Kernel) SetFaultInjector(fi FaultInjector) { k.faults = fi }
 
 // SetExitHook installs (or clears, with nil) a callback fired exactly once
 // when a thread exits — via Exit or Retire. The callback runs after the
@@ -476,15 +470,15 @@ func (k *Kernel) tick(now sim.Time) {
 	// do_timers: wake the sleepers whose deadlines have passed.
 	k.stats.TimerFires += uint64(k.expireSleepers(now))
 	next := now.Add(k.cfg.TickInterval)
-	if k.faults != nil {
+	if k.cfg.Faults != nil {
 		// Clock jitter: the injector may push the next interrupt late.
-		next = next.Add(k.faults.TickDelay(now, k.cfg.TickInterval))
+		next = next.Add(k.cfg.Faults.TickDelay(now, k.cfg.TickInterval))
 	}
 	k.scheduleTick(next)
 	k.busy--
 	for i := range k.cpus {
 		c := &k.cpus[i]
-		if k.faults != nil && k.faults.CPUStalled(c.id, now) {
+		if k.cfg.Faults != nil && k.cfg.Faults.CPUStalled(c.id, now) {
 			// Stall window: this CPU skips its dispatch point and idles.
 			// Its current thread goes back to ready but stays in the
 			// policy's structures, so an idle peer can work-pull it.
@@ -537,7 +531,7 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 	if k.stopped {
 		return
 	}
-	if k.faults != nil && k.faults.CPUStalled(c.id, now) {
+	if k.cfg.Faults != nil && k.cfg.Faults.CPUStalled(c.id, now) {
 		// Stall window: wakeup- and reschedule-driven dispatches also skip
 		// this CPU; the next healthy tick resumes normal dispatching.
 		c.current = nil
@@ -1034,7 +1028,7 @@ func (k *Kernel) exit(t *Thread, now sim.Time) {
 	if k.onExit != nil {
 		k.onExit(t, now)
 	}
-	if k.recycle {
+	if k.cfg.Recycle {
 		k.recycleThread(t)
 	}
 }

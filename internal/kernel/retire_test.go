@@ -199,8 +199,9 @@ func TestRetireIdempotent(t *testing.T) {
 // numbered 0, 1, 2, … in carving order, a recycled object keeps its slot
 // under a new ID and generation, and live threads never share a slot.
 func TestSlotsDenseAndKeptAcrossRecycling(t *testing.T) {
-	_, k := newRRMachine(10 * sim.Millisecond)
-	k.SetRecycle(true)
+	cfg := kernel.DefaultConfig()
+	cfg.Recycle = true
+	k := kernel.New(sim.NewEngine(), cfg, baseline.NewRoundRobin(10*sim.Millisecond))
 	a := k.Spawn("a", sleeper(sim.Millisecond))
 	b := k.Spawn("b", sleeper(sim.Millisecond))
 	if a.Slot() != 0 || b.Slot() != 1 {

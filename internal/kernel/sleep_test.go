@@ -148,8 +148,9 @@ func runSleepHeap(t *testing.T, data []byte) {
 		return
 	}
 	eng := sim.NewEngine()
-	k := kernel.New(eng, kernel.DefaultConfig(), idlePolicy{})
-	k.SetRecycle(data[0]&1 == 1)
+	cfg := kernel.DefaultConfig()
+	cfg.Recycle = data[0]&1 == 1
+	k := kernel.New(eng, cfg, idlePolicy{})
 	log := &wakeLog{}
 	k.SetTracer(log)
 	prog := kernel.ProgramFunc(func(*kernel.Thread, sim.Time) kernel.Op { return kernel.Exit() })

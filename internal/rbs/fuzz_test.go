@@ -79,11 +79,8 @@ func runWheelScript(t *testing.T, data []byte) {
 	p.Verify = true
 	cfg := kernel.DefaultConfig()
 	cfg.CPUs = [...]int{1, 2, 4}[int(data[1])%3]
+	cfg.Recycle = data[0]&2 != 0
 	k := kernel.New(eng, cfg, p)
-	if data[0]&2 != 0 {
-		p.SetRecycle(true)
-		k.SetRecycle(true)
-	}
 
 	var threads []*kernel.Thread
 	spawned := 0

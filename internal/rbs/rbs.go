@@ -160,7 +160,12 @@ type Policy struct {
 	// boundNext.
 	stSlab    []state
 	freeState *state
-	// recycle pools a thread's state at RemoveThread (see SetRecycle).
+	// recycle pools a thread's state at RemoveThread: the kernel's
+	// Config.Recycle, read at Attach. A pooled state's Sched slot is
+	// nilled, so the read-only accessors then report the unregistered zero
+	// for exited threads instead of their final values; callers that
+	// inspect exited threads' scheduling state after a run (the
+	// proportion-delivery property tests do) must leave it off.
 	recycle bool
 }
 
@@ -180,6 +185,7 @@ func (p *Policy) Name() string { return "rbs" }
 // cursor advances at most one slot per dispatch.
 func (p *Policy) Attach(k *kernel.Kernel) {
 	p.k = k
+	p.recycle = k.Config().Recycle
 	p.slotW = int64(k.Config().TickInterval)
 	p.shards = make([]shard, k.NumCPUs())
 	p.needResched = make([]bool, k.NumCPUs())
@@ -194,14 +200,6 @@ func (p *Policy) Attach(k *kernel.Kernel) {
 func (p *Policy) Kernel() *kernel.Kernel { return p.k }
 
 func stateOf(t *kernel.Thread) *state { return t.Sched.(*state) }
-
-// SetRecycle turns per-thread state recycling on or off. When on, a
-// thread's state object returns to a free pool at RemoveThread (thread
-// exit) and its Sched slot is nilled; the read-only accessors then report
-// the unregistered zero for exited threads instead of their final values.
-// Callers that inspect exited threads' scheduling state after a run — the
-// proportion-delivery property tests do — must leave it off (the default).
-func (p *Policy) SetRecycle(on bool) { p.recycle = on }
 
 // stateSlabSize is how many per-thread state objects one slab chunk holds.
 const stateSlabSize = 256
@@ -231,8 +229,8 @@ func (p *Policy) AddThread(t *kernel.Thread, now sim.Time) {
 }
 
 // RemoveThread implements kernel.Policy. The thread leaves the proportion
-// total here rather than at the controller's next reap, matching the old
-// full-scan TotalProportion which skipped exited threads on every call.
+// total here, at its exit, matching the old full-scan TotalProportion
+// which skipped exited threads on every call.
 // In recycle mode the state object is pooled here: the kernel guarantees
 // the thread is already out of every dispatch structure (Dequeue runs
 // first on the exit path), so nothing in the shard still references it.
@@ -703,7 +701,7 @@ func (p *Policy) TimeSlice(t *kernel.Thread, now sim.Time) sim.Duration {
 	if p.PreciseAccounting {
 		return st.budget
 	}
-	tick := p.k.Config().TickInterval
+	tick := p.k.Tick()
 	n := (int64(st.budget) + int64(tick) - 1) / int64(tick)
 	return sim.Duration(n) * tick
 }

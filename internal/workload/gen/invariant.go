@@ -360,7 +360,7 @@ func (c *checker) OnMigration(now time.Duration, th *realrate.Thread, from, to i
 // OnActuation implements realrate.Observer. An actuation that cannot be
 // resolved to a public handle means the controller actuated a job whose
 // thread already retired (a stale kernel-thread→handle link or a
-// missed reap).
+// missed teardown).
 func (c *checker) OnActuation(now time.Duration, th *realrate.Thread, prop int, period time.Duration) {
 	if prop < 0 {
 		c.violate("floor", now, "negative actuation %d ppt", prop)

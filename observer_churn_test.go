@@ -159,8 +159,8 @@ func TestKillRetiresImmediately(t *testing.T) {
 	if rt.State() != "exited" {
 		t.Fatalf("state after Kill = %q", rt.State())
 	}
-	// The exit hook reaps eagerly: the freed 600 ppt is admittable before
-	// any control interval runs.
+	// The exit hook tears the job down at once: the freed 600 ppt is
+	// admittable before any control interval runs.
 	if _, err := sys.Spawn("next", realrate.HogProgram(400_000), realrate.Reserve(600, 10*time.Millisecond)); err != nil {
 		t.Fatalf("reservation not freed by Kill: %v", err)
 	}

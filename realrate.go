@@ -159,29 +159,13 @@ type System struct {
 
 // NewSystem builds a machine from the configuration.
 func NewSystem(cfg Config) *System {
+	s := &System{eng: sim.NewEngine(), reg: progress.NewRegistry()}
+	s.hub.sys = s
 	kcfg := kernel.DefaultConfig()
 	if cfg.CPUs > 0 {
 		kcfg.CPUs = cfg.CPUs
 	}
-
-	// Resolve the policy seam: unwrap public wrappers so the kernel's
-	// dispatch hot path calls the scheduler directly, and identify RBS so
-	// the feedback controller can be wired to it.
-	var kpol kernel.Policy
-	switch p := cfg.Policy.(type) {
-	case nil:
-		kpol = rbs.New()
-	case kernelPolicyHolder:
-		kpol = p.kernelPolicy()
-	default:
-		kpol = p
-	}
-	rbsPol, _ := kpol.(*rbs.Policy)
-
-	eng := sim.NewEngine()
-	kern := kernel.New(eng, kcfg, kpol)
-	reg := progress.NewRegistry()
-
+	kcfg.Recycle = !cfg.disablePools
 	t := cfg.Controller
 	ccfg := core.Config{
 		BaseCost:          sim.Cycles(t.BaseCost),
@@ -189,52 +173,47 @@ func NewSystem(cfg Config) *System {
 		WatchdogIntervals: t.WatchdogIntervals,
 		WatchdogRecovery:  t.WatchdogRecovery,
 	}
-
-	s := &System{
-		eng:    eng,
-		kern:   kern,
-		policy: kpol,
-		rbs:    rbsPol,
-		reg:    reg,
-	}
-	s.hub.sys = s
-	kern.SetExitHook(s.threadExited)
 	if cfg.Faults != nil && len(cfg.Faults.Specs) > 0 {
 		s.faults = s.buildInjector(cfg.Faults)
-		kern.SetFaultInjector(s.faults)
-	}
-	if rbsPol != nil {
-		s.ctl = core.New(kern, rbsPol, reg, ccfg)
-		if s.faults != nil {
-			s.ctl.SetFaults(s.faults)
-		}
+		kcfg.Faults, ccfg.Faults = s.faults, s.faults
 	}
 	if cfg.Overload != nil {
+		// The brownout ladder needs the controller's saturation signals,
+		// so it only runs under the feedback policy.
+		ccfg.Governor = overload.New(cfg.Overload.governorConfig())
+	}
+
+	// Resolve the policy seam: unwrap public wrappers so the kernel's
+	// dispatch hot path calls the scheduler directly, and identify RBS so
+	// the feedback controller can be wired to it.
+	switch p := cfg.Policy.(type) {
+	case nil:
+		s.policy = rbs.New()
+	case kernelPolicyHolder:
+		s.policy = p.kernelPolicy()
+	default:
+		s.policy = p
+	}
+	s.rbs, _ = s.policy.(*rbs.Policy)
+	s.kern = kernel.New(s.eng, kcfg, s.policy)
+	if s.rbs != nil {
+		s.ctl = core.New(s.kern, s.rbs, s.reg, ccfg)
+	}
+	// Installed after core.New, which installs the controller's own exit
+	// hook; threadExited calls it after freezing the handle.
+	s.kern.SetExitHook(s.threadExited)
+	if cfg.Overload != nil {
 		// SLO accounting taps the kernel's wake/dispatch edges through the
-		// observer hub, under every policy; the brownout ladder itself
-		// needs the controller's saturation signals, so it only runs under
-		// the feedback policy.
+		// observer hub, under every policy.
 		s.slo = newSLOTracker(s, cfg.Overload.LatencySLO, cfg.Overload.SessionSLO)
 		s.hub.slo = s.slo
 		s.hub.install()
-		if s.ctl != nil {
-			s.ctl.SetGovernor(overload.New(cfg.Overload.governorConfig()))
-		}
 	}
 	if s.ctl != nil {
 		// Built last so the plane sees the fully-wired controller; it
 		// subscribes to the controller's job-change events and — in event
 		// mode — claims the registry's dirty hook.
 		s.plane = buildPlane(s, cfg.CtlPlane)
-	}
-	if !cfg.disablePools {
-		kern.SetRecycle(true)
-		if rbsPol != nil {
-			rbsPol.SetRecycle(true)
-		}
-		if s.ctl != nil {
-			s.ctl.SetRecycle(true)
-		}
 	}
 	return s
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the Figure 5-8 outputs, sweeps of generated rbs scenarios,
-# the SMP storm and the observer event stream, and byte-compares them
+# the SMP storm, the observer event stream and every rrexp section, and byte-compares them
 # against the committed goldens in testdata/goldens/. Any drift in the
 # dispatch schedule or controller arithmetic fails the build.
 #
@@ -81,4 +81,11 @@ check storm_smp
   "$tmp/rrexp" -gen -policy rbs -cpus 4 -shards 4 -seeds 5
 } > "$tmp/gen_shards.out" || true
 check gen_shards
+
+# Every section of rrexp -all at quarter length: the only golden that runs
+# pathfinder, livelock, variance, interactive, freq, the ablations, openloop
+# and churn, which wire their kernels and controllers by hand, and whose
+# churn sweep tears exits down through System under all five policies.
+"$tmp/rrexp" -all -quick > "$tmp/all_quick.out"
+check all_quick
 exit $status

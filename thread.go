@@ -121,10 +121,11 @@ func (th *Thread) retire(t *kernel.Thread) {
 	th.prog = nil // release the program for the collector
 }
 
-// threadExited is the kernel exit hook: it freezes the handle, reaps the
-// controller job eagerly (a pooled slot can be reissued before the next
-// control epoch, by which time every stale reference must be gone), and
-// tells observers the thread is over. Threads removed by removeThread
+// threadExited is the kernel exit hook, installed after core.New's: it
+// freezes the handle, tears the thread's controller state down through
+// ThreadExited (a pooled slot can be reissued before the next control
+// epoch, by which time every stale reference must be gone), and tells
+// observers the thread is over. Threads removed by removeThread
 // (rejected spawns) were unlinked before retirement, so they never ran
 // and never surface an OnExit.
 func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
@@ -132,17 +133,14 @@ func (s *System) threadExited(t *kernel.Thread, now sim.Time) {
 	if th != nil {
 		t.User = nil
 		th.sloPending = false // drop any open wake edge with the handle
-		// Freeze before the controller reap below: the reap may scrub and
+		// Freeze before the controller teardown below: it may scrub and
 		// pool the job object the frozen values are read from.
 		th.retire(t)
 	}
-	// Unlink progress sources here, not only in the controller's reap:
+	// Unlink progress sources here, not only in the controller's teardown:
 	// under a baseline policy no controller runs, so without this an
 	// exited paced/real-rate thread would leak its registration forever.
 	s.reg.Unregister(t)
-	// Eager in both modes: reap timing is behavior (it changes the job
-	// population the next control epoch prices), so it must not depend on
-	// whether pooling is enabled — only object recycling is gated.
 	if s.ctl != nil {
 		s.ctl.ThreadExited(t)
 	}
@@ -168,9 +166,9 @@ func (s *System) removeThread(th *Thread) {
 // Kill retires the thread immediately, as if its program had returned
 // Exit(): it is removed from the scheduler, any pending sleep wakeup is
 // canceled, and the partial run segment (if it was on the CPU) is charged.
-// The exit hook reaps its job at once, exactly as for a natural exit, so
-// any admitted reservation is free for the next admission before Kill
-// returns. Killing an exited thread is a no-op.
+// The exit hook tears its job down at once, exactly as for a natural
+// exit, so any admitted reservation is free for the next admission before
+// Kill returns. Killing an exited thread is a no-op.
 //
 // Kill is the remove half of admission churn (Spawn/Kill/Renegotiate
 // cycles). Call it from outside the simulation or from a timer callback
