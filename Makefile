@@ -95,9 +95,10 @@ stress:
 
 # goldens byte-compares the Figure 5-8 outputs, the gen_rbs and gen_shards
 # sweeps of generated rbs scenarios, the storm_smp drain, the observer
-# event stream and all_quick (every section of `rrexp -all -quick`)
-# against the committed goldens in testdata/goldens/
-# (re-bless with scripts/goldens.sh -update).
+# event stream, all_quick (every section of `rrexp -all -quick`) and
+# rrtop (the overload and fault dashboards, the one non-test reader of
+# the SLO report's wake→dispatch total) against the committed goldens in
+# testdata/goldens/ (re-bless with scripts/goldens.sh -update).
 goldens:
 	./scripts/goldens.sh
 

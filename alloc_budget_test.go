@@ -1,7 +1,7 @@
 // Allocation budgets: tier-1 companions to the churn benchmarks. Each
 // test runs the same scenario as its benchmark and fails if the heap
 // allocation count regresses past a ceiling. The ceilings sit 2x or more
-// above the pooled steady state (SLOSessions n=10000 ≈ 8.3k allocs, storm
+// above the pooled steady state (SLOSessions n=10000 ≈ 3.8k allocs, storm
 // n=10000 ≈ 0.7k), far below the pre-pooling counts (≈212k and ≈20.7k),
 // so noise never trips them but losing the free lists always does.
 package realrate_test
@@ -37,16 +37,17 @@ func measureAllocs(t *testing.T, fn func()) (objs, bytes uint64) {
 // (BenchmarkSLOSessions n=10000) to its allocation budget, in objects and
 // in bytes. Most of the bytes are per-spawn state that outlives the run's
 // pools — the public Thread handles, never pooled by design — plus the
-// SLO report, so the byte budget — 5% above the 4,258,100 bytes the run
-// allocated once block events stopped building wait-queue labels no
-// tracer read (4,365,400 before; 5,826,848 before the 152-byte handles,
-// slot tables and one sort per report series) — catches any of them
-// growing back.
+// SLO tracker's reservoirs, so the object budget — 2x the 3,847 objects
+// the run allocates — and the byte budget — 5% above its 3,491,216 bytes
+// with 128-byte handles and only the system and session series
+// (3,984,480 with 144-byte handles and per-job and per-class series;
+// 5,826,848 before the 152-byte handles, slot tables and one sort per
+// report series) — catch any of them growing back.
 func TestAllocBudgetSLOSessions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget run is a full session storm")
 	}
-	const budget, byteBudget = 30_000, 4_471_000
+	const budget, byteBudget = 7_694, 3_666_000
 	got, bytes := measureAllocs(t, func() {
 		sp := experiments.SLOSpec(1, 10_000, 1.0, time.Second, 8)
 		if _, err := gen.Generate(sp).Run(gen.RunOpts{

@@ -224,7 +224,7 @@ func TestChurnSlotTablesClean(t *testing.T) {
 func runChurnSchedule(t *testing.T, data []byte, disablePools bool) []byte {
 	t.Helper()
 	sys := NewSystem(Config{disablePools: disablePools})
-	tr := sys.EnableTracing(0)
+	tr := sys.EnableTracing()
 	var spawned []*Thread
 	i := 0
 	sys.Every(5*time.Millisecond, func(now time.Duration) {

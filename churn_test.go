@@ -208,7 +208,7 @@ func churnTraceCSV(tb testing.TB, disablePools bool) []byte {
 	var cfg realrate.Config
 	realrate.SetDisablePools(&cfg, disablePools)
 	sys := realrate.NewSystem(cfg)
-	tr := sys.EnableTracing(0)
+	tr := sys.EnableTracing()
 	runChurnStorm(tb, sys, 2*time.Second)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {

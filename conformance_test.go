@@ -139,7 +139,7 @@ func TestRBSDispatchTraceGolden(t *testing.T) {
 		t.Fatalf("missing golden: %v", err)
 	}
 	sys := realrate.NewSystem(realrate.Config{})
-	tr := sys.EnableTracing(0)
+	tr := sys.EnableTracing()
 	conformancePipeline(t, sys)
 	sys.Run(2 * time.Second)
 
@@ -165,7 +165,7 @@ func TestSMPOneCPUGoldenEquivalence(t *testing.T) {
 		t.Fatalf("missing golden: %v", err)
 	}
 	sys := realrate.NewSystem(realrate.Config{CPUs: 1})
-	tr := sys.EnableTracing(0)
+	tr := sys.EnableTracing()
 	conformancePipeline(t, sys)
 	sys.Run(2 * time.Second)
 

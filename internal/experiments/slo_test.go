@@ -2,10 +2,15 @@ package experiments_test
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	realrate "repro"
 	"repro/internal/experiments"
 	"repro/internal/workload/gen"
 )
@@ -141,4 +146,83 @@ func TestSLOSpecMemberExitDuringActuation(t *testing.T) {
 				seed, s.Started, s.Refused, s.Completed, s.Dead, s.Live)
 		}
 	}
+}
+
+// TestSLOReportPinned pins every SLO report field something reads — the
+// wake→dispatch total (Samples, Attainment, P50/P99/P999) and the session
+// dimension (Session and each per-kind Sessions entry) — on the rrbench
+// sessions machine shape at 2,000 sessions over 500 ms: SLOSpec seeds 1–3
+// on 1 and 8 CPUs under the periodic and the event-driven plane. A last
+// line runs the rrbench sessions scenario itself (20k sessions over 2 s),
+// whose wake→dispatch total overflows its reservoir, so the reservoir's
+// replacement draws are pinned too. The values in
+// testdata/slo_report_pinned.txt were recorded from the tracker that also
+// kept per-job and per-class series; each surviving series keeps its own
+// fixed-seed reservoir, so dropping the others must leave every line
+// bit-identical.
+func TestSLOReportPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	want, err := os.ReadFile("testdata/slo_report_pinned.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	type point struct {
+		cpus, sessions int
+		plane          string
+		seed           uint64
+		dur            time.Duration
+	}
+	var points []point
+	for _, cpus := range []int{1, 8} {
+		for _, plane := range []string{"periodic", "event"} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				points = append(points, point{cpus, 2000, plane, seed, 500 * time.Millisecond})
+			}
+		}
+	}
+	points = append(points, point{8, 20000, "event", 1, 2 * time.Second})
+	var got []string
+	for _, p := range points {
+		res, err := gen.Generate(experiments.SLOSpec(p.seed, p.sessions, 1.0, p.dur, p.cpus)).Run(gen.RunOpts{
+			Policy: "rbs", Controller: p.plane, NoInvariants: true,
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		got = append(got, fmt.Sprintf("cpus=%d %s seed=%d sessions=%d dur=%s: %s",
+			p.cpus, p.plane, p.seed, p.sessions, p.dur, sloLine(res.SLO)))
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d report lines, want %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("SLO report drifted:\n got %s\nwant %s", got[i], wantLines[i])
+		}
+	}
+}
+
+// sloLine renders the read fields of one SLO report exactly: counts and
+// durations as integers, attainments at full float64 precision, session
+// kinds in sorted order.
+func sloLine(rep realrate.SLOReport) string {
+	stat := func(s realrate.SLOStat) string {
+		return fmt.Sprintf("n=%d att=%s p50=%d p99=%d p999=%d", s.Samples,
+			strconv.FormatFloat(s.Attainment, 'g', -1, 64), s.P50, s.P99, s.P999)
+	}
+	line := fmt.Sprintf("total %s | session %s",
+		stat(realrate.SLOStat{Samples: rep.Samples, Attainment: rep.Attainment, P50: rep.P50, P99: rep.P99, P999: rep.P999}),
+		stat(rep.Session))
+	kinds := make([]string, 0, len(rep.Sessions))
+	for k := range rep.Sessions {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		line += fmt.Sprintf(" | %s %s", k, stat(rep.Sessions[k]))
+	}
+	return line
 }

@@ -161,7 +161,6 @@ type Kernel struct {
 	policy Policy
 
 	threads []*Thread
-	mutexes []*Mutex
 	nextID  int
 
 	// thrSlab is the current chunk backing new Thread objects: spawns carve

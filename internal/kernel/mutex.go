@@ -19,25 +19,11 @@ type Mutex struct {
 	contended uint64
 }
 
-// NewMutex returns an unlocked mutex that is not associated with any
-// kernel. Prefer (*Kernel).NewMutex, which registers the mutex with the
-// machine so tools can enumerate and name it.
+// NewMutex returns an unlocked mutex. Its waiters park on a wait queue
+// named after it, so a traced block event names the lock.
 func NewMutex(name string) *Mutex {
 	return &Mutex{name: name, waiters: WaitQueue{name: name + ".waiters"}}
 }
-
-// NewMutex creates an unlocked mutex registered with the kernel: it shows
-// up in Mutexes, so tracing and monitoring tools can enumerate the
-// machine's locks by name.
-func (k *Kernel) NewMutex(name string) *Mutex {
-	m := NewMutex(name)
-	k.mutexes = append(k.mutexes, m)
-	return m
-}
-
-// Mutexes returns every mutex created through (*Kernel).NewMutex. The slice
-// must not be modified.
-func (k *Kernel) Mutexes() []*Mutex { return k.mutexes }
 
 // Name returns the mutex's name.
 func (m *Mutex) Name() string { return m.name }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -13,9 +14,51 @@ import (
 func buildTracedMachine() (*sim.Engine, *kernel.Kernel, *trace.Recorder) {
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.DefaultConfig(), baseline.NewRoundRobin(5*sim.Millisecond))
-	rec := trace.NewRecorder()
+	rec := &trace.Recorder{}
 	k.SetTracer(rec)
 	return eng, k, rec
+}
+
+// segments counts the named thread's dispatches and sums the run time its
+// deschedule events report.
+func segments(events []trace.Event, thread string) (n int, total sim.Duration) {
+	for _, ev := range events {
+		if ev.Thread != thread {
+			continue
+		}
+		switch ev.Kind {
+		case trace.Dispatch:
+			n++
+		case trace.Deschedule:
+			total += ev.Ran
+		}
+	}
+	return n, total
+}
+
+// wakeLatencies pairs each of the named thread's dispatches with the wake
+// that preceded it and returns the wake→dispatch latencies in seconds. A
+// dispatch with no wake since the previous one (a preempted thread
+// resuming) is not a scheduling-latency sample.
+func wakeLatencies(events []trace.Event, thread string) []float64 {
+	var lat []float64
+	var woke sim.Time
+	pending := false
+	for _, ev := range events {
+		if ev.Thread != thread {
+			continue
+		}
+		switch ev.Kind {
+		case trace.Wake:
+			woke, pending = ev.At, true
+		case trace.Dispatch:
+			if pending {
+				lat = append(lat, ev.At.Sub(woke).Seconds())
+				pending = false
+			}
+		}
+	}
+	return lat
 }
 
 func TestRecorderCountsSegments(t *testing.T) {
@@ -27,22 +70,23 @@ func TestRecorderCountsSegments(t *testing.T) {
 	eng.RunFor(sim.Second)
 	k.Stop()
 
-	sums := rec.Summaries()
-	if len(sums) != 1 {
-		t.Fatalf("summaries = %d, want 1", len(sums))
+	for _, ev := range rec.Events() {
+		if ev.Thread != "hog" {
+			t.Fatalf("event for unknown thread: %+v", ev)
+		}
 	}
-	s := sums[0]
-	if s.Thread != "hog" || s.Segments == 0 {
-		t.Fatalf("bad summary: %+v", s)
+	n, total := segments(rec.Events(), "hog")
+	if n == 0 {
+		t.Fatal("no dispatch of hog recorded")
 	}
 	// Total run from the trace must match the thread's accounting.
 	th := k.Threads()[0]
-	diff := s.TotalRun - th.CPUTime()
+	diff := total - th.CPUTime()
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > sim.Millisecond {
-		t.Fatalf("trace total %v != accounted %v", s.TotalRun, th.CPUTime())
+		t.Fatalf("trace total %v != accounted %v", total, th.CPUTime())
 	}
 }
 
@@ -62,7 +106,7 @@ func TestRecorderSchedulingLatency(t *testing.T) {
 	eng.RunFor(sim.Second)
 	k.Stop()
 
-	lat := rec.SchedulingLatencies("sleeper")
+	lat := wakeLatencies(rec.Events(), "sleeper")
 	if len(lat) < 30 {
 		t.Fatalf("only %d latency samples", len(lat))
 	}
@@ -74,9 +118,8 @@ func TestRecorderSchedulingLatency(t *testing.T) {
 			t.Fatalf("idle-machine wake latency %v s, want ≈dispatch cost", l)
 		}
 	}
-	s := rec.Summaries()[0]
-	if s.LatencyP99 <= 0 || s.Wakes == 0 {
-		t.Fatalf("latency summary empty: %+v", s)
+	if p99 := metrics.PercentileSorted(metrics.SortedCopy(nil, lat), 99); p99 <= 0 {
+		t.Fatalf("p99 wake latency %v s, want the dispatch cost", p99)
 	}
 }
 
@@ -114,27 +157,6 @@ func TestRecorderBlockEventsAndCSV(t *testing.T) {
 	}
 }
 
-func TestRecorderMaxEventsBound(t *testing.T) {
-	eng, k, rec := buildTracedMachine()
-	rec.MaxEvents = 10
-	k.Spawn("hog", kernel.ProgramFunc(func(th *kernel.Thread, now sim.Time) kernel.Op {
-		return kernel.Compute(100_000)
-	}))
-	k.Start()
-	eng.RunFor(sim.Second)
-	k.Stop()
-	if len(rec.Events()) != 10 {
-		t.Fatalf("events = %d, want capped at 10", len(rec.Events()))
-	}
-	if rec.Dropped() == 0 {
-		t.Fatal("drop counter not incremented")
-	}
-	// Aggregates keep working past the bound.
-	if rec.Summaries()[0].Segments < 100 {
-		t.Fatalf("aggregates stopped at the bound: %+v", rec.Summaries()[0])
-	}
-}
-
 func TestLatencyUnderLoadReflectsPolicy(t *testing.T) {
 	// Under round-robin with 5ms quanta and three hogs, a waking thread
 	// can wait for the current quantum to finish: p99 latency should land
@@ -157,16 +179,15 @@ func TestLatencyUnderLoadReflectsPolicy(t *testing.T) {
 	eng.RunFor(2 * sim.Second)
 	k.Stop()
 
-	var s trace.Summary
-	for _, sum := range rec.Summaries() {
-		if sum.Thread == "waker" {
-			s = sum
-		}
+	lat := wakeLatencies(rec.Events(), "waker")
+	if len(lat) == 0 {
+		t.Fatal("waker never woke")
 	}
-	if s.LatencyP99 < 500*sim.Microsecond {
-		t.Fatalf("p99 latency %v too low for a loaded round-robin machine", s.LatencyP99)
+	p99 := sim.Duration(metrics.PercentileSorted(metrics.SortedCopy(nil, lat), 99) * float64(sim.Second))
+	if p99 < 500*sim.Microsecond {
+		t.Fatalf("p99 latency %v too low for a loaded round-robin machine", p99)
 	}
-	if s.LatencyP99 > 20*sim.Millisecond {
-		t.Fatalf("p99 latency %v absurdly high", s.LatencyP99)
+	if p99 > 20*sim.Millisecond {
+		t.Fatalf("p99 latency %v absurdly high", p99)
 	}
 }

@@ -494,7 +494,7 @@ func (sc *Scenario) Run(opts RunOpts) (*RunResult, error) {
 	}
 	var tr *realrate.Tracing
 	if opts.Trace {
-		tr = sys.EnableTracing(0)
+		tr = sys.EnableTracing()
 	}
 
 	r.spawnInitial()

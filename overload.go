@@ -41,8 +41,9 @@ type OverloadConfig struct {
 	// ShedBatch is how many threads the shed rung kills per saturated
 	// interval (default 1).
 	ShedBatch int
-	// LatencySLO is the wake→dispatch latency target for System.SLO
-	// attainment accounting (default 10 ms).
+	// LatencySLO is the wake→dispatch latency target that System.SLO's
+	// system-wide attainment is measured against, across every thread
+	// (default 10 ms).
 	LatencySLO time.Duration
 	// SessionSLO is the end-to-end session latency target for the
 	// ObserveSessionLatency dimension of System.SLO (default 100 ms).

@@ -89,25 +89,13 @@ type Mutex struct {
 	m *kernel.Mutex
 }
 
-// NewMutex returns an unlocked mutex registered with the system's kernel,
-// so tracing and monitoring tools can enumerate and name it.
+// NewMutex returns an unlocked mutex on the system's machine.
 func (s *System) NewMutex(name string) *Mutex {
-	return &Mutex{m: s.kern.NewMutex(name)}
+	return &Mutex{m: kernel.NewMutex(name)}
 }
 
 // Name returns the mutex's name.
 func (m *Mutex) Name() string { return m.m.Name() }
-
-// MutexNames returns the names of every mutex created through NewMutex, in
-// creation order — the registry tracing and monitoring tools enumerate.
-func (s *System) MutexNames() []string {
-	ms := s.kern.Mutexes()
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.Name()
-	}
-	return names
-}
 
 // Contended returns how many lock attempts had to wait.
 func (m *Mutex) Contended() uint64 { return m.m.Contended() }

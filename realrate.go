@@ -205,7 +205,7 @@ func NewSystem(cfg Config) *System {
 	if cfg.Overload != nil {
 		// SLO accounting taps the kernel's wake/dispatch edges through the
 		// observer hub, under every policy.
-		s.slo = newSLOTracker(s, cfg.Overload.LatencySLO, cfg.Overload.SessionSLO)
+		s.slo = newSLOTracker(cfg.Overload.LatencySLO, cfg.Overload.SessionSLO)
 		s.hub.slo = s.slo
 		s.hub.install()
 	}

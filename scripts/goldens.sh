@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the Figure 5-8 outputs, sweeps of generated rbs scenarios,
-# the SMP storm, the observer event stream and every rrexp section, and byte-compares them
-# against the committed goldens in testdata/goldens/. Any drift in the
-# dispatch schedule or controller arithmetic fails the build.
+# the SMP storm, the observer event stream, every rrexp section and the
+# rrtop dashboards, and byte-compares them against the committed goldens
+# in testdata/goldens/. Any drift in the dispatch schedule or controller
+# arithmetic fails the build.
 #
 # To re-bless after an intentional change: scripts/goldens.sh -update
 set -euo pipefail
@@ -14,6 +15,7 @@ update=0
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/rrexp" ./cmd/rrexp
+go build -o "$tmp/rrtop" ./cmd/rrtop
 
 status=0
 
@@ -88,4 +90,14 @@ check gen_shards
 # churn sweep tears exits down through System under all five policies.
 "$tmp/rrexp" -all -quick > "$tmp/all_quick.out"
 check all_quick
+
+# rrtop, the one non-test reader of the SLO report's wake→dispatch total:
+# the overload demo on one CPU and on four under a two-shard event plane,
+# then the fault-ladder demo.
+{
+  "$tmp/rrtop" -overload
+  "$tmp/rrtop" -overload -cpus 4 -controller event -shards 2
+  "$tmp/rrtop" -faults
+} > "$tmp/rrtop.out"
+check rrtop
 exit $status

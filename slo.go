@@ -8,32 +8,26 @@ import (
 	"repro/internal/sim"
 )
 
-// SLO accounting promotes the trace recorder's reservoir-sampled
-// wake→dispatch latencies to a first-class, always-on (when
-// Config.Overload is set) per-job and per-class tail-latency metric: the
-// time between a thread becoming runnable and actually getting a CPU is
-// the user-visible scheduling latency, and its p99/p999 against a target
-// is what "degraded" means to a caller. The tracker also keeps a second,
+// SLO accounting makes wake→dispatch latency a first-class, always-on
+// (when Config.Overload is set) system-wide tail-latency metric: the time
+// between a thread becoming runnable and actually getting a CPU is the
+// user-visible scheduling latency, and its p99/p999 against a target is
+// what "degraded" means to a caller. The tracker also keeps a second,
 // coarser dimension: end-to-end session latencies recorded explicitly
-// through System.ObserveSessionLatency against OverloadConfig.SessionSLO.
+// through System.ObserveSessionLatency against OverloadConfig.SessionSLO,
+// in total and per session kind.
 
-// sloCaps bound the tracker's footprint: past each cap, reservoir
-// sampling (fixed-seed, deterministic) keeps a uniform sample of the
-// whole run, so 10k-thread storms don't grow the heap without bound.
-const (
-	sloJobSamples   = 512
-	sloClassSamples = 4096
-)
+// sloSamples bounds each series' reservoir: past it, reservoir sampling
+// (fixed-seed, deterministic) keeps a uniform sample of the whole run, so
+// 10k-thread storms don't grow the heap without bound.
+const sloSamples = 4096
 
 // sloSeries is one reservoir of latency samples (in seconds) plus exact
 // attainment counters — attainment is counted per sample, not estimated
 // from the reservoir. Each series owns its reservoir RNG, seeded from the
 // series' identity alone: which samples a reservoir keeps then depends
-// only on that series' own sample stream, never on how samples of
-// unrelated jobs interleave with it in observer-callback order. (SMP
-// machines and sharded control planes reorder taps *across* jobs for the
-// same seed; the per-job order is fixed by the simulation. A single
-// shared RNG coupled every reservoir to the global interleaving.)
+// only on that series' own sample stream, never on how samples of other
+// series interleave with it in observer-callback order.
 type sloSeries struct {
 	seen     uint64
 	attained uint64
@@ -55,34 +49,32 @@ func sloSeed(dim byte, key string) uint64 {
 	return h
 }
 
-func (ss *sloSeries) add(lat float64, ok bool, cap int) {
+func (ss *sloSeries) add(lat float64, ok bool) {
 	ss.seen++
 	if ok {
 		ss.attained++
 	}
-	if len(ss.samples) < cap {
+	if len(ss.samples) < sloSamples {
 		ss.samples = append(ss.samples, lat)
 		return
 	}
-	if i := ss.rng.Intn(int(ss.seen)); i < cap {
+	if i := ss.rng.Intn(int(ss.seen)); i < sloSamples {
 		ss.samples[i] = lat
 	}
 }
 
 // sloTracker is installed on the observer hub when Config.Overload is
 // set; the hub feeds it every OnWake/OnDispatch edge. The pending wake
-// instant and the per-job/per-class series pointers are cached on the
-// Thread handle, so the per-sample cost is one type assertion on the
-// kernel thread's User link plus reservoir arithmetic — no map lookups,
-// no string hashing.
+// instant lives on the Thread handle, so the per-sample cost is one type
+// assertion on the kernel thread's User link plus reservoir arithmetic —
+// no map lookups, no string hashing.
 type sloTracker struct {
-	sys           *System
 	target        sim.Duration
 	sessionTarget sim.Duration
 
-	byJob   map[string]*sloSeries
-	byClass map[string]*sloSeries
-	total   *sloSeries
+	// total holds the wake→dispatch dimension: one sample per closed
+	// edge, across every thread, measured against target.
+	total *sloSeries
 
 	// sessTotal and sessByKind hold the session dimension: one sample per
 	// ObserveSessionLatency call, measured against sessionTarget.
@@ -104,7 +96,7 @@ const DefaultLatencySLO = 10 * time.Millisecond
 // magnitude above DefaultLatencySLO.
 const DefaultSessionSLO = 100 * time.Millisecond
 
-func newSLOTracker(sys *System, target, sessionTarget time.Duration) *sloTracker {
+func newSLOTracker(target, sessionTarget time.Duration) *sloTracker {
 	if target <= 0 {
 		target = DefaultLatencySLO
 	}
@@ -112,11 +104,8 @@ func newSLOTracker(sys *System, target, sessionTarget time.Duration) *sloTracker
 		sessionTarget = DefaultSessionSLO
 	}
 	return &sloTracker{
-		sys:           sys,
 		target:        sim.FromStd(target),
 		sessionTarget: sim.FromStd(sessionTarget),
-		byJob:         make(map[string]*sloSeries),
-		byClass:       make(map[string]*sloSeries),
 		total:         newSLOSeries('t', ""),
 		sessTotal:     newSLOSeries('S', ""),
 		sessByKind:    make(map[string]*sloSeries),
@@ -140,39 +129,26 @@ func (tr *sloTracker) dispatch(now sim.Time, t *kernel.Thread) {
 	}
 	th.sloPending = false
 	lat := now.Sub(th.sloWake)
-	sec := lat.Seconds()
-	within := lat <= tr.target
-	tr.total.add(sec, within, sloClassSamples)
-	if th.sloJob == nil {
-		// First sample for this handle: resolve (and memoize) its series.
-		// The class is fixed at spawn, so caching is safe.
-		th.sloJob = tr.series(tr.byJob, 'j', th.Name())
-		th.sloClass = tr.series(tr.byClass, 'c', th.Class())
-	}
-	th.sloJob.add(sec, within, sloJobSamples)
-	th.sloClass.add(sec, within, sloClassSamples)
+	tr.total.add(lat.Seconds(), lat <= tr.target)
 }
 
 // session records one end-to-end session latency against sessionTarget.
 func (tr *sloTracker) session(kind string, lat sim.Duration) {
 	sec := lat.Seconds()
 	within := lat <= tr.sessionTarget
-	tr.sessTotal.add(sec, within, sloClassSamples)
-	tr.series(tr.sessByKind, 's', kind).add(sec, within, sloClassSamples)
-}
-
-func (tr *sloTracker) series(m map[string]*sloSeries, dim byte, key string) *sloSeries {
-	ss := m[key]
+	tr.sessTotal.add(sec, within)
+	ss := tr.sessByKind[kind]
 	if ss == nil {
-		ss = newSLOSeries(dim, key)
-		m[key] = ss
+		ss = newSLOSeries('s', kind)
+		tr.sessByKind[kind] = ss
 	}
-	return ss
+	ss.add(sec, within)
 }
 
-// SLOStat summarizes one job's or class's wake→dispatch latency.
+// SLOStat summarizes one series of the session dimension: every session
+// together, or one session kind.
 type SLOStat struct {
-	// Samples is the exact number of latency edges observed (the
+	// Samples is the exact number of latencies recorded (the
 	// percentiles are computed over a uniform reservoir of them).
 	Samples uint64
 	// P50, P99, P999 are the latency percentiles.
@@ -186,16 +162,13 @@ type SLOReport struct {
 	// Target is the latency SLO the attainment figures are measured
 	// against (OverloadConfig.LatencySLO).
 	Target time.Duration
-	// Samples and Attainment cover every thread together.
+	// Samples, Attainment and the percentiles cover every thread's
+	// wake→dispatch edges together.
 	Samples    uint64
 	Attainment float64
 	P50        time.Duration
 	P99        time.Duration
 	P999       time.Duration
-	// Classes and Jobs break the accounting down by thread class and by
-	// thread name.
-	Classes map[string]SLOStat
-	Jobs    map[string]SLOStat
 	// SessionTarget is the end-to-end session latency SLO
 	// (OverloadConfig.SessionSLO); Session aggregates every latency
 	// recorded through ObserveSessionLatency against it, and Sessions
@@ -245,9 +218,9 @@ func (s *System) ObserveSessionLatency(kind string, latency time.Duration) {
 	s.slo.session(kind, sim.FromStd(latency))
 }
 
-// SLO returns the wake→dispatch latency accounting: overall, per-class,
-// and per-job p50/p99/p999 with exact SLO attainment, plus the recorded
-// end-to-end session dimension. It returns a zero report unless
+// SLO returns the wake→dispatch latency accounting — system-wide
+// p50/p99/p999 with exact SLO attainment — plus the recorded end-to-end
+// session dimension. It returns a zero report unless
 // Config.Overload enabled SLO accounting. Each call builds a fresh report,
 // sorting every series' reservoir once, so read it once per snapshot.
 func (s *System) SLO() SLOReport {
@@ -258,20 +231,12 @@ func (s *System) SLO() SLOReport {
 	rep := SLOReport{
 		Target:        tr.target.Std(),
 		SessionTarget: tr.sessionTarget.Std(),
-		Classes:       make(map[string]SLOStat, len(tr.byClass)),
-		Jobs:          make(map[string]SLOStat, len(tr.byJob)),
 		Sessions:      make(map[string]SLOStat, len(tr.sessByKind)),
 	}
 	tot := tr.stat(tr.total)
 	rep.Samples = tot.Samples
 	rep.Attainment = tot.Attainment
 	rep.P50, rep.P99, rep.P999 = tot.P50, tot.P99, tot.P999
-	for cls, ss := range tr.byClass {
-		rep.Classes[cls] = tr.stat(ss)
-	}
-	for name, ss := range tr.byJob {
-		rep.Jobs[name] = tr.stat(ss)
-	}
 	rep.Session = tr.stat(tr.sessTotal)
 	for kind, ss := range tr.sessByKind {
 		rep.Sessions[kind] = tr.stat(ss)

@@ -9,9 +9,8 @@ import (
 )
 
 // TestSLOAccounting pins the public SLO surface: arming Config.Overload
-// turns the wake→dispatch tracker on, the report's percentiles are
-// ordered, attainment is a fraction, and both the per-class and per-job
-// breakdowns carry the threads that actually ran.
+// turns the wake→dispatch tracker on, the report carries the configured
+// target, its percentiles are ordered and attainment is a fraction.
 func TestSLOAccounting(t *testing.T) {
 	sys := realrate.NewSystem(realrate.Config{
 		Overload: &realrate.OverloadConfig{LatencySLO: 10 * time.Millisecond},
@@ -38,25 +37,6 @@ func TestSLOAccounting(t *testing.T) {
 	if rep.Attainment < 0 || rep.Attainment > 1 {
 		t.Fatalf("Attainment = %v, want a fraction", rep.Attainment)
 	}
-	for _, name := range []string{"rt", "bg"} {
-		st, ok := rep.Jobs[name]
-		if !ok {
-			t.Fatalf("Jobs breakdown missing %q (have %v)", name, rep.Jobs)
-		}
-		if st.Samples == 0 {
-			t.Fatalf("job %q has no samples", name)
-		}
-	}
-	if len(rep.Classes) == 0 {
-		t.Fatal("Classes breakdown empty")
-	}
-	var sum uint64
-	for _, st := range rep.Jobs {
-		sum += st.Samples
-	}
-	if sum != rep.Samples {
-		t.Fatalf("per-job samples sum to %d, total is %d", sum, rep.Samples)
-	}
 }
 
 // TestSLODisabledWithoutGovernorConfig: with Overload nil the tracker is
@@ -68,7 +48,7 @@ func TestSLODisabledWithoutGovernorConfig(t *testing.T) {
 	}
 	sys.Run(100 * time.Millisecond)
 	rep := sys.SLO()
-	if rep.Samples != 0 || rep.Target != 0 || rep.Classes != nil || rep.Jobs != nil {
+	if rep.Samples != 0 || rep.Target != 0 || rep.Sessions != nil {
 		t.Fatalf("SLO report with no governor config = %+v, want zero", rep)
 	}
 }
@@ -106,16 +86,16 @@ func TestOpenWakeEdgeAtRunEndExcluded(t *testing.T) {
 	}
 	sys.Run(100 * time.Millisecond)
 
-	before := sys.SLO().Jobs["waiter"]
+	before := sys.SLO()
 	if before.Samples == 0 {
-		t.Fatal("waiter never dispatched in 100ms: setup broken")
+		t.Fatal("no samples in 100ms: setup broken")
 	}
 	// Wake at the run horizon: the edge opens, the simulation never runs
 	// again, so no dispatch can close it.
 	if !wq.WakeOne() {
 		t.Fatal("no waiter parked on the queue")
 	}
-	after := sys.SLO().Jobs["waiter"]
+	after := sys.SLO()
 	if after.Samples != before.Samples {
 		t.Fatalf("open wake edge at run end counted as a sample: %d -> %d samples",
 			before.Samples, after.Samples)
@@ -128,53 +108,54 @@ func TestOpenWakeEdgeAtRunEndExcluded(t *testing.T) {
 // TestKillMidWaitClosesEdgeOnce pins the other open-edge rule: a thread
 // killed between its wake and its dispatch — exactly what the governor's
 // shed rung does to a parked session stage — drops its open edge with the
-// handle, once. No sample is recorded for the severed edge (the thread
-// never reached a CPU, so there is no latency to measure), later samples
-// are unaffected, and a second Kill is a no-op rather than a double-close.
+// handle, once. Twin runs kill the waiter at the same instant, one right
+// after waking it (the edge is open) and one while it is still parked (no
+// edge). The severed edge must yield no sample — the thread never reached
+// a CPU, so there is no latency to measure — and must not disturb later
+// samples, so both runs end with the same sample count and attainment. A
+// second Kill must be a quiet no-op rather than a double-close.
 func TestKillMidWaitClosesEdgeOnce(t *testing.T) {
-	sys := realrate.NewSystem(realrate.Config{
-		Overload: &realrate.OverloadConfig{LatencySLO: 10 * time.Millisecond},
-	})
-	wq := sys.NewWaitQueue("tty")
-	waiter, err := sys.Spawn("waiter", waitForever(wq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Spawn("hog", realrate.HogProgram(200_000)); err != nil {
-		t.Fatal(err)
-	}
-	var before realrate.SLOStat
-	sys.After(50*time.Millisecond, func(now time.Duration) {
-		before = sys.SLO().Jobs["waiter"]
-		// Wake and kill inside one callback: the scheduler cannot run
-		// between the two, so the kill lands while the wake edge is open.
-		if !wq.WakeOne() {
-			t.Error("no waiter parked on the queue")
+	run := func(wake bool) realrate.SLOReport {
+		sys := realrate.NewSystem(realrate.Config{
+			Overload: &realrate.OverloadConfig{LatencySLO: 10 * time.Millisecond},
+		})
+		wq := sys.NewWaitQueue("tty")
+		waiter, err := sys.Spawn("waiter", waitForever(wq))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := sys.Spawn("hog", realrate.HogProgram(200_000)); err != nil {
+			t.Fatal(err)
+		}
+		sys.After(50*time.Millisecond, func(now time.Duration) {
+			// Wake and kill inside one callback: the scheduler cannot run
+			// between the two, so the kill lands while the wake edge is open.
+			if wake && !wq.WakeOne() {
+				t.Error("no waiter parked on the queue")
+			}
+			waiter.Kill()
+		})
+		sys.Run(200 * time.Millisecond)
+		if waiter.State() != "exited" {
+			t.Fatalf("waiter state = %s, want exited", waiter.State())
+		}
+		rep := sys.SLO()
 		waiter.Kill()
-	})
-	sys.Run(200 * time.Millisecond)
-
-	if waiter.State() != "exited" {
-		t.Fatalf("waiter state = %s, want exited", waiter.State())
+		if again := sys.SLO(); again.Samples != rep.Samples || again.Attainment != rep.Attainment {
+			t.Fatalf("second kill changed the accounting: %d samples at %v -> %d at %v",
+				rep.Samples, rep.Attainment, again.Samples, again.Attainment)
+		}
+		return rep
 	}
-	if before.Samples == 0 {
-		t.Fatal("waiter never dispatched before the kill: setup broken")
+	woken, parked := run(true), run(false)
+	if parked.Samples == 0 {
+		t.Fatal("no samples in a 200ms run: setup broken")
 	}
-	after := sys.SLO().Jobs["waiter"]
-	if after.Samples != before.Samples {
-		t.Fatalf("kill mid-wait changed the sample count: %d -> %d",
-			before.Samples, after.Samples)
+	if woken.Samples != parked.Samples {
+		t.Fatalf("kill mid-wait recorded %d samples, a kill while parked %d", woken.Samples, parked.Samples)
 	}
-	if after.Attainment != before.Attainment {
-		t.Fatalf("kill mid-wait moved attainment: %v -> %v", before.Attainment, after.Attainment)
-	}
-	// The run kept going for 150ms after the kill: the dropped handle must
-	// not have resurrected (an exited thread re-sampling would inflate the
-	// count) and killing again must be a quiet no-op.
-	waiter.Kill()
-	if got := sys.SLO().Jobs["waiter"]; got.Samples != before.Samples {
-		t.Fatalf("second kill changed the sample count: %d -> %d", before.Samples, got.Samples)
+	if woken.Attainment != parked.Attainment {
+		t.Fatalf("kill mid-wait attainment %v, a kill while parked %v", woken.Attainment, parked.Attainment)
 	}
 }
 

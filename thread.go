@@ -30,12 +30,10 @@ type Thread struct {
 	// never need the (possibly reissued) kernel slot.
 	name string
 
-	// The open wake→dispatch SLO edge and the tracker's cached series
-	// live on the handle so the per-dispatch tap touches no maps and
+	// sloWake is the instant the open wake→dispatch SLO edge opened; it
+	// lives on the handle so the per-dispatch tap touches no maps and
 	// hashes no strings (slo.go).
-	sloWake  sim.Time
-	sloJob   *sloSeries
-	sloClass *sloSeries
+	sloWake sim.Time
 
 	// The exit* fields hold the final statistics frozen when the exit
 	// hook retires the handle (see exited).

@@ -2,69 +2,31 @@ package realrate
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/trace"
 )
 
-// TraceSummary is the per-thread scheduling aggregate from an enabled
-// trace: how often and how long the thread ran, and how quickly it was
-// dispatched after waking.
-type TraceSummary struct {
-	Thread      string
-	Segments    int
-	TotalRun    time.Duration
-	MeanSegment time.Duration
-	Longest     time.Duration
-	Wakes       int
-	// LatencyP50/P99 are wake-to-dispatch scheduling latencies.
-	LatencyP50, LatencyP99 time.Duration
-}
-
-// Tracing provides access to an enabled scheduler trace.
+// Tracing provides access to an enabled scheduler trace: the event log of
+// every dispatch, deschedule, wake, block and migration, exportable as CSV.
 type Tracing struct {
 	rec *trace.Recorder
 }
 
-// EnableTracing starts recording scheduler events (dispatches, wakes,
-// blocks). maxEvents bounds the raw log (0 keeps everything); aggregates
-// are unaffected by the bound. Call before Run.
+// EnableTracing starts recording scheduler events (dispatches,
+// deschedules, wakes, blocks and migrations) into an unbounded event log.
+// Call before Run.
 //
 // The recorder is fed through the same observer hub as System.Observe, so
 // tracing and observers compose.
-func (s *System) EnableTracing(maxEvents int) *Tracing {
-	rec := trace.NewRecorder()
-	rec.MaxEvents = maxEvents
+func (s *System) EnableTracing() *Tracing {
 	// On a multi-CPU machine the CSV grows a cpu column (migrations show
 	// "from>to"); single-CPU traces keep the pre-SMP format byte-for-byte.
-	rec.MultiCPU = s.kern.NumCPUs() > 1
+	rec := &trace.Recorder{MultiCPU: s.kern.NumCPUs() > 1}
 	s.hub.rec = rec
 	s.hub.install()
 	return &Tracing{rec: rec}
 }
 
-// Summaries returns per-thread aggregates sorted by thread name.
-func (t *Tracing) Summaries() []TraceSummary {
-	sums := t.rec.Summaries()
-	out := make([]TraceSummary, len(sums))
-	for i, s := range sums {
-		out[i] = TraceSummary{
-			Thread:      s.Thread,
-			Segments:    s.Segments,
-			TotalRun:    time.Duration(s.TotalRun),
-			MeanSegment: time.Duration(s.MeanSegment),
-			Longest:     time.Duration(s.Longest),
-			Wakes:       s.Wakes,
-			LatencyP50:  time.Duration(s.LatencyP50),
-			LatencyP99:  time.Duration(s.LatencyP99),
-		}
-	}
-	return out
-}
-
-// WriteCSV dumps the raw event log (time, kind, thread, segment length,
-// wait queue).
+// WriteCSV dumps the event log (time, kind, thread, segment length, wait
+// queue, and on a multi-CPU machine the CPU).
 func (t *Tracing) WriteCSV(w io.Writer) error { return t.rec.WriteCSV(w) }
-
-// Print writes the per-thread summary table.
-func (t *Tracing) Print(w io.Writer) { t.rec.PrintSummaries(w) }
