@@ -188,7 +188,7 @@ func (p *Linux) Steal(from int, now sim.Time) *kernel.Thread {
 	var best *kernel.Thread
 	var bestG int64
 	for _, t := range p.runnable[from] {
-		if t == cur || t.Affinity() != kernel.AffinityAny {
+		if !kernel.Movable(t, cur) {
 			continue
 		}
 		if g := p.goodness(t); best == nil || g > bestG {

@@ -238,6 +238,10 @@ type cpu struct {
 	segEndFn func(sim.Time)
 	segStore segment
 
+	// dispatching is the thread a dispatch on this CPU is driving through
+	// prepare, before it becomes current (see Movable).
+	dispatching *Thread
+
 	stats CPUStats
 }
 
@@ -563,8 +567,14 @@ func (k *Kernel) dispatch(c *cpu, now sim.Time) {
 		}
 		k.endIdle(c, now)
 		// Drive the program until it owes CPU; it may block or exit
-		// instead, in which case we pick again.
-		if !k.prepare(t, now) {
+		// instead, in which case we pick again. An op may wake a thread
+		// whose preemption dispatches another CPU meanwhile, and t is not
+		// yet c's current, so c.dispatching marks it unmovable: a peer's
+		// work-pull must not migrate it and start it there too.
+		c.dispatching = t
+		ready := k.prepare(t, now)
+		c.dispatching = nil
+		if !ready {
 			continue
 		}
 		if c.lastRan != nil && c.lastRan != t {

@@ -16,11 +16,12 @@ func StealCandidate(q []*Thread, exclude ...*Thread) *Thread {
 }
 
 // Movable reports whether a queued thread may migrate off its CPU:
-// non-nil, not pinned, and not one of the excluded threads (the CPU's
-// current occupant, a policy's cached winner). It is the one definition
-// of movability the policies' Steal implementations share.
+// non-nil, not pinned, not being dispatched there, and not one of the
+// excluded threads (the CPU's current occupant, a policy's cached
+// winner). It is the one definition of movability the policies' Steal
+// implementations share.
 func Movable(t *Thread, exclude ...*Thread) bool {
-	if t == nil || t.affinity != AffinityAny {
+	if t == nil || t.affinity != AffinityAny || t.kern.cpus[t.cpu].dispatching == t {
 		return false
 	}
 	for _, x := range exclude {

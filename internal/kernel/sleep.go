@@ -2,22 +2,28 @@ package kernel
 
 import "repro/internal/sim"
 
-// sleeper is one entry of the kernel's sleep heap: a sleeping thread and
-// the deadline it wakes at. The thread's sleepSeq breaks ties.
+// sleeper is one entry of the kernel's sleep heap: a sleeping thread, the
+// deadline it wakes at and the registration number of its sleep, which
+// breaks ties. Both keys sit in the entry, so a sift compares entries
+// without loading the threads they pass.
 type sleeper struct {
 	wakeAt sim.Time
+	seq    uint64
 	t      *Thread
 }
 
 // sleepHeap is the paper's do_timers() list — "a list of timers used by
 // RBS threads, sorted by time of expiry", with the next expiry cached so
 // a tick does no work unless a timer has expired — as an intrusive binary
-// min-heap of sleeping threads ordered by (wakeAt, sleepSeq), where
-// sleepSeq is the registration order, so sleepers with equal deadlines
-// wake first-in, first-out. The root is the cached next expiry. Every
-// sleeping thread is in the heap exactly once and records its position in
-// Thread.sleepPos, so an early wake, a Retire or a recycle removes its
-// entry eagerly in O(log n) and the heap holds only live sleepers.
+// min-heap of sleeping threads ordered by (wakeAt, seq), where seq is the
+// registration order, so sleepers with equal deadlines wake first-in,
+// first-out. Period ends line up, so equal deadlines are common, and the
+// tie-break reads only the entries. The root is the cached next expiry.
+// Every sleeping thread is in the heap exactly once and records its
+// position in Thread.sleepPos, so an early wake, a Retire or a recycle
+// removes its entry eagerly in O(log n) and the heap holds only live
+// sleepers. A sift writes the sleepPos of each thread it moves and reads
+// no thread.
 //
 // A thread sleeps in at most one entry, so the heap never holds more
 // entries than the kernel has carved Thread objects. Its storage is
@@ -38,14 +44,13 @@ func sleeperBefore(a, b *sleeper) bool {
 	if a.wakeAt != b.wakeAt {
 		return a.wakeAt < b.wakeAt
 	}
-	return a.t.sleepSeq < b.t.sleepSeq
+	return a.seq < b.seq
 }
 
 // push adds t, which must not be in the heap, waking at wakeAt.
 func (h *sleepHeap) push(t *Thread, wakeAt sim.Time) {
-	t.sleepSeq = h.seq
+	*h.at(h.n) = sleeper{wakeAt: wakeAt, seq: h.seq, t: t}
 	h.seq++
-	*h.at(h.n) = sleeper{wakeAt: wakeAt, t: t}
 	h.n++
 	h.siftUp(h.n - 1)
 }
@@ -66,25 +71,28 @@ func (h *sleepHeap) remove(t *Thread) {
 }
 
 // siftUp and siftDown move the entry at i into place and record the
-// position of every entry they move.
+// position of every entry they move. hole is the slot the moving entry
+// vacated, so each level resolves one slot, not two.
 func (h *sleepHeap) siftUp(i int) {
-	s := *h.at(i)
+	hole := h.at(i)
+	s := *hole
 	for i > 0 {
 		parent := (i - 1) / 2
 		p := h.at(parent)
 		if !sleeperBefore(&s, p) {
 			break
 		}
-		*h.at(i) = *p
+		*hole = *p
 		p.t.sleepPos = int32(i + 1)
-		i = parent
+		hole, i = p, parent
 	}
-	*h.at(i) = s
+	*hole = s
 	s.t.sleepPos = int32(i + 1)
 }
 
 func (h *sleepHeap) siftDown(i int) {
-	s := *h.at(i)
+	hole := h.at(i)
+	s := *hole
 	for {
 		kid := 2*i + 1
 		if kid >= h.n {
@@ -99,15 +107,15 @@ func (h *sleepHeap) siftDown(i int) {
 		if !sleeperBefore(k, &s) {
 			break
 		}
-		*h.at(i) = *k
+		*hole = *k
 		k.t.sleepPos = int32(i + 1)
-		i = kid
+		hole, i = k, kid
 	}
-	*h.at(i) = s
+	*hole = s
 	s.t.sleepPos = int32(i + 1)
 }
 
-// expireSleepers wakes, in (wakeAt, sleepSeq) order, every sleeper whose
+// expireSleepers wakes, in (wakeAt, seq) order, every sleeper whose
 // deadline is at or before now — the paper's do_timers(). It returns the
 // number of threads woken.
 func (k *Kernel) expireSleepers(now sim.Time) int {

@@ -88,11 +88,8 @@ type Thread struct {
 	// recycling kernel can swap-remove an exited thread in O(1).
 	listIdx int32
 	// sleepPos is 1 + the thread's index in the kernel's sleep heap while
-	// Sleeping, and 0 otherwise; sleepSeq is the heap's registration
-	// number of the thread's current sleep, its tie-break among equal
-	// deadlines.
+	// Sleeping, and 0 otherwise.
 	sleepPos int32
-	sleepSeq uint64
 	// freeNext links the object into the kernel's thread free list while
 	// pooled.
 	freeNext *Thread

@@ -3,9 +3,11 @@
 // states (*state), not threads: each state's positions are stored in the
 // state itself (heapIdx/boundPos/exhIdx, boundPrev/boundNext), so
 // membership tests and removals are O(1)+O(log n) with no allocation and
-// no linear scans, and a sift, a wheel link or a period roll reads only
-// policy memory. A state leads back to its thread through st.t, which only
-// the kernel-facing edges follow (Pick's nap loop, Steal, readyTop).
+// no linear scans, and a wheel link or a period roll reads only policy
+// memory. The ready heap's entries carry their sort keys inline, so its
+// sifts compare entries without loading the states they pass. A state
+// leads back to its thread through st.t, which only the kernel-facing
+// edges follow (Pick's nap loop, Steal, readyTop).
 //
 // Ordering must reproduce the legacy linear scan bit-for-bit: the scan
 // picked the *first* best thread in runnable-slice order, and slice order
@@ -27,7 +29,7 @@ import (
 type shard struct {
 	// ready is the indexed heap of dispatchable queued threads: registered
 	// threads with budget and the unmanaged round-robin class below them.
-	ready []*state
+	ready readyHeap
 	// buckets/buckets2/overflow/curSlot form the period-boundary wheel of
 	// the filed states (see filed) by next period end; Pick drains the due
 	// entries instead of refreshing every runnable thread. Each bucket is
@@ -66,32 +68,23 @@ type shard struct {
 // timeMax is the +∞ sentinel for curMin when the current slot is empty.
 const timeMax = sim.Time(1<<63 - 1)
 
-// readyLess orders the ready heap: the thread that should dispatch first
-// is the heap top. It is the strict-weak-order completion of better():
-// registered threads with budget beat unmanaged threads; within the
-// registered class RMS prefers shorter (clamped) periods and EDF earlier
-// period ends; all remaining ties fall back to enqueue order.
-func (p *Policy) readyLess(sa, sb *state) bool {
-	ca := sa.registered && sa.budget > 0
-	cb := sb.registered && sb.budget > 0
-	if ca != cb {
-		return ca
+// readyKey is st's ready-heap key, the completion of better() that
+// readyLess sorts on before enqueue order: registered states with budget
+// key on their clamped period in ms (RMS) or their period end (EDF), and
+// everything else — the unmanaged round-robin class, and a registered
+// state without budget — keys at +∞, below every reservation.
+func (p *Policy) readyKey(st *state) int64 {
+	if !st.registered || st.budget <= 0 {
+		return keyMax
 	}
-	if ca {
-		if p.Discipline == RMS {
-			pa, pb := clampedPeriodMs(sa), clampedPeriodMs(sb)
-			if pa != pb {
-				return pa < pb
-			}
-		} else {
-			ea, eb := p.periodEnd(sa), p.periodEnd(sb)
-			if ea != eb {
-				return ea < eb
-			}
-		}
+	if p.Discipline == RMS {
+		return clampedPeriodMs(st)
 	}
-	return sa.seq < sb.seq
+	return int64(p.periodEnd(st))
 }
+
+// keyMax is the ready-heap key of every state outside the reserved class.
+const keyMax = 1<<63 - 1
 
 // clampedPeriodMs is the period in whole milliseconds with the same
 // clamping goodness() applies, so RMS heap order matches goodness order
@@ -108,11 +101,58 @@ func clampedPeriodMs(st *state) int64 {
 }
 
 // --- ready heap: queued threads eligible to run ---
+//
+// The heap is binary and its entries carry their sort key inline, so a
+// sift compares entries without loading the states they pass: it writes
+// only the heapIdx of each state it moves. A key is (readyKey, seq), and
+// it is written only where the heap re-fixes a position anyway: readyPush,
+// and readyFix (reconcile, rotate, the EDF roll). A lazy RMS roll keeps
+// the key by construction (see filed). Verify checks every entry's key
+// against its state at each Pick.
+//
+// The array's layout is observable beyond the top: Steal scans it in
+// index order and hands over the first movable thread, so the sift must
+// place entries exactly where the plain binary sift does. The entries live
+// in fixed readyChunk-entry chunks: growth allocates one chunk and copies
+// nothing.
+
+// readyEntry is one ready-heap slot: a state and its cached key.
+type readyEntry struct {
+	key int64
+	seq uint64
+	st  *state
+}
+
+// readyChunk is how many entries one chunk of a ready heap holds.
+const readyChunk = 256
+
+// readyHeap is one shard's ready heap: entries 0..n-1 in chunk order.
+type readyHeap struct {
+	chunks []*[readyChunk]readyEntry
+	n      int
+}
+
+func (h *readyHeap) at(i int) *readyEntry {
+	return &h.chunks[uint(i)/readyChunk][uint(i)%readyChunk]
+}
+
+// readyLess orders the ready heap: the thread that should dispatch first
+// is the heap top. Keys tie within a class; enqueue order breaks ties.
+func readyLess(a, b *readyEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
 
 func (p *Policy) readyPush(sh *shard, st *state) {
-	i := len(sh.ready)
-	sh.ready = append(sh.ready, st)
-	p.readyUp(sh, i)
+	h := &sh.ready
+	if h.n == len(h.chunks)*readyChunk {
+		h.chunks = append(h.chunks, new([readyChunk]readyEntry))
+	}
+	*h.at(h.n) = readyEntry{key: p.readyKey(st), seq: st.seq, st: st}
+	h.n++
+	h.up(h.n - 1)
 }
 
 func (p *Policy) readyRemove(sh *shard, st *state) {
@@ -121,75 +161,86 @@ func (p *Policy) readyRemove(sh *shard, st *state) {
 		return
 	}
 	st.heapIdx = -1
-	last := len(sh.ready) - 1
-	moved := sh.ready[last]
-	sh.ready[last] = nil // clear the vacated tail slot
-	sh.ready = sh.ready[:last]
-	if i == last {
+	h := &sh.ready
+	h.n--
+	last := h.at(h.n)
+	moved := *last
+	*last = readyEntry{} // clear the vacated tail slot
+	if i == h.n {
 		return
 	}
-	sh.ready[i] = moved
-	moved.heapIdx = int32(i)
-	p.readyFixAt(sh, i)
+	*h.at(i) = moved
+	h.fixAt(i)
 }
 
-// readyFix restores the heap property after st's key changed in place.
+// readyFix re-keys st's entry after its key changed in place and restores
+// the heap property.
 func (p *Policy) readyFix(sh *shard, st *state) {
 	if i := int(st.heapIdx); i >= 0 {
-		p.readyFixAt(sh, i)
-	}
-}
-
-func (p *Policy) readyFixAt(sh *shard, i int) {
-	if !p.readyDown(sh, i) {
-		p.readyUp(sh, i)
+		e := sh.ready.at(i)
+		e.key, e.seq = p.readyKey(st), st.seq
+		sh.ready.fixAt(i)
 	}
 }
 
 func (p *Policy) readyTop(sh *shard) *kernel.Thread {
-	if len(sh.ready) == 0 {
+	if sh.ready.n == 0 {
 		return nil
 	}
-	return sh.ready[0].t
+	return sh.ready.chunks[0][0].st.t
 }
 
-func (p *Policy) readyUp(sh *shard, i int) {
-	st := sh.ready[i]
+func (h *readyHeap) fixAt(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// up and down move the entry at i into place and record the heap index
+// of every state they move. hole is the slot the moving entry vacated, so
+// each level resolves one slot, not two.
+func (h *readyHeap) up(i int) {
+	hole := h.at(i)
+	e := *hole
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !p.readyLess(st, sh.ready[parent]) {
+		pe := h.at(parent)
+		if !readyLess(&e, pe) {
 			break
 		}
-		sh.ready[i] = sh.ready[parent]
-		sh.ready[i].heapIdx = int32(i)
-		i = parent
+		*hole = *pe
+		pe.st.heapIdx = int32(i)
+		hole, i = pe, parent
 	}
-	sh.ready[i] = st
-	st.heapIdx = int32(i)
+	*hole = e
+	e.st.heapIdx = int32(i)
 }
 
-func (p *Policy) readyDown(sh *shard, i int) bool {
-	st := sh.ready[i]
-	n := len(sh.ready)
+func (h *readyHeap) down(i int) bool {
+	hole := h.at(i)
+	e := *hole
 	moved := false
 	for {
 		kid := 2*i + 1
-		if kid >= n {
+		if kid >= h.n {
 			break
 		}
-		if r := kid + 1; r < n && p.readyLess(sh.ready[r], sh.ready[kid]) {
-			kid = r
+		k := h.at(kid)
+		if r := kid + 1; r < h.n {
+			if rk := h.at(r); readyLess(rk, k) {
+				kid, k = r, rk
+			}
 		}
-		if !p.readyLess(sh.ready[kid], st) {
+		if !readyLess(k, &e) {
 			break
 		}
-		sh.ready[i] = sh.ready[kid]
-		sh.ready[i].heapIdx = int32(i)
-		i = kid
+		*hole = *k
+		k.st.heapIdx = int32(i)
+		hole, i = k, kid
 		moved = true
 	}
-	sh.ready[i] = st
-	st.heapIdx = int32(i)
+	*hole = e
+	e.st.heapIdx = int32(i)
 	return moved
 }
 

@@ -137,9 +137,14 @@ func (m *chaosMachine) churn(t *testing.T, observe func()) {
 	m.k.Stop()
 }
 
+// runDifferential drives one seed's chaos machine on 1, 2 and 4 CPUs. On
+// more than one CPU, Verify cross-checks each shard's heap while idle CPUs
+// pull work through Steal, which scans the heap array in index order.
 func runDifferential(t *testing.T, seed uint64, disc rbs.Discipline) {
 	t.Helper()
-	newChaosMachine(t, seed, disc, 1, 0).churn(t, nil)
+	for _, cpus := range []int{1, 2, 4} {
+		newChaosMachine(t, seed, disc, cpus, 0).churn(t, nil)
+	}
 }
 
 func TestDifferentialHeapVsScanRMS(t *testing.T) {
@@ -160,6 +165,15 @@ func TestDifferentialHeapVsScanEDF(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStealSkipsThreadBeingDispatched replays the chaos machine whose
+// SMP differential run found a double run: on 4 CPUs, a dispatch driving
+// t9's program woke a thread whose preemption dispatched another CPU,
+// which pulled t9 off the CPU still dispatching it and started it there
+// too, so the kernel's next Pick returned a thread already running.
+func TestStealSkipsThreadBeingDispatched(t *testing.T) {
+	newChaosMachine(t, 0xf15444c1ed2bf15f, rbs.RMS, 4, 0).churn(t, nil)
 }
 
 // TestDequeueUnqueuedIsNoOp is the regression test for Dequeue called on a

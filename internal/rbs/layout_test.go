@@ -6,10 +6,11 @@ import (
 )
 
 // TestStateLayout pins the per-thread state's cache-line layout: the
-// fields the wheel drain, refresh, boundInsert/boundRemove and readyLess
+// fields the wheel drain, refresh, boundInsert/boundRemove and readyKey
 // read sit in the first 64 bytes, the size is a multiple of 64, and the
 // slab hands out states that start on a line boundary — so a drain that
-// reads an entry's key and link touches one line per state.
+// reads an entry's key and link touches one line per state. readyLess
+// reads no state field: ready-heap entries carry their keys inline.
 func TestStateLayout(t *testing.T) {
 	var st state
 	size := unsafe.Sizeof(st)

@@ -24,7 +24,8 @@
 // files only the states whose roll moves them (see filed); a ready RMS
 // reservation rolls lazily, caught up before anything reads or changes
 // it. These structures hold the per-thread scheduling states themselves,
-// so the drain and the heap sifts read only the policy's own memory. The
+// so the drain reads only the policy's own memory, and the ready heap's
+// entries carry their keys, so its sifts read only the entries. The
 // resulting schedule is bit-identical to the legacy linear scan's (the
 // Verify hook cross-checks every Pick against the scan order).
 package rbs
@@ -81,7 +82,7 @@ func (r Reservation) String() string {
 //
 // The layout is hot-first and two cache lines long. The first line holds
 // everything the wheel drain, refresh, boundInsert/boundRemove and
-// readyLess read; the second holds the positions and counters a roll
+// readyKey read; the second holds the positions and counters a roll
 // writes, then the cold fields. The size is a multiple of 64 so every state carved from a
 // page-aligned slab chunk starts on a line boundary (TestStateLayout).
 type state struct {
@@ -350,8 +351,8 @@ func (p *Policy) MissedDeadlines() uint64 {
 			continue
 		}
 		due := timeMax
-		for _, st := range sh.ready {
-			if st.registered {
+		for i := 0; i < sh.ready.n; i++ {
+			if st := sh.ready.at(i).st; st.registered {
 				p.refresh(st, sh.drained)
 				if end := p.periodEnd(st); end < due {
 					due = end
@@ -554,10 +555,25 @@ func (p *Policy) Dequeue(t *kernel.Thread, now sim.Time) {
 // index order, so the heap top — the thread that would run there next —
 // is preferred when movable.
 func (p *Policy) Steal(from int, now sim.Time) *kernel.Thread {
+	if p.shards[from].ready.n == 0 {
+		// Every idle CPU polls each peer at every dispatch point, and on
+		// a mostly idle machine almost every peer's heap is empty.
+		return nil
+	}
+	t := p.stealable(from)
+	if t != nil {
+		p.Dequeue(t, now)
+	}
+	return t
+}
+
+// stealable returns the first movable thread in the given CPU's ready
+// heap array, or nil.
+func (p *Policy) stealable(from int) *kernel.Thread {
 	cur := p.k.CurrentOn(from)
-	for _, st := range p.shards[from].ready {
-		if t := st.t; kernel.Movable(t, cur) {
-			p.Dequeue(t, now)
+	h := &p.shards[from].ready
+	for i := 0; i < h.n; i++ {
+		if t := h.at(i).st.t; kernel.Movable(t, cur) {
 			return t
 		}
 	}
@@ -623,18 +639,23 @@ func (p *Policy) Pick(cpu int, now sim.Time) *kernel.Thread {
 // registered state on the wheel is filed and has its due period rolled,
 // every registered state off it keeps the lazy invariant (verifyLazy), no
 // exhausted thread lingers in the ready set, and every ready entry is its
-// thread's live state at its recorded slot.
+// thread's live state at its recorded slot, keyed as its state reads now.
 func (p *Policy) verifyPick(sh *shard, now sim.Time) {
-	for i, st := range sh.ready {
+	scan := make([]*state, sh.ready.n)
+	for i := range scan {
+		e := sh.ready.at(i)
+		st := e.st
 		if st.t == nil || st.t.Sched != st {
 			panic(fmt.Sprintf("rbs: verify: ready slot %d holds a state its thread %v does not own", i, st.t))
 		}
 		if int(st.heapIdx) != i {
 			panic(fmt.Sprintf("rbs: verify: %v at ready slot %d records heapIdx %d", st.t, i, st.heapIdx))
 		}
+		if key := p.readyKey(st); e.key != key || e.seq != st.seq {
+			panic(fmt.Sprintf("rbs: verify: %v at ready slot %d is keyed (%d, %d), its state reads (%d, %d)", st.t, i, e.key, e.seq, key, st.seq))
+		}
+		scan[i] = st
 	}
-	scan := make([]*state, len(sh.ready))
-	copy(scan, sh.ready)
 	sort.Slice(scan, func(i, j int) bool { return scan[i].seq < scan[j].seq })
 	var best *kernel.Thread
 	for _, st := range scan {
